@@ -128,17 +128,26 @@ def parse_config(path) -> RunConfig:
 
 
 def build_model(cfg: RunConfig):
+    try:
+        return _build_model(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a model rejecting its parameters
+        raise ConfigError(f"model '{cfg.model}': {exc}") from exc
+
+
+def _build_model(cfg: RunConfig):
     nx = cfg.get_int("nx", 0)
-    ny = cfg.raw.get("ny")
+    ny = cfg.get_int("ny", 0) if "ny" in cfg.raw else None
     if cfg.model == "allen_cahn":
         n = nx or 32
-        if ny is not None and int(ny) != n:
+        if ny is not None and ny != n:
             raise ConfigError("key 'ny': allen_cahn uses a square grid")
         return AllenCahnModel(eps2=cfg.get_float("eps2", 0.001), n=n)
     if cfg.model == "pme":
         dim = 2 if ny is not None else 1
         n = nx or 128
-        if ny is not None and int(ny) != n:
+        if ny is not None and ny != n:
             raise ConfigError("key 'ny': pme uses equal per-axis counts")
         return PorousMediumModel(m=cfg.get_float("m", 2.0), n=n, dim=dim,
                                  C=cfg.get_float("C", 1.0))
@@ -150,7 +159,7 @@ def build_model(cfg: RunConfig):
         raise ConfigError(f"key 'reg': unknown regularization '{reg}'")
     dim = 2 if ny is not None else 1
     n = nx or 256
-    if ny is not None and int(ny) != n:
+    if ny is not None and ny != n:
         raise ConfigError("key 'ny': lubrication uses equal per-axis counts")
     kwargs = dict(rho=cfg.get_float("rho", 0.5), mode=reg, n=n, dim=dim)
     if reg == "floor":
@@ -170,17 +179,25 @@ def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
     eps_lb = getattr(model, "eps_lb", 0.0)
     if cfg.model != "lubrication":
         eps_lb = cfg.get_float("eps_lb", 0.0)
-    return StepOptions(k=cfg.get_int("k", 2), dt=cfg.get_float("dt"),
-                       variant=variant, eps_lb=eps_lb,
-                       solver_tol=cfg.get_float("solver_tol", 1e-10),
-                       secant_tol=cfg.get_float("secant_tol", 1e-12))
+    kwargs = dict(k=cfg.get_int("k", 2), dt=cfg.get_float("dt"),
+                  variant=variant, eps_lb=eps_lb,
+                  solver_tol=cfg.get_float("solver_tol", 1e-10),
+                  secant_tol=cfg.get_float("secant_tol", 1e-12))
+    try:
+        return StepOptions(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"step options: {exc}") from exc
 
 
 def _n_steps(cfg: RunConfig, opts: StepOptions) -> int:
     horizon = cfg.get_float("T")
     if horizon < opts.dt:
         raise ConfigError("key 'T': horizon must be at least one step")
-    return int(round(horizon / opts.dt))
+    n_steps = int(round(horizon / opts.dt))
+    if abs(n_steps * opts.dt - horizon) > 1e-9 * horizon:
+        raise ConfigError(f"key 'T': horizon {horizon!r} is not an integer "
+                          f"number of steps of dt = {opts.dt!r}")
+    return n_steps
 
 
 def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
@@ -234,6 +251,15 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def reference_spec(cfg: RunConfig) -> ReferenceSpec:
+    """Reference settings of a convergence study; unset keys keep the
+    :class:`ReferenceSpec` defaults."""
+    default = ReferenceSpec()
+    return ReferenceSpec(k=cfg.get_int("ref_k", default.k),
+                         dt=cfg.get_float("ref_dt", default.dt),
+                         variant=cfg.get("ref_variant", default.variant))
+
+
 def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
@@ -247,9 +273,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
         dts = [float(s) for s in dts_raw.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"key 'dts': cannot parse {dts_raw!r}")
-    ref = ReferenceSpec(k=cfg.get_int("ref_k", 2),
-                        dt=cfg.get_float("ref_dt", 1e-6),
-                        variant=cfg.get("ref_variant", "cutoff"))
+    ref = reference_spec(cfg)
     rows = convergence_study(model, cfg.get_int("k", 2), dts, ref,
                              variant=variant, horizon=cfg.get_float("T", 0.01))
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
@@ -280,7 +304,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
         first_neg = next((d.t for d in diags if d.min_u < 0), None)
         blowup = None
         if result.failure is not None:
-            blowup = diags[-1].t + opts.dt if diags else opts.dt
+            blowup = (len(diags) + 1) * opts.dt
         summary.append((v, len(diags), min_min, first_neg, blowup,
                         diags[-1].mass if diags else float("nan")))
 

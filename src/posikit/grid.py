@@ -54,22 +54,19 @@ class Grid:
     spacings: tuple[float, ...]
     weights: np.ndarray = field(repr=False)   # zero at excluded nodes
     active: np.ndarray = field(repr=False)    # boolean mask of the active set
+    # derived in __post_init__; stored because the solvers read them per call
+    dim: int = field(init=False)
+    shape: tuple[int, ...] = field(init=False)
+    fully_periodic: bool = field(init=False)
+    all_active: bool = field(init=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def fully_periodic(self) -> bool:
-        return all(bc == PERIODIC for bc in self.bcs)
-
-    @property
-    def all_active(self) -> bool:
-        return bool(self.active.all())
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(ax) for ax in self.axes)
+    def __post_init__(self):
+        derived = dict(dim=len(self.axes),
+                       shape=tuple(len(ax) for ax in self.axes),
+                       fully_periodic=all(bc == PERIODIC for bc in self.bcs),
+                       all_active=bool(self.active.all()))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def measure(self) -> float:

@@ -258,7 +258,8 @@ def pnp_step(state: PnpState, model: PnpModel, opts: StepOptions):
                                       secant_maxit=opts.secant_maxit)
         act = g.active
         diags.append(StepDiagnostics(
-            step=hist.nstep + 1, t=hist.t + opts.dt, mass=g.mass(out.u_next),
+            step=hist.nstep + 1, t=(hist.nstep + 1) * opts.dt,
+            mass=g.mass(out.u_next),
             min_u=float(out.u_next[act].min()),
             max_u=float(out.u_next[act].max()), norm_u=g.norm(out.u_next),
             xi=out.xi_next, secant_iterations=out.secant_iterations,

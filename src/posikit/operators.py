@@ -16,7 +16,18 @@ part ``L = -laplacian``):
   Dirichlet/Neumann axes it is the edge-difference form with arithmetic-mean
   edge coefficients.
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
-  fourth-order thin-film operator; periodic grids only.
+  fourth-order thin-film operator; periodic grids only.  It is applied in
+  fused form: u is transformed once, Delta u and its derivative stay in
+  transform space, and per axis only ``c * D(Delta u)`` visits physical
+  space (4 real transforms in 1D, 6 in 2D).
+
+Transforms.  Fields are real, so periodic axes use real FFTs (``rfft`` in
+1D, ``rfft2`` in 2D, inverse with the output length given, so odd counts
+round-trip); the last periodic axis holds the n//2 + 1 nonnegative
+frequencies.  Dirichlet/Neumann axes use DST-I/DCT-I.  The derivative
+multipliers ``i k`` and the unit-coefficient symbol of each kind are built
+once per grid on that layout and cached (read-only), so a shifted system's
+diagonal is ``sigma + cbar * symbol``.
 
 All kinds annihilate constants in the adjoint sense: ``[L v, 1] = 0`` for
 periodic/Neumann grids, and the telescoped edge flux against the all-ones
@@ -70,7 +81,40 @@ def _sl(u: np.ndarray, ax: int, s: slice) -> np.ndarray:
     return u[tuple(idx)]
 
 
-# -- transform symbols --------------------------------------------------------
+# -- transform layout and symbols ---------------------------------------------
+#
+# Periodic axes use real FFTs: the last periodic axis of a grid holds only the
+# n//2 + 1 nonnegative frequencies, and every multiplier below is cached once
+# per grid on that layout, shaped to broadcast along its axis.  Bounded axes
+# use DST-I (Dirichlet, interior nodes) or DCT-I (Neumann, all nodes).
+
+
+def _along(a: np.ndarray, ax: int, ndim: int) -> np.ndarray:
+    shape = [1] * ndim
+    shape[ax] = a.size
+    out = a.reshape(shape)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _wavenumbers(g: Grid, ax: int) -> np.ndarray:
+    """Angular wavenumbers of periodic axis ``ax`` on the real-FFT layout."""
+    n, h = g.counts[ax], g.spacings[ax]
+    halved = all(bc != PERIODIC for bc in g.bcs[ax + 1:])
+    freq = np.fft.rfftfreq(n, d=h) if halved else np.fft.fftfreq(n, d=h)
+    return _along(2.0 * np.pi * freq, ax, g.dim)
+
+
+@lru_cache(maxsize=None)
+def _ik(g: Grid, ax: int) -> np.ndarray:
+    """Multiplier of the antisymmetric Fourier derivative (Nyquist dropped)."""
+    ik = 1j * _wavenumbers(g, ax)
+    n = g.counts[ax]
+    if n % 2 == 0:
+        ik.reshape(-1)[n // 2] = 0.0  # index n//2 is Nyquist in both layouts
+    ik.setflags(write=False)
+    return ik
 
 
 @lru_cache(maxsize=None)
@@ -78,34 +122,51 @@ def _axis_symbol_laplacian(g: Grid, ax: int) -> np.ndarray:
     """Eigenvalues of the per-axis -d2/dx2 in the solve basis."""
     n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
     if bc == PERIODIC:
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        return k * k
+        k2 = _wavenumbers(g, ax) ** 2
+        k2.setflags(write=False)
+        return k2
     j = np.arange(1, n) if bc == DIRICHLET else np.arange(0, n + 1)
-    return (2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2
+    return _along((2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2, ax, g.dim)
+
+
+def _axis_symbol_div(g: Grid, ax: int) -> np.ndarray:
+    """Per-axis symbol of the c == 1 divergence form in the solve basis."""
+    if g.fully_periodic:
+        return _ik(g, ax).imag ** 2
+    if g.bcs[ax] == PERIODIC:
+        # mixed grid: the edge stencil wraps around, FD symbol in FFT basis
+        n, h = g.counts[ax], g.spacings[ax]
+        j = np.arange(n // 2 + 1)
+        return _along((2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2,
+                      ax, g.dim)
+    return _axis_symbol_laplacian(g, ax)
 
 
 @lru_cache(maxsize=None)
-def _axis_symbol_div(g: Grid, ax: int) -> np.ndarray:
-    """Per-axis symbol of the c == 1 divergence form in the solve basis."""
-    n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
-    if g.fully_periodic:
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        s = k * k
-        if n % 2 == 0:
-            s[n // 2] = 0.0  # antisymmetric derivative drops the Nyquist mode
-        return s
-    if bc == PERIODIC:
-        # mixed grid: the edge stencil wraps around, FD symbol in FFT basis
-        j = np.arange(n)
-        return (2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2
-    j = np.arange(1, n) if bc == DIRICHLET else np.arange(0, n + 1)
-    return (2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2
+def _symbol(g: Grid, kind: str) -> np.ndarray:
+    """Transform-space symbol of the unit-coefficient operator of ``kind``."""
+    lap = sum(_axis_symbol_laplacian(g, ax) for ax in range(g.dim))
+    if kind == LAPLACIAN:
+        out = lap
+    else:
+        out = sum(_axis_symbol_div(g, ax) for ax in range(g.dim))
+        if kind == DIV_COEFF_GRAD_LAPLACIAN:
+            out = out * lap
+    out.setflags(write=False)
+    return out
 
 
-def _outer_sum(symbols) -> np.ndarray:
-    if len(symbols) == 1:
-        return symbols[0].copy()
-    return symbols[0][:, None] + symbols[1][None, :]
+@lru_cache(maxsize=None)
+def _laplacian_multiplier(g: Grid) -> np.ndarray:
+    """Fourier multiplier of Delta on a fully periodic grid."""
+    out = -_symbol(g, LAPLACIAN)
+    out.setflags(write=False)
+    return out
+
+
+def _denom(g: Grid, sigma: float, cbar: float, kind: str) -> np.ndarray:
+    """Diagonal of sigma I + cbar L_kind in the solve basis."""
+    return sigma + cbar * _symbol(g, kind)
 
 
 def _interior_slices(g: Grid):
@@ -113,41 +174,54 @@ def _interior_slices(g: Grid):
                  for bc in g.bcs)
 
 
+def _rfft(g: Grid, v: np.ndarray) -> np.ndarray:
+    """Real FFT over every axis of a fully periodic grid."""
+    if g.dim == 1:
+        return np.fft.rfft(v)
+    return sfft.rfft2(v)
+
+
+def _irfft(g: Grid, v: np.ndarray) -> np.ndarray:
+    if g.dim == 1:
+        return np.fft.irfft(v, g.counts[0])
+    return sfft.irfft2(v, g.counts)
+
+
 def _forward(g: Grid, v: np.ndarray) -> np.ndarray:
+    if g.fully_periodic:
+        return _rfft(g, v)
     for ax, bc in enumerate(g.bcs):
-        if bc == PERIODIC:
-            v = np.fft.fft(v, axis=ax)
-        elif bc == DIRICHLET:
+        if bc == DIRICHLET:
             v = sfft.dst(v, type=1, axis=ax)
-        else:
+        elif bc == NEUMANN:
             v = sfft.dct(v, type=1, axis=ax)
+    if PERIODIC in g.bcs:  # mixed grid: the periodic axis goes last
+        v = np.fft.rfft(v, axis=g.bcs.index(PERIODIC))
     return v
 
 
 def _backward(g: Grid, v: np.ndarray) -> np.ndarray:
-    for ax in reversed(range(g.dim)):
+    if g.fully_periodic:
+        return _irfft(g, v)
+    if PERIODIC in g.bcs:
+        ax = g.bcs.index(PERIODIC)
+        v = np.fft.irfft(v, g.counts[ax], axis=ax)
+    for ax in reversed(range(g.dim)):  # the inverse of _forward's order
         bc = g.bcs[ax]
-        if bc == PERIODIC:
-            v = np.fft.ifft(v, axis=ax)
-        elif bc == DIRICHLET:
+        if bc == DIRICHLET:
             v = sfft.idst(v, type=1, axis=ax)
-        else:
+        elif bc == NEUMANN:
             v = sfft.idct(v, type=1, axis=ax)
     return v
 
 
 def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Solve a constant-coefficient system diagonalized by the grid transforms."""
-    sl = _interior_slices(g)
-    v = _forward(g, rhs[sl])
-    v = v / denom
-    v = _backward(g, v)
-    if np.iscomplexobj(v):
-        v = v.real
     if g.all_active:
-        return np.ascontiguousarray(v)
+        return _backward(g, _forward(g, rhs) / denom)
+    sl = _interior_slices(g)
     out = np.zeros(g.shape)
-    out[sl] = v
+    out[sl] = _backward(g, _forward(g, rhs[sl]) / denom)
     return out
 
 
@@ -157,11 +231,9 @@ def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
 def _axis_laplacian(u: np.ndarray, g: Grid, ax: int) -> np.ndarray:
     n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
     if bc == PERIODIC:
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        shape = [1] * u.ndim
-        shape[ax] = n
-        return np.fft.ifft(-(k * k).reshape(shape) * np.fft.fft(u, axis=ax),
-                           axis=ax).real
+        # mixed grid only; fully periodic grids transform all axes at once
+        return np.fft.irfft(-_axis_symbol_laplacian(g, ax)
+                            * np.fft.rfft(u, axis=ax), n, axis=ax)
     out = np.zeros_like(u, dtype=float)
     mid = (_sl(u, ax, slice(0, -2)) - 2.0 * _sl(u, ax, slice(1, -1))
            + _sl(u, ax, slice(2, None))) / h**2
@@ -181,6 +253,8 @@ def _axis_laplacian(u: np.ndarray, g: Grid, ax: int) -> np.ndarray:
 def apply_laplacian(u: np.ndarray, g: Grid) -> np.ndarray:
     """Discrete Laplacian of ``u`` (the actual Laplacian, not its negative)."""
     u = g.check_field(u)
+    if g.fully_periodic:
+        return _irfft(g, _laplacian_multiplier(g) * _rfft(g, u))
     out = _axis_laplacian(u, g, 0)
     for ax in range(1, g.dim):
         out += _axis_laplacian(u, g, ax)
@@ -190,17 +264,19 @@ def apply_laplacian(u: np.ndarray, g: Grid) -> np.ndarray:
 # -- apply: divergence form ---------------------------------------------------
 
 
-def _spectral_deriv(u: np.ndarray, g: Grid, ax: int) -> np.ndarray:
-    """Antisymmetric Fourier first derivative (Nyquist mode dropped)."""
-    n, h = g.counts[ax], g.spacings[ax]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    if n % 2 == 0:
-        k = k.copy()
-        k[n // 2] = 0.0
-    shape = [1] * u.ndim
-    shape[ax] = n
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(u, axis=ax),
-                       axis=ax).real
+def _spectral_div_grad(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
+    """div(c grad v) for the periodic field v whose real transform is U.
+
+    Each axis forms D v spectrally, multiplies by c in physical space and
+    applies D again; the per-axis spectra are summed before one inverse
+    transform (2 + 2 * dim real transforms when U is given).
+    """
+    acc = None
+    for ax in range(g.dim):
+        ik = _ik(g, ax)
+        term = ik * _rfft(g, c * _irfft(g, ik * U))
+        acc = term if acc is None else acc + term
+    return _irfft(g, acc)
 
 
 def _edge_div_axis(c: np.ndarray, u: np.ndarray, g: Grid, ax: int) -> np.ndarray:
@@ -247,10 +323,7 @@ def _axis_weights(g: Grid, ax: int) -> np.ndarray:
 def _div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     """Unvalidated divergence form, +<-div(c grad u)>; sign-indefinite c allowed."""
     if g.fully_periodic:
-        out = np.zeros_like(u, dtype=float)
-        for ax in range(g.dim):
-            out -= _spectral_deriv(c * _spectral_deriv(u, g, ax), g, ax)
-        return out
+        return -_spectral_div_grad(c, _rfft(g, u), g)
     out = _edge_div_axis(c, u, g, 0)
     for ax in range(1, g.dim):
         out += _edge_div_axis(c, u, g, ax)
@@ -266,6 +339,12 @@ def apply_div_coeff_grad(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     if np.any(c < 0):
         raise ValueError("div-coeff-grad coefficient must be nonnegative")
     return _div_form(c, u, g)
+
+
+def _fourth_order_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
+    """+div(c grad (Delta u)) with Delta u kept in transform space: one
+    forward transform of u, then :func:`_spectral_div_grad`."""
+    return _spectral_div_grad(c, _laplacian_multiplier(g) * _rfft(g, u), g)
 
 
 def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -286,7 +365,7 @@ def apply_lubrication(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     u = g.check_field(u)
     if np.any(c < 0):
         raise ValueError("fourth-order coefficient must be nonnegative")
-    return -_div_form(c, apply_laplacian(u, g), g)
+    return _fourth_order_form(c, u, g)
 
 
 # -- operator handles ---------------------------------------------------------
@@ -329,7 +408,7 @@ class Operator:
             return out
         if self.kind == DIV_COEFF_GRAD:
             return _div_form(self.coeff, g.check_field(u), g)
-        return -_div_form(self.coeff, apply_laplacian(g.check_field(u), g), g)
+        return _fourth_order_form(self.coeff, g.check_field(u), g)
 
     def quad(self, u: np.ndarray) -> float:
         """The bilinear form <L u, u> in the grid inner product."""
@@ -341,25 +420,15 @@ class Operator:
         return float(np.mean(self.coeff[self.grid.active]))
 
 
-def _denom_second_order(g: Grid, sigma: float, cbar: float, kind: str) -> np.ndarray:
-    if kind == LAPLACIAN:
-        syms = [_axis_symbol_laplacian(g, ax) for ax in range(g.dim)]
-    else:
-        syms = [_axis_symbol_div(g, ax) for ax in range(g.dim)]
-    return sigma + cbar * _outer_sum(syms)
-
-
-def _denom_fourth_order(g: Grid, sigma: float, cbar: float) -> np.ndarray:
-    s_div = _outer_sum([_axis_symbol_div(g, ax) for ax in range(g.dim)])
-    s_lap = _outer_sum([_axis_symbol_laplacian(g, ax) for ax in range(g.dim)])
-    return sigma + cbar * s_div * s_lap
-
-
 # -- Krylov kernels -----------------------------------------------------------
 
 
 def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(w * a * b))
+    # the same sum as np.sum(w * a * b), without a temporary and the np.sum
+    # wrapper; not a BLAS dot, which goes multithreaded on 2D grids
+    p = w * a
+    p *= b
+    return float(p.sum())
 
 
 def _pcg(matvec, precond, b, w, tol, maxit, x0=None):
@@ -471,13 +540,13 @@ def solve_shifted(sigma: float, op: Operator, rhs: np.ndarray,
     g = op.grid
     rhs = g.check_field(rhs)
     if op.kind == LAPLACIAN:
-        denom = _denom_second_order(g, sigma, 1.0, LAPLACIAN)
+        denom = _denom(g, sigma, 1.0, LAPLACIAN)
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
     if _is_constant(op.coeff, g):
         cval = float(op.coeff[g.active][0]) if g.active.any() else 0.0
-        denom = _denom_second_order(g, sigma, cval, DIV_COEFF_GRAD)
+        denom = _denom(g, sigma, cval, DIV_COEFF_GRAD)
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
-    denom = _denom_second_order(g, sigma, op.mean_coeff(), DIV_COEFF_GRAD)
+    denom = _denom(g, sigma, op.mean_coeff(), DIV_COEFF_GRAD)
     matvec = lambda v: sigma * v + op.apply(v)
     precond = lambda r: _diag_solve(g, r, denom)
     u, report = _pcg(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
@@ -499,9 +568,10 @@ def solve_lubrication_shifted(sigma: float, c: np.ndarray, rhs: np.ndarray,
     op = Operator.lubrication(g, c)
     rhs = g.check_field(rhs)
     if _is_constant(op.coeff, g):
-        denom = _denom_fourth_order(g, sigma, float(op.coeff.flat[0]))
+        denom = _denom(g, sigma, float(op.coeff.flat[0]),
+                       DIV_COEFF_GRAD_LAPLACIAN)
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
-    denom = _denom_fourth_order(g, sigma, op.mean_coeff())
+    denom = _denom(g, sigma, op.mean_coeff(), DIV_COEFF_GRAD_LAPLACIAN)
     matvec = lambda v: sigma * v + op.apply(v)
     precond = lambda r: _diag_solve(g, r, denom)
     u, report = _pbicgstab(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
@@ -529,14 +599,9 @@ def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.nda
         raise ValueError("conservative Poisson solve needs periodic/Neumann axes")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    denom = _denom_second_order(g, 0.0, scale, LAPLACIAN)
-    v = _forward(g, rhs)
+    denom = _denom(g, 0.0, scale, LAPLACIAN)
     zero = (0,) * g.dim
-    denom = denom.copy()
     denom[zero] = 1.0
-    v = v / denom
+    v = _forward(g, rhs) / denom
     v[zero] = 0.0
-    v = _backward(g, v)
-    if np.iscomplexobj(v):
-        v = v.real
-    return np.ascontiguousarray(v)
+    return _backward(g, v)

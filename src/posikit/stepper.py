@@ -31,7 +31,7 @@ separate instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -147,8 +147,8 @@ class History:
         del self.us[4:]
         del self.lams[3:]
         del self.xis[3:]
-        self.t += dt
         self.nstep += 1
+        self.t = self.nstep * dt  # not a running sum, which drifts
 
 
 @dataclass
@@ -480,9 +480,10 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     else:
         out = CorrectionOutcome(u_tilde, np.zeros(g.shape), 0.0, 0, 0)
 
+    t_next = (hist.nstep + 1) * opts.dt
     if not np.isfinite(out.u_next).all():
-        raise BlowUpError(f"solution lost finiteness at t = {hist.t + opts.dt:g}",
-                          t=hist.t + opts.dt)
+        raise BlowUpError(f"solution lost finiteness at t = {t_next:g}",
+                          t=t_next)
 
     op_quad = op.quad(u_tilde) if opts.track_energy else float("nan")
     ledger_residual = float("nan")
@@ -495,7 +496,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     act = g.active
     diag = StepDiagnostics(
         step=hist.nstep + 1,
-        t=hist.t + opts.dt,
+        t=t_next,
         mass=g.mass(out.u_next),
         min_u=float(out.u_next[act].min()),
         max_u=float(out.u_next[act].max()),
@@ -526,16 +527,17 @@ def run_simulation(model, opts: StepOptions, n_steps: int,
     """Drive ``n_steps`` steps of ``model`` from its initial state.
 
     For the mass variant the target mass defaults to the mass of the initial
-    state.  ``on_step(hist, diag)`` is invoked after every step.  With
-    ``stop_on_failure=False`` a numerical failure ends the run early and is
-    recorded on the result instead of raising (used by the baseline
-    comparison, where blow-up is an expected outcome).
+    state; ``opts`` itself is left unchanged, so one options object can drive
+    runs of several models.  ``on_step(hist, diag)`` is invoked after every
+    step.  With ``stop_on_failure=False`` a numerical failure ends the run
+    early and is recorded on the result instead of raising (used by the
+    baseline comparison, where blow-up is an expected outcome).
     """
     g = model.grid
     u0 = model.initial_state()
     hist = History.start(g, u0)
     if opts.variant == VARIANT_MASS and opts.target_mass is None:
-        opts.target_mass = g.mass(u0)
+        opts = replace(opts, target_mass=g.mass(u0))
     diags = []
     for _ in range(n_steps):
         try:

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from posikit.cli import main
+from posikit.cli import main, parse_config, reference_spec
+from posikit.diagnostics import ReferenceSpec
 from posikit.grid import read_snapshot
 
 
@@ -204,3 +205,47 @@ def test_config_parse_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     dup = write_config(tmp_path, "model = pme\nmodel = pme\ndt = 1e-3\nT = 1e-3\n")
     assert main(["solve", "--config", dup, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text,word", [
+    ("model = pme\nnx = 32\nny = abc\ndt = 1e-3\nT = 3e-3", "ny"),
+    ("model = pme\nnx = 32\nk = 7\ndt = 1e-3\nT = 3e-3", "BDF order"),
+    ("model = pme\nnx = 32\ndt = -1e-3\nT = 3e-3", "dt"),
+    ("model = allen_cahn\nnx = 8\neps2 = -1\ndt = 1e-4\nT = 1e-3",
+     "allen_cahn"),
+])
+def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
+    cfg = write_config(tmp_path, text + "\n")
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and word in err
+
+
+def test_horizon_not_multiple_of_dt_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 0.01")
+                       .replace("dt = 1e-3", "dt = 3e-3"))
+    out = tmp_path / "o"
+    code = main(["solve", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "'T'" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
+
+
+def test_run_csv_time_column_is_exact_step_multiple(tmp_path):
+    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 0.01"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "run.csv")
+    assert len(rows) == 11
+    assert [r[0] for r in rows[1:]] == [repr(n * 1e-3) for n in range(1, 11)]
+    assert rows[-1][0] == "0.01"
+    _, t = read_snapshot(out / "u_final.txt")
+    assert t == 10 * 1e-3
+
+
+def test_convergence_reference_defaults_follow_reference_spec(tmp_path):
+    cfg = parse_config(write_config(tmp_path, "model = allen_cahn\n"
+                                    "dts = 2e-4,1e-4\n"))
+    assert reference_spec(cfg) == ReferenceSpec()
+    assert reference_spec(cfg).variant == "multiplier"

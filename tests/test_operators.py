@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from posikit.grid import build_grid
-from posikit.operators import (Operator, SolverReport, apply_div_coeff_grad,
-                               apply_laplacian, apply_lubrication,
-                               solve_conservative_poisson,
+from posikit.operators import (DIV_COEFF_GRAD, Operator, SolverReport,
+                               _backward, _denom, _diag_solve, _forward,
+                               _symbol, apply_div_coeff_grad, apply_laplacian,
+                               apply_lubrication, solve_conservative_poisson,
                                solve_lubrication_shifted, solve_shifted,
                                transport_div_form)
 
@@ -301,6 +302,77 @@ def test_mixed_grid_constant_coeff_solve_matches_dense():
     u, rep = solve_shifted(sigma, op, rhs)
     assert rep.iterations == 0  # one-pass transform solve
     assert np.abs(np.ravel(u) - x).max() < 1e-12
+
+
+# -- real-transform spectral core ---------------------------------------------
+
+PERIODIC_GRIDS = [((-1.0, 1.0), 255), ((-1.0, 1.0), 256),
+                  (((0.0, 1.0), (0.0, 2.0)), (15, 16)),
+                  (((0.0, 1.0), (0.0, 2.0)), (16, 15))]
+
+
+@pytest.mark.parametrize("extents,counts", PERIODIC_GRIDS)
+def test_fused_fourth_order_matches_composed_form(extents, counts):
+    # the fused apply keeps Delta u in transform space; the composed form
+    # goes back to physical space in between
+    g = build_grid(extents, counts, "periodic")
+    rng = np.random.default_rng(30)
+    c = rng.random(g.shape) + 0.1
+    u = rng.standard_normal(g.shape)
+    fused = Operator.lubrication(g, c).apply(u)
+    composed = -transport_div_form(c, apply_laplacian(u, g), g)
+    assert np.abs(fused - composed).max() <= 1e-14 * np.abs(composed).max()
+    assert np.array_equal(fused, apply_lubrication(c, u, g))
+
+
+MIXED_GRIDS = [("periodic", "neumann"), ("dirichlet", "periodic")]
+
+
+@pytest.mark.parametrize("bcs", MIXED_GRIDS)
+def test_transform_round_trip_mixed_grid_odd_count(bcs):
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (7, 7), bcs)
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal(g.shape)
+    if "dirichlet" in bcs:
+        v = v[1:-1, :]  # the transforms act on interior nodes
+    assert np.abs(_backward(g, _forward(g, v)) - v).max() < 1e-13
+    # constant-coefficient operator, then its one-pass inverse
+    u = rng.standard_normal(g.shape) * g.active
+    cval, sigma = 0.7, 3.0
+    op = Operator.div_coeff_grad(g, np.full(g.shape, cval))
+    rhs = sigma * u + op.apply(u)
+    back = _diag_solve(g, rhs, _denom(g, sigma, cval, DIV_COEFF_GRAD))
+    assert np.abs(back - u).max() < 1e-12
+
+
+@pytest.mark.parametrize("bcs", MIXED_GRIDS)
+def test_mixed_grid_transform_solve_matches_dense_odd_count(bcs):
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (7, 6), bcs)
+    cval, sigma = 1.3, 2.0
+    op = Operator.div_coeff_grad(g, np.full(g.shape, cval))
+    M = dense_matrix(op.apply, g)
+    rng = np.random.default_rng(32)
+    rhs = rng.standard_normal(g.shape) * g.active
+    act = np.flatnonzero(np.ravel(g.active))
+    A = sigma * np.eye(M.shape[0]) + M
+    x = np.zeros(M.shape[0])
+    x[act] = np.linalg.solve(A[np.ix_(act, act)], np.ravel(rhs)[act])
+    u, rep = solve_shifted(sigma, op, rhs)
+    assert rep.iterations == 0
+    assert np.abs(np.ravel(u) - x).max() < 1e-12
+
+
+def test_symbols_built_once_per_grid():
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (9, 8), ("periodic", "dirichlet"))
+    rhs = np.random.default_rng(33).standard_normal(g.shape) * g.active
+    before = _symbol.cache_info()
+    results = [_diag_solve(g, rhs, _denom(g, 2.0, 0.5, DIV_COEFF_GRAD))
+               for _ in range(2)]
+    after = _symbol.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
+    assert np.array_equal(results[0], results[1])
+    assert not _symbol(g, DIV_COEFF_GRAD).flags.writeable
 
 
 # -- Neumann diagonalization and gauge --------------------------------------------

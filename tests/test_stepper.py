@@ -458,3 +458,16 @@ def test_blowup_detection():
     res = run_simulation(model, opts, 5, stop_on_failure=False)
     assert res.failure is not None and "BlowUp" in res.failure
     assert len(res.diagnostics) == 1
+
+
+def test_mass_options_reused_across_models_keep_own_mass():
+    # the default target mass is resolved per run, never written into opts
+    from posikit.models import PorousMediumModel
+    opts = StepOptions(k=2, dt=1e-3, variant="mass")
+    for C in (1.0, 2.0):
+        model = PorousMediumModel(m=2.0, n=64, dim=1, C=C)
+        m0 = model.grid.mass(model.initial_state())
+        res = run_simulation(model, opts, 5)
+        assert abs(res.diagnostics[-1].mass - m0) <= 1e-10 * m0
+        assert opts.target_mass is None
+
