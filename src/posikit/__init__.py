@@ -7,17 +7,13 @@ multiplier that restores conservation of the weighted mass.  Ships with four
 model problems, runtime stability ledgers, and a convergence-study harness.
 """
 
-from .grid import (Grid, build_grid, inner, mass, norm, read_snapshot,
-                   write_snapshot)
-from .operators import (Operator, SolverError, SolverReport, apply_div_coeff_grad,
-                        apply_laplacian, apply_lubrication,
-                        solve_conservative_poisson, solve_lubrication_shifted,
-                        solve_operator, solve_shifted)
+from .grid import Grid, build_grid, read_snapshot, write_snapshot
+from .operators import (Operator, SolverError, SolverReport, apply_laplacian,
+                        solve_conservative_poisson, solve_operator)
 from .stepper import (BdfTableau, BlowUpError, CorrectionOutcome, History,
                       RunResult, SecantError, StepDiagnostics, StepOptions,
-                      bdf_tableau, correct_cutoff, correct_mass_conserving,
-                      correct_positivity, predict, residual_F, run_simulation,
-                      solve_xi_exact, solve_xi_secant, step)
+                      bdf_tableau, correct_positivity, predict, residual_F,
+                      run_simulation, solve_xi_exact, solve_xi_secant, step)
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, barenblatt, extrapolate_star,
                      lubrication_f_eta, pme_operator, pnp_start, pnp_step,

@@ -8,7 +8,8 @@ typo cannot silently fall back to a default.  Three subcommands:
 * ``convergence``  -- temporal convergence table against a fine reference;
 * ``compare``      -- run several step variants on one model and emit aligned
   per-step metrics (the ``none`` variant is the uncorrected baseline and may
-  blow up; its failure time is recorded, not raised).
+  blow up; a failure's kind, and for a blow-up its time, are recorded, not
+  raised).
 
 Output directory precedence: ``--out`` flag, then the ``POSIKIT_OUT``
 environment variable, then the config's ``out`` key, then ``./out``.
@@ -170,33 +171,40 @@ def _build_model(cfg: RunConfig):
     return LubricationModel(**kwargs)
 
 
-def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
-    if variant is None:
-        variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
+def _check_variant(cfg: RunConfig, variant: str, key="variant") -> None:
     if variant not in _VALID_VARIANTS[cfg.model]:
-        raise ConfigError(f"key 'variant': '{variant}' is not valid for "
+        raise ConfigError(f"key '{key}': '{variant}' is not valid for "
                           f"model '{cfg.model}'")
-    eps_lb = getattr(model, "eps_lb", 0.0)
-    if cfg.model != "lubrication":
-        eps_lb = cfg.get_float("eps_lb", 0.0)
-    kwargs = dict(k=cfg.get_int("k", 2), dt=cfg.get_float("dt"),
-                  variant=variant, eps_lb=eps_lb,
-                  solver_tol=cfg.get_float("solver_tol", 1e-10),
-                  secant_tol=cfg.get_float("secant_tol", 1e-12))
+
+
+def _step_options(**kwargs) -> StepOptions:
+    """:class:`StepOptions` whose rejected values are configuration errors."""
     try:
         return StepOptions(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"step options: {exc}") from exc
 
 
-def _n_steps(cfg: RunConfig, opts: StepOptions) -> int:
-    horizon = cfg.get_float("T")
-    if horizon < opts.dt:
+def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
+    if variant is None:
+        variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
+    _check_variant(cfg, variant)
+    eps_lb = getattr(model, "eps_lb", 0.0)
+    if cfg.model != "lubrication":
+        eps_lb = cfg.get_float("eps_lb", 0.0)
+    return _step_options(k=cfg.get_int("k", 2), dt=cfg.get_float("dt"),
+                         variant=variant, eps_lb=eps_lb,
+                         solver_tol=cfg.get_float("solver_tol", 1e-10),
+                         secant_tol=cfg.get_float("secant_tol", 1e-12))
+
+
+def _n_steps(horizon: float, dt: float) -> int:
+    if horizon < dt:
         raise ConfigError("key 'T': horizon must be at least one step")
-    n_steps = int(round(horizon / opts.dt))
-    if abs(n_steps * opts.dt - horizon) > 1e-9 * horizon:
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ConfigError(f"key 'T': horizon {horizon!r} is not an integer "
-                          f"number of steps of dt = {opts.dt!r}")
+                          f"number of steps of dt = {dt!r}")
     return n_steps
 
 
@@ -215,7 +223,7 @@ def _initial_row(g, u0):
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     opts = build_options(cfg, model)
-    n_steps = _n_steps(cfg, opts)
+    n_steps = _n_steps(cfg.get_float("T"), opts.dt)
     cadence = cfg.get_int("snapshot_every", 0)
 
     if cfg.model == "pnp":
@@ -263,19 +271,29 @@ def reference_spec(cfg: RunConfig) -> ReferenceSpec:
 def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
-    if variant not in _VALID_VARIANTS[cfg.model]:
-        raise ConfigError(f"key 'variant': '{variant}' is not valid for "
-                          f"model '{cfg.model}'")
-    dts_raw = cfg.get("dts")
-    if not dts_raw:
-        raise ConfigError("missing required key 'dts'")
+    _check_variant(cfg, variant)
+    dts_raw = cfg.get("dts", "")
     try:
         dts = [float(s) for s in dts_raw.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"key 'dts': cannot parse {dts_raw!r}")
+    if not dts:
+        raise ConfigError("missing required key 'dts'")
+    if any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ConfigError("key 'dts': step sizes must be strictly decreasing")
     ref = reference_spec(cfg)
-    rows = convergence_study(model, cfg.get_int("k", 2), dts, ref,
-                             variant=variant, horizon=cfg.get_float("T", 0.01))
+    _check_variant(cfg, ref.variant, "ref_variant")
+    if ref.dt >= min(dts):
+        raise ConfigError(f"key 'ref_dt': {ref.dt!r} is not below the study "
+                          f"step sizes")
+    k = cfg.get_int("k", 2)
+    horizon = cfg.get_float("T", 0.01)
+    runs = [(k, dt, variant) for dt in dts] + [(ref.k, ref.dt, ref.variant)]
+    for run_k, dt, run_variant in runs:  # all checked before the first run
+        _step_options(k=run_k, dt=dt, variant=run_variant)
+        _n_steps(horizon, dt)
+    rows = convergence_study(model, k, dts, ref, variant=variant,
+                             horizon=horizon)
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return EXIT_OK
 
@@ -285,16 +303,14 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     variants_raw = cfg.get("variants", "multiplier,cutoff,mass,none")
     variants = [v.strip() for v in variants_raw.split(",") if v.strip()]
     for v in variants:
-        if v not in _VALID_VARIANTS[cfg.model]:
-            raise ConfigError(f"key 'variants': '{v}' is not valid for "
-                              f"model '{cfg.model}'")
+        _check_variant(cfg, v, "variants")
     g = model.grid
     per_variant = {}
     summary = []
     n_steps = None
     for v in variants:
         opts = build_options(cfg, model, variant=v)
-        n_steps = _n_steps(cfg, opts)
+        n_steps = _n_steps(cfg.get_float("T"), opts.dt)
         result = run_simulation(model, opts, n_steps, stop_on_failure=False)
         diags = result.diagnostics
         per_variant[v] = diags
@@ -302,11 +318,14 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
                       initial_row=_initial_row(g, model.initial_state()))
         min_min = min((d.min_u for d in diags), default=float("nan"))
         first_neg = next((d.t for d in diags if d.min_u < 0), None)
-        blowup = None
-        if result.failure is not None:
-            blowup = (len(diags) + 1) * opts.dt
-        summary.append((v, len(diags), min_min, first_neg, blowup,
-                        diags[-1].mass if diags else float("nan")))
+        err = result.failure
+        blowup = err.t if isinstance(err, BlowUpError) else None
+        summary.append(",".join([
+            v, str(len(diags)), repr(min_min),
+            "" if first_neg is None else repr(first_neg),
+            "" if blowup is None else repr(blowup),
+            "" if err is None else type(err).__name__,
+            repr(diags[-1].mass if diags else float("nan"))]))
 
     with open(os.path.join(out_dir, "compare.csv"), "w") as fh:
         cols = ["t"]
@@ -329,13 +348,10 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
             fh.write(",".join([repr(t)] + row) + "\n")
 
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("variant,steps,min_min_u,first_negative_t,blowup_t,final_mass\n")
-        for v, steps, min_min, first_neg, blowup, final_mass in summary:
-            fh.write(",".join([
-                v, str(steps), repr(min_min),
-                "" if first_neg is None else repr(first_neg),
-                "" if blowup is None else repr(blowup),
-                repr(final_mass)]) + "\n")
+        fh.write("variant,steps,min_min_u,first_negative_t,blowup_t,failure,"
+                 "final_mass\n")
+        for row in summary:
+            fh.write(row + "\n")
     return EXIT_OK
 
 

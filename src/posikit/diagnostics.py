@@ -174,8 +174,7 @@ def run_to_horizon(model, k: int, dt: float, variant: str, horizon: float,
     if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError(f"horizon {horizon} is not an integer number of "
                          f"steps of dt = {dt}")
-    opts = StepOptions(k=k, dt=dt, variant=variant, solver_tol=solver_tol,
-                       track_energy=False)
+    opts = StepOptions(k=k, dt=dt, variant=variant, solver_tol=solver_tol)
     result = run_simulation(model, opts, n_steps)
     return result.history.us[0]
 

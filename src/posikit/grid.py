@@ -80,9 +80,6 @@ class Grid:
         """Coordinate arrays broadcast to ``shape`` (meshgrid, ij indexing)."""
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
     def check_field(self, u: np.ndarray) -> np.ndarray:
         u = np.asanyarray(u)
         if u.shape != self.shape:
@@ -192,18 +189,6 @@ def build_grid(extents, counts, bcs) -> Grid:
         weights=weights,
         active=active,
     )
-
-
-def inner(u: np.ndarray, v: np.ndarray, g: Grid) -> float:
-    return g.inner(u, v)
-
-
-def norm(u: np.ndarray, g: Grid) -> float:
-    return g.norm(u)
-
-
-def mass(u: np.ndarray, g: Grid) -> float:
-    return g.mass(u)
 
 
 # -- field snapshots ---------------------------------------------------------

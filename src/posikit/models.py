@@ -3,8 +3,9 @@
 Each single-field model supplies the pieces the stepper needs per step: an
 operator handle (possibly rebuilt from lagged solution history), an explicit
 source, initial data, and, where available, a reference solution.  The
-electrodiffusion system couples two species through a potential and ships
-with its own step/run drivers.
+electrodiffusion system couples two species through a potential: each
+species steps through the generic :func:`posikit.stepper.step` as a
+:class:`PnpSpecies`, and :func:`pnp_step` adds the potential update.
 
 Models are immutable configuration plus pure assembly functions and are safe
 to share between runs.
@@ -12,7 +13,7 @@ to share between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from .grid import DIRICHLET, NEUMANN, PERIODIC, build_grid
 from .operators import (Operator, solve_conservative_poisson,
                         transport_div_form)
-from .stepper import (History, StepDiagnostics, StepOptions, bdf_tableau,
-                      correct_mass_conserving, predict)
+from .stepper import (VARIANT_MASS, History, StepOptions, combine_levels,
+                      step)
 
 _STAR_FLOOR = 1e-14
 
@@ -94,10 +95,7 @@ class AllenCahnModel:
         return self._op
 
     def explicit_source(self, hist: History, k: int) -> np.ndarray:
-        coeffs = _EXTRAP_COEFFS[min(k, len(hist.us))]
-        star = coeffs[0] * hist.us[0]
-        for c, u in zip(coeffs[1:], hist.us[1:]):
-            star = star + c * u
+        star = combine_levels(_EXTRAP_COEFFS[min(k, len(hist.us))], hist.us)
         return -(1.0 / self.eps2) * star * (star - 1.0) * (star - 0.5)
 
 
@@ -140,7 +138,6 @@ class PorousMediumModel:
     n: int = 128
     dim: int = 1
     C: float = 1.0
-    mass_mode: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -185,7 +182,7 @@ class PnpModel:
             raise ValueError("Debye ratio must be positive")
         self.grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)),
                                (self.n, self.n), NEUMANN)
-        self._lap = Operator.laplacian(self.grid)
+        self.laplacian = Operator.laplacian(self.grid)
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         X, Y = self.grid.coords()
@@ -219,62 +216,55 @@ def pnp_start(model: PnpModel) -> PnpState:
                     target_p=g.mass(p0), target_n=g.mass(n0))
 
 
+@dataclass(frozen=True)
+class PnpSpecies:
+    """One species of the electrodiffusion system as a single-field model.
+
+    The diffusion part is the implicit Neumann Laplacian; the drift term
+    ``sign * div(c grad phi)`` (sign -1 for the positive species, +1 for the
+    negative one) is explicit, assembled at the linear extrapolations c*,
+    phi* of the species history and of the potential levels ``phis``
+    (newest first, shared with the system state).
+    """
+
+    laplacian: Operator
+    phis: list
+    sign: float
+
+    def operator(self, hist: History, k: int) -> Operator:
+        return self.laplacian
+
+    def explicit_source(self, hist: History, k: int) -> np.ndarray:
+        if k >= 2 and len(self.phis) >= 2:
+            c_star = 2.0 * hist.us[0] - hist.us[1]
+            phi_star = 2.0 * self.phis[0] - self.phis[1]
+        else:
+            c_star, phi_star = hist.us[0], self.phis[0]
+        return self.sign * transport_div_form(c_star, phi_star, hist.grid)
+
+
 def pnp_step(state: PnpState, model: PnpModel, opts: StepOptions):
     """Advance both species and the potential by one step.
 
-    The species predictions are decoupled constant-coefficient solves: the
-    drift divergence is assembled explicitly at the linear extrapolations
-    p*, n*, phi* and moved to the right side.  Each species then runs the
-    mass-conserving positivity correction with its own multiplier pair, and
-    the potential is recomputed from the corrected concentrations.
-
-    Returns (p, lam_p, xi_p, n, lam_n, xi_n, phi) plus the per-species
-    diagnostics.
+    Each species takes one generic :func:`posikit.stepper.step` as a
+    :class:`PnpSpecies` with the mass-conserving correction (lower bound 0)
+    and its own multiplier pair and target mass; both species see the
+    potential levels from before the step.  The potential is then
+    recomputed from the corrected concentrations.  The new levels are read
+    from ``state``; returns the (p, n) step diagnostics.
     """
-    g = model.grid
-    hp, hn = state.hist_p, state.hist_n
-    k_eff = min(opts.k, hp.nstep + 1)
-    tab = bdf_tableau(k_eff)
-    if k_eff >= 2 and len(state.phis) >= 2:
-        p_star = 2.0 * hp.us[0] - hp.us[1]
-        n_star = 2.0 * hn.us[0] - hn.us[1]
-        phi_star = 2.0 * state.phis[0] - state.phis[1]
-    else:
-        p_star, n_star, phi_star = hp.us[0], hn.us[0], state.phis[0]
-
-    src_p = -transport_div_form(p_star, phi_star, g)
-    src_n = transport_div_form(n_star, phi_star, g)
-
     diags = []
-    results = []
-    for hist, src, target in ((hp, src_p, state.target_p),
-                              (hn, src_n, state.target_n)):
-        u_tilde, report = predict(hist, tab, model._lap, opts.dt,
-                                  mass_mode=True, source=src,
-                                  solver_tol=opts.solver_tol,
-                                  solver_maxit=opts.solver_maxit)
-        out = correct_mass_conserving(u_tilde, hist, tab, opts.dt, target,
-                                      eps_lb=0.0, secant_tol=opts.secant_tol,
-                                      secant_maxit=opts.secant_maxit)
-        act = g.active
-        diags.append(StepDiagnostics(
-            step=hist.nstep + 1, t=(hist.nstep + 1) * opts.dt,
-            mass=g.mass(out.u_next),
-            min_u=float(out.u_next[act].min()),
-            max_u=float(out.u_next[act].max()), norm_u=g.norm(out.u_next),
-            xi=out.xi_next, secant_iterations=out.secant_iterations,
-            active_count=out.active_count,
-            solver_iterations=report.iterations,
-            solver_residual=report.residual, op_quad=float("nan")))
-        hist.push(out.u_next, out.lambda_next, out.xi_next, opts.dt)
-        results.append(out)
-
-    phi = model.potential(hp.us[0], hn.us[0])
+    for hist, sign, target in ((state.hist_p, -1.0, state.target_p),
+                               (state.hist_n, 1.0, state.target_n)):
+        species = PnpSpecies(model.laplacian, state.phis, sign)
+        species_opts = replace(opts, variant=VARIANT_MASS, eps_lb=0.0,
+                               target_mass=target)
+        _, diag = step(hist, species, species_opts)
+        diags.append(diag)
+    phi = model.potential(state.hist_p.us[0], state.hist_n.us[0])
     state.phis.insert(0, phi)
     del state.phis[2:]
-    out_p, out_n = results
-    return (out_p.u_next, out_p.lambda_next, out_p.xi_next,
-            out_n.u_next, out_n.lambda_next, out_n.xi_next, phi), diags
+    return tuple(diags)
 
 
 @dataclass
@@ -289,7 +279,7 @@ def run_pnp(model: PnpModel, opts: StepOptions, n_steps: int,
     state = pnp_start(model)
     dp, dn = [], []
     for _ in range(n_steps):
-        _, (diag_p, diag_n) = pnp_step(state, model, opts)
+        diag_p, diag_n = pnp_step(state, model, opts)
         dp.append(diag_p)
         dn.append(diag_n)
         if on_step is not None:

@@ -31,14 +31,15 @@ diagonal is ``sigma + cbar * symbol``.
 
 All kinds annihilate constants in the adjoint sense: ``[L v, 1] = 0`` for
 periodic/Neumann grids, and the telescoped edge flux against the all-ones
-extension vanishes on Dirichlet grids.  Shifted systems ``(sigma I + L) u = b``
-solve exactly in one transform pass for constant coefficients; variable
-coefficients use conjugate gradients (SPD kinds) or BiCGStab (fourth-order
-kind) preconditioned by the constant-coefficient operator at the mean
-coefficient.
+extension vanishes on Dirichlet grids.  Each kind is applied through
+:meth:`Operator.apply`, and every shifted system ``(sigma I + L) u = b`` goes
+through :func:`solve_operator`: one exact transform pass for constant
+coefficients; for variable coefficients conjugate gradients (SPD kinds) or
+BiCGStab (fourth-order kind), preconditioned by the constant-coefficient
+operator at the mean coefficient.
 
-Operators are immutable; ``apply``/``solve`` are pure functions of their
-inputs and may run concurrently on distinct fields.
+Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
+functions of their inputs and may run concurrently on distinct fields.
 """
 
 from __future__ import annotations
@@ -332,15 +333,6 @@ def _div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
-def apply_div_coeff_grad(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
-    """Apply L u = -div(c grad u) in divided (per-weight) form; needs c >= 0."""
-    c = g.check_field(c)
-    u = g.check_field(u)
-    if np.any(c < 0):
-        raise ValueError("div-coeff-grad coefficient must be nonnegative")
-    return _div_form(c, u, g)
-
-
 def _fourth_order_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     """+div(c grad (Delta u)) with Delta u kept in transform space: one
     forward transform of u, then :func:`_spectral_div_grad`."""
@@ -357,18 +349,14 @@ def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     return _div_form(g.check_field(c), g.check_field(u), g)
 
 
-def apply_lubrication(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
-    """Apply L u = +div(c grad (Delta u)); periodic grids only, c >= 0."""
-    if not g.fully_periodic:
-        raise ValueError("the fourth-order operator requires a periodic grid")
-    c = g.check_field(c)
-    u = g.check_field(u)
-    if np.any(c < 0):
-        raise ValueError("fourth-order coefficient must be nonnegative")
-    return _fourth_order_form(c, u, g)
-
-
 # -- operator handles ---------------------------------------------------------
+
+
+def _nonnegative(g: Grid, c: np.ndarray, what: str) -> np.ndarray:
+    c = g.check_field(np.asarray(c, dtype=float))
+    if np.any(c < 0):
+        raise ValueError(f"{what} coefficient must be nonnegative")
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,19 +373,15 @@ class Operator:
 
     @classmethod
     def div_coeff_grad(cls, g: Grid, c: np.ndarray) -> "Operator":
-        c = g.check_field(np.asarray(c, dtype=float))
-        if np.any(c < 0):
-            raise ValueError("div-coeff-grad coefficient must be nonnegative")
-        return cls(grid=g, kind=DIV_COEFF_GRAD, coeff=c)
+        return cls(grid=g, kind=DIV_COEFF_GRAD,
+                   coeff=_nonnegative(g, c, "div-coeff-grad"))
 
     @classmethod
     def lubrication(cls, g: Grid, c: np.ndarray) -> "Operator":
         if not g.fully_periodic:
             raise ValueError("the fourth-order operator requires a periodic grid")
-        c = g.check_field(np.asarray(c, dtype=float))
-        if np.any(c < 0):
-            raise ValueError("fourth-order coefficient must be nonnegative")
-        return cls(grid=g, kind=DIV_COEFF_GRAD_LAPLACIAN, coeff=c)
+        return cls(grid=g, kind=DIV_COEFF_GRAD_LAPLACIAN,
+                   coeff=_nonnegative(g, c, "fourth-order"))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -413,11 +397,6 @@ class Operator:
     def quad(self, u: np.ndarray) -> float:
         """The bilinear form <L u, u> in the grid inner product."""
         return self.grid.inner(self.apply(u), u)
-
-    def mean_coeff(self) -> float:
-        if self.coeff is None:
-            return 1.0
-        return float(np.mean(self.coeff[self.grid.active]))
 
 
 # -- Krylov kernels -----------------------------------------------------------
@@ -518,74 +497,33 @@ def _pbicgstab(matvec, precond, b, w, tol, maxit, x0=None):
 # -- shifted solves -----------------------------------------------------------
 
 
-def _is_constant(c: np.ndarray, g: Grid) -> bool:
-    vals = c[g.active]
-    return bool(vals.max() == vals.min())
-
-
-def solve_shifted(sigma: float, op: Operator, rhs: np.ndarray,
-                  tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT,
-                  x0: np.ndarray | None = None):
-    """Solve (sigma I + L) u = rhs for the SPD kinds.
-
-    Constant-coefficient systems solve exactly in one transform pass
-    (iterations = 0, residual reported as 0).  Variable coefficients use
-    conjugate gradients in the weighted inner product, preconditioned by the
-    constant-coefficient operator at the mean coefficient.
-    """
-    if sigma <= 0:
-        raise ValueError("shift sigma must be positive")
-    if op.kind == DIV_COEFF_GRAD_LAPLACIAN:
-        raise ValueError("use solve_lubrication_shifted for the fourth-order kind")
-    g = op.grid
-    rhs = g.check_field(rhs)
-    if op.kind == LAPLACIAN:
-        denom = _denom(g, sigma, 1.0, LAPLACIAN)
-        return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
-    if _is_constant(op.coeff, g):
-        cval = float(op.coeff[g.active][0]) if g.active.any() else 0.0
-        denom = _denom(g, sigma, cval, DIV_COEFF_GRAD)
-        return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
-    denom = _denom(g, sigma, op.mean_coeff(), DIV_COEFF_GRAD)
-    matvec = lambda v: sigma * v + op.apply(v)
-    precond = lambda r: _diag_solve(g, r, denom)
-    u, report = _pcg(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
-    return u, report
-
-
-def solve_lubrication_shifted(sigma: float, c: np.ndarray, rhs: np.ndarray,
-                              g: Grid, tol: float = DEFAULT_TOL,
-                              maxit: int = DEFAULT_MAXIT,
-                              x0: np.ndarray | None = None):
-    """Solve (sigma I + div(c grad Delta)) u = rhs on a periodic grid.
-
-    The system is nonsymmetric for variable c, so BiCGStab is used,
-    preconditioned by the constant-coefficient fourth-order operator at the
-    mean coefficient (inverted by Fourier diagonalization).
-    """
-    if sigma <= 0:
-        raise ValueError("shift sigma must be positive")
-    op = Operator.lubrication(g, c)
-    rhs = g.check_field(rhs)
-    if _is_constant(op.coeff, g):
-        denom = _denom(g, sigma, float(op.coeff.flat[0]),
-                       DIV_COEFF_GRAD_LAPLACIAN)
-        return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
-    denom = _denom(g, sigma, op.mean_coeff(), DIV_COEFF_GRAD_LAPLACIAN)
-    matvec = lambda v: sigma * v + op.apply(v)
-    precond = lambda r: _diag_solve(g, r, denom)
-    u, report = _pbicgstab(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
-    return u, report
-
-
 def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
                    tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT,
                    x0: np.ndarray | None = None):
-    """Dispatch a shifted solve to the right method for the operator kind."""
-    if op.kind == DIV_COEFF_GRAD_LAPLACIAN:
-        return solve_lubrication_shifted(sigma, op.coeff, rhs, op.grid,
-                                         tol=tol, maxit=maxit, x0=x0)
-    return solve_shifted(sigma, op, rhs, tol=tol, maxit=maxit, x0=x0)
+    """Solve the shifted system (sigma I + L) u = rhs for any operator kind.
+
+    Constant coefficients (none, or equal on every active node) solve
+    exactly in one transform pass (iterations = 0, residual reported as 0).
+    Variable coefficients use conjugate gradients in the weighted inner
+    product, or BiCGStab for the nonsymmetric fourth-order kind,
+    preconditioned by the constant-coefficient operator at the mean
+    coefficient.
+    """
+    if sigma <= 0:
+        raise ValueError("shift sigma must be positive")
+    g = op.grid
+    rhs = g.check_field(rhs)
+    vals = None if op.coeff is None else op.coeff[g.active]
+    if vals is None or vals.max() == vals.min():
+        cval = 1.0 if vals is None else float(vals[0])
+        denom = _denom(g, sigma, cval, op.kind)
+        return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
+    denom = _denom(g, sigma, float(np.mean(vals)), op.kind)
+    del vals  # a field-sized copy, not kept through the iterations
+    matvec = lambda v: sigma * v + op.apply(v)
+    precond = lambda r: _diag_solve(g, r, denom)
+    krylov = _pbicgstab if op.kind == DIV_COEFF_GRAD_LAPLACIAN else _pcg
+    return krylov(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:

@@ -11,7 +11,9 @@ Each step splits into:
    the complementarity triple ``lam >= 0``, ``u >= eps_lb``,
    ``lam * (u - eps_lb) = 0`` exactly: each branch pins one factor to zero.
 
-Four step variants are supported:
+Four step variants are supported; the three corrected ones share the one
+kernel :func:`correct_positivity` and differ only in how far it shifts the
+prediction before it clamps:
 
 * ``multiplier`` -- nodal multiplier extrapolated into the prediction;
 * ``cutoff``     -- zero multiplier extrapolation; the correction degenerates
@@ -20,6 +22,10 @@ Four step variants are supported:
   solved per step by a secant iteration on a piecewise-linear monotone
   residual;
 * ``none``       -- no correction (the uncorrected baseline scheme).
+
+A prediction that is not finite ends the step with :class:`BlowUpError`
+before any correction.  The energy term ``<L u~, u~>`` is computed only when
+an energy ledger is attached.
 
 Start-up for k >= 2 cascades through the lower orders (step n runs at order
 min(k, n+1)), which is also what the stability ledgers in
@@ -99,6 +105,14 @@ def bdf_tableau(k: int) -> BdfTableau:
 # -- history ------------------------------------------------------------------
 
 
+def combine_levels(coeffs, levels) -> np.ndarray:
+    """sum_i coeffs[i] * levels[i] over the leading levels, newest first."""
+    out = coeffs[0] * levels[0]
+    for c, v in zip(coeffs[1:], levels[1:]):
+        out = out + c * v
+    return out
+
+
 @dataclass
 class History:
     """Ring of the most recent solution/multiplier levels (newest first)."""
@@ -118,20 +132,14 @@ class History:
         if len(self.us) < tab.k:
             raise ValueError(f"history holds {len(self.us)} levels, "
                              f"BDF-{tab.k} needs {tab.k}")
-        out = tab.a_coeffs[0] * self.us[0]
-        for c, u in zip(tab.a_coeffs[1:], self.us[1:]):
-            out = out + c * u
-        return out
+        return combine_levels(tab.a_coeffs, self.us)
 
     def lambda_combo(self, tab: BdfTableau) -> np.ndarray:
         if not tab.b_coeffs:
             return np.zeros(self.grid.shape)
         if len(self.lams) < len(tab.b_coeffs):
             raise ValueError("not enough multiplier history for extrapolation")
-        out = tab.b_coeffs[0] * self.lams[0]
-        for c, lam in zip(tab.b_coeffs[1:], self.lams[1:]):
-            out = out + c * lam
-        return out
+        return combine_levels(tab.b_coeffs, self.lams)
 
     def xi_combo(self, tab: BdfTableau) -> float:
         if not tab.b_coeffs:
@@ -164,23 +172,23 @@ class CorrectionOutcome:
 
 
 def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
-            mass_mode: bool = False, source: Optional[np.ndarray] = None,
-            include_multiplier: bool = True, solver_tol: float = DEFAULT_TOL,
-            solver_maxit: int = DEFAULT_MAXIT):
+            variant: str = VARIANT_MULTIPLIER,
+            source: Optional[np.ndarray] = None,
+            solver_tol: float = DEFAULT_TOL, solver_maxit: int = DEFAULT_MAXIT):
     """BDF-k IMEX prediction; returns (u~, SolverReport).
 
-    ``include_multiplier`` controls whether the extrapolated nodal multiplier
-    enters the right side (it does not for the cut-off and baseline variants).
+    The extrapolated nodal multiplier enters the right side for the
+    ``multiplier`` and ``mass`` variants, the scalar one for ``mass`` only.
     Explicit model sources (already evaluated at the extrapolated state) are
     passed in via ``source``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     rhs = hist.a_combo(tab) / dt
-    if include_multiplier:
+    if variant in (VARIANT_MULTIPLIER, VARIANT_MASS):
         rhs = rhs + hist.lambda_combo(tab)
-        if mass_mode:
-            rhs = rhs + hist.xi_combo(tab)
+    if variant == VARIANT_MASS:
+        rhs = rhs + hist.xi_combo(tab)
     if source is not None:
         rhs = rhs + source
     sigma = tab.alpha / dt
@@ -197,44 +205,53 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
 # -- corrections --------------------------------------------------------------
 
 
-def _masked(g: Grid, u: np.ndarray, boundary_value: float = 0.0) -> np.ndarray:
+def _masked(g: Grid, u: np.ndarray) -> np.ndarray:
     if g.all_active:
         return u
-    return np.where(g.active, u, boundary_value)
+    return np.where(g.active, u, 0.0)
 
 
 def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
-                       dt: float, eps_lb: float = 0.0) -> CorrectionOutcome:
-    """Pointwise multiplier correction enforcing u >= eps_lb.
+                       opts: StepOptions) -> CorrectionOutcome:
+    """Pointwise correction enforcing u >= eps_lb, for every corrected variant.
 
-    With shift s = (dt/alpha) B_{k-1}(lam): nodes with u~ - s >= eps_lb keep
-    (u~ - s, 0); clamped nodes get (eps_lb, B_{k-1}(lam) + (alpha/dt)(eps_lb - u~)).
-    Exact ties land on the unclamped branch so active_count counts strict
-    clamps only.
+    The variants differ only in the shift s added to the prediction: 0 for
+    ``cutoff``, -(dt/alpha) B_{k-1}(lam) for ``multiplier``, and
+    (dt/alpha)(xi - B_{k-1}(lam) - B_{k-1}(xi)) for ``mass``, with xi the
+    secant root of :func:`residual_F`.  With base = u~ + s, nodes where
+    base >= eps_lb keep (base, 0); the others get
+    (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
+    branch so active_count counts strict clamps only.
     """
     g = hist.grid
     u_tilde = g.check_field(u_tilde)
-    bl = hist.lambda_combo(tab)
-    base = u_tilde - (dt / tab.alpha) * bl
+    dt, eps_lb = opts.dt, opts.eps_lb
+    xi, iters = 0.0, 0
+    if opts.variant == VARIANT_CUTOFF:
+        base = u_tilde
+    elif opts.variant == VARIANT_MASS:
+        if opts.target_mass is None:
+            raise ValueError("mass variant needs target_mass")
+        target = opts.target_mass
+        shift_base = hist.lambda_combo(tab) + hist.xi_combo(tab)
+        tol = opts.secant_tol * max(1.0, abs(target))
+
+        def F(x: float) -> float:
+            return residual_F(x, u_tilde, shift_base, dt, tab, target, g,
+                              eps_lb)
+
+        xi, iters = solve_xi_secant(F, 0.0, -dt, tol=tol,
+                                    maxit=opts.secant_maxit)
+        base = u_tilde + (dt / tab.alpha) * (xi - shift_base)
+    else:
+        base = u_tilde - (dt / tab.alpha) * hist.lambda_combo(tab)
     inactive = base >= eps_lb
     u = np.where(inactive, base, eps_lb)
-    lam = np.where(inactive, 0.0, bl + (tab.alpha / dt) * (eps_lb - u_tilde))
+    lam = np.where(inactive, 0.0, (tab.alpha / dt) * (eps_lb - base))
     u = _masked(g, u)
     lam = _masked(g, lam)
     active_count = int(np.count_nonzero(~inactive & g.active))
-    return CorrectionOutcome(u, lam, 0.0, 0, active_count)
-
-
-def correct_cutoff(u_tilde: np.ndarray, tab: BdfTableau, dt: float,
-                   eps_lb: float = 0.0, *, g: Grid) -> CorrectionOutcome:
-    """Cut-off correction: clamp to eps_lb, multiplier set by the clamp size."""
-    u_tilde = g.check_field(u_tilde)
-    u = np.maximum(u_tilde, eps_lb)
-    lam = (tab.alpha / dt) * np.maximum(eps_lb - u_tilde, 0.0)
-    u = _masked(g, u)
-    lam = _masked(g, lam)
-    active_count = int(np.count_nonzero((u_tilde < eps_lb) & g.active))
-    return CorrectionOutcome(u, lam, 0.0, 0, active_count)
+    return CorrectionOutcome(u, lam, float(xi), iters, active_count)
 
 
 def residual_F(xi: float, u_tilde: np.ndarray, shift_base: np.ndarray,
@@ -371,40 +388,6 @@ def solve_xi_exact(u_tilde: np.ndarray, shift_base: np.ndarray, dt: float,
     return float(ts[j] - f_at[j] / slope)
 
 
-def correct_mass_conserving(u_tilde: np.ndarray, hist: History,
-                            tab: BdfTableau, dt: float, target_mass: float,
-                            eps_lb: float = 0.0,
-                            secant_tol: float = DEFAULT_SECANT_TOL,
-                            secant_maxit: int = DEFAULT_SECANT_MAXIT
-                            ) -> CorrectionOutcome:
-    """Mass-conserving pointwise correction with scalar multiplier xi.
-
-    Solves F(xi) = 0 by secant (xi0 = 0, xi1 = -dt), then applies the
-    pointwise branches with shift eta = (dt/alpha)(xi - B(lam) - B(xi)):
-    unclamped nodes get (u~ + eta, 0), clamped nodes get
-    (eps_lb, (alpha/dt)(eps_lb - u~ - eta)).
-    """
-    g = hist.grid
-    u_tilde = g.check_field(u_tilde)
-    shift_base = hist.lambda_combo(tab) + hist.xi_combo(tab)
-    tol = secant_tol * max(1.0, abs(target_mass))
-
-    def F(xi: float) -> float:
-        return residual_F(xi, u_tilde, shift_base, dt, tab, target_mass, g,
-                          eps_lb)
-
-    xi_star, iters = solve_xi_secant(F, 0.0, -dt, tol=tol, maxit=secant_maxit)
-    eta = (dt / tab.alpha) * (xi_star - shift_base)
-    base = u_tilde + eta
-    inactive = base >= eps_lb
-    u = np.where(inactive, base, eps_lb)
-    lam = np.where(inactive, 0.0, (tab.alpha / dt) * (eps_lb - base))
-    u = _masked(g, u)
-    lam = _masked(g, lam)
-    active_count = int(np.count_nonzero(~inactive & g.active))
-    return CorrectionOutcome(u, lam, float(xi_star), iters, active_count)
-
-
 # -- stepping -----------------------------------------------------------------
 
 
@@ -419,7 +402,6 @@ class StepOptions:
     solver_maxit: int = DEFAULT_MAXIT
     secant_tol: float = DEFAULT_SECANT_TOL
     secant_maxit: int = DEFAULT_SECANT_MAXIT
-    track_energy: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -458,36 +440,24 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     g = hist.grid
     op = model.operator(hist, k_eff)
     source = model.explicit_source(hist, k_eff)
-    include_mult = opts.variant in (VARIANT_MULTIPLIER, VARIANT_MASS)
-    mass_mode = opts.variant == VARIANT_MASS
 
-    u_tilde, report = predict(hist, tab, op, opts.dt, mass_mode=mass_mode,
-                              source=source, include_multiplier=include_mult,
+    u_tilde, report = predict(hist, tab, op, opts.dt, opts.variant, source,
                               solver_tol=opts.solver_tol,
                               solver_maxit=opts.solver_maxit)
-
-    if opts.variant == VARIANT_MULTIPLIER:
-        out = correct_positivity(u_tilde, hist, tab, opts.dt, opts.eps_lb)
-    elif opts.variant == VARIANT_CUTOFF:
-        out = correct_cutoff(u_tilde, tab, opts.dt, opts.eps_lb, g=g)
-    elif opts.variant == VARIANT_MASS:
-        if opts.target_mass is None:
-            raise ValueError("mass variant needs target_mass")
-        out = correct_mass_conserving(u_tilde, hist, tab, opts.dt,
-                                      opts.target_mass, opts.eps_lb,
-                                      secant_tol=opts.secant_tol,
-                                      secant_maxit=opts.secant_maxit)
-    else:
-        out = CorrectionOutcome(u_tilde, np.zeros(g.shape), 0.0, 0, 0)
-
     t_next = (hist.nstep + 1) * opts.dt
-    if not np.isfinite(out.u_next).all():
+    # checked before the correction, whose clamp would turn NaN into eps_lb
+    if not np.isfinite(u_tilde).all():
         raise BlowUpError(f"solution lost finiteness at t = {t_next:g}",
                           t=t_next)
 
-    op_quad = op.quad(u_tilde) if opts.track_energy else float("nan")
-    ledger_residual = float("nan")
+    if opts.variant == VARIANT_NONE:
+        out = CorrectionOutcome(u_tilde, np.zeros(g.shape), 0.0, 0, 0)
+    else:
+        out = correct_positivity(u_tilde, hist, tab, opts)
+
+    op_quad = ledger_residual = float("nan")
     if ledger is not None:
+        op_quad = op.quad(u_tilde)
         ledger.update(dt=opts.dt, u_prev=hist.us[0], u_tilde=u_tilde,
                       u_next=out.u_next, lam_next=out.lambda_next,
                       xi_next=out.xi_next, op_quad=op_quad)
@@ -518,7 +488,7 @@ class RunResult:
     history: History
     diagnostics: list
     ledger: object = None
-    failure: Optional[str] = None
+    failure: Optional[Exception] = None  # what ended the run early
 
 
 def run_simulation(model, opts: StepOptions, n_steps: int,
@@ -530,8 +500,9 @@ def run_simulation(model, opts: StepOptions, n_steps: int,
     state; ``opts`` itself is left unchanged, so one options object can drive
     runs of several models.  ``on_step(hist, diag)`` is invoked after every
     step.  With ``stop_on_failure=False`` a numerical failure ends the run
-    early and is recorded on the result instead of raising (used by the
-    baseline comparison, where blow-up is an expected outcome).
+    early and its exception is recorded on the result as ``failure``
+    instead of raising (used by the baseline comparison, where blow-up is
+    an expected outcome).
     """
     g = model.grid
     u0 = model.initial_state()
@@ -545,7 +516,7 @@ def run_simulation(model, opts: StepOptions, n_steps: int,
         except (SolverError, SecantError, BlowUpError) as exc:
             if stop_on_failure:
                 raise
-            return RunResult(hist, diags, ledger, failure=f"{type(exc).__name__}: {exc}")
+            return RunResult(hist, diags, ledger, failure=exc)
         diags.append(diag)
         if on_step is not None:
             on_step(hist, diag)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from posikit import cli
 from posikit.cli import main, parse_config, reference_spec
 from posikit.diagnostics import ReferenceSpec
 from posikit.grid import read_snapshot
@@ -249,3 +250,60 @@ def test_convergence_reference_defaults_follow_reference_spec(tmp_path):
                                     "dts = 2e-4,1e-4\n"))
     assert reference_spec(cfg) == ReferenceSpec()
     assert reference_spec(cfg).variant == "multiplier"
+
+
+CONVERGENCE_CFG = """
+model = allen_cahn
+nx = 8
+eps2 = 0.01
+k = 1
+T = 1e-3
+dts = 2e-4,1e-4
+ref_dt = 2e-5
+"""
+
+
+@pytest.mark.parametrize("old,new,word", [
+    ("k = 1", "k = 7", "BDF order"),
+    ("T = 1e-3\ndts = 2e-4,1e-4", "T = 0.0105\ndts = 2e-3,1e-3", "'T'"),
+    ("dts = 2e-4,1e-4", "dts = 1e-4,2e-4", "decreasing"),
+    ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_variant = bogus", "ref_variant"),
+], ids=["k", "T", "dts", "ref_variant"])
+def test_convergence_config_mistakes_exit_2_before_any_run(
+        tmp_path, capsys, monkeypatch, old, new, word):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the config was checked")
+
+    monkeypatch.setattr(cli, "convergence_study", no_run)
+    assert old in CONVERGENCE_CFG
+    cfg = write_config(tmp_path, CONVERGENCE_CFG.replace(old, new))
+    out = tmp_path / "conv"
+    code = main(["convergence", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and word in err
+    assert not (out / "convergence.csv").exists()
+
+
+def test_compare_records_failure_kind(tmp_path):
+    # an unreachable solver tolerance fails every prediction solve; that is
+    # a solver failure, not a blow-up
+    cfg = write_config(tmp_path, """
+model = pme
+m = 2
+nx = 16
+dt = 1e-3
+T = 2e-3
+solver_tol = 1e-30
+variants = multiplier,none
+""")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "summary.csv")
+    assert header == ["variant", "steps", "min_min_u", "first_negative_t",
+                      "blowup_t", "failure", "final_mass"]
+    col = {name: i for i, name in enumerate(header)}
+    for row in rows:
+        assert row[col["failure"]] == "SolverError"
+        assert row[col["blowup_t"]] == ""
+        assert row[col["steps"]] == "0"

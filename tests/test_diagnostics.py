@@ -45,7 +45,7 @@ def test_ledger_one_step_dense_crosscheck():
     hist = History.start(g, u0)
     tab = bdf_tableau(1)
     u_tilde, _ = predict(hist, tab, op, dt, solver_tol=1e-14)
-    out = correct_positivity(u_tilde, hist, tab, dt)
+    out = correct_positivity(u_tilde, hist, tab, StepOptions(k=1, dt=dt))
 
     ledger = EnergyLedger(g, "first-order")
     ledger.update(dt, u0, u_tilde, out.u_next, out.lambda_next, 0.0,
@@ -83,7 +83,7 @@ def test_kkt_audit_clean_by_construction():
     g = build_grid((0.0, 1.0), 16, "periodic")
     hist = History.start(g, np.zeros(16))
     ut = np.random.default_rng(1).standard_normal(16)
-    out = correct_positivity(ut, hist, bdf_tableau(1), 0.1)
+    out = correct_positivity(ut, hist, bdf_tableau(1), StepOptions(k=1, dt=0.1))
     rep = kkt_audit(out.u_next, out.lambda_next, 0.0, g)
     assert rep.ok
     assert rep.worst_complementarity == 0.0

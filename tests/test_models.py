@@ -173,7 +173,8 @@ def test_pnp_asymmetric_drift_runs_conservatively():
 
     opts = StepOptions(k=2, dt=1e-3, variant="mass")
     for _ in range(10):
-        (p, lam_p, xi_p, n, lam_n, xi_n, phi), _ = pnp_step(state, model, opts)
+        pnp_step(state, model, opts)
+    p, n, phi = state.hist_p.us[0], state.hist_n.us[0], state.phis[0]
     assert p.min() >= 0.0 and n.min() >= 0.0
     assert not np.array_equal(p, n)
     assert g.mass(p) == pytest.approx(g.mass(p0), rel=1e-10)

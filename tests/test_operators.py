@@ -4,9 +4,8 @@ import pytest
 from posikit.grid import build_grid
 from posikit.operators import (DIV_COEFF_GRAD, Operator, SolverReport,
                                _backward, _denom, _diag_solve, _forward,
-                               _symbol, apply_div_coeff_grad, apply_laplacian,
-                               apply_lubrication, solve_conservative_poisson,
-                               solve_lubrication_shifted, solve_shifted,
+                               _symbol, apply_laplacian,
+                               solve_conservative_poisson, solve_operator,
                                transport_div_form)
 
 
@@ -81,7 +80,7 @@ def test_div_unit_coeff_reduces_to_laplacian_fd():
     u = rng.standard_normal(10)
     u[0] = u[-1] = 0.0
     c = np.ones(10)
-    lhs = apply_div_coeff_grad(c, u, g)
+    lhs = Operator.div_coeff_grad(g, c).apply(u)
     rhs = -apply_laplacian(u, g)
     assert np.abs((lhs - rhs)[g.active]).max() < 1e-12
 
@@ -91,7 +90,7 @@ def test_div_unit_coeff_reduces_to_laplacian_periodic():
     g = build_grid((0.0, 2 * np.pi), 16, "periodic")
     x = g.axes[0]
     u = 0.3 + np.sin(x) - 2.1 * np.cos(3 * x) + 0.2 * np.sin(7 * x)
-    lhs = apply_div_coeff_grad(np.ones(16), u, g)
+    lhs = Operator.div_coeff_grad(g, np.ones(16)).apply(u)
     rhs = -apply_laplacian(u, g)
     assert np.abs(lhs - rhs).max() < 1e-11
 
@@ -99,7 +98,7 @@ def test_div_unit_coeff_reduces_to_laplacian_periodic():
 def test_div_zero_coeff_is_zero():
     g = build_grid((0.0, 1.0), 8, "neumann")
     u = np.random.default_rng(1).standard_normal(9)
-    assert np.abs(apply_div_coeff_grad(np.zeros(9), u, g)).max() == 0.0
+    assert np.abs(Operator.div_coeff_grad(g, np.zeros(9)).apply(u)).max() == 0.0
 
 
 def test_div_negative_coeff_rejected():
@@ -107,7 +106,7 @@ def test_div_negative_coeff_rejected():
     c = np.ones(8)
     c[3] = -1e-12
     with pytest.raises(ValueError, match="nonnegative"):
-        apply_div_coeff_grad(c, np.zeros(8), g)
+        Operator.div_coeff_grad(g, c).apply(np.zeros(8))
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
@@ -115,7 +114,7 @@ def test_div_positive_semidefinite_dense(bc):
     # weighted-symmetrized dense assembly on an 8-interval grid
     g = build_grid((0.0, 2.0), 8, bc)
     c = np.random.default_rng(2).random(g.shape) + 0.1
-    M = dense_matrix(lambda v: apply_div_coeff_grad(c, v, g), g)
+    M = dense_matrix(lambda v: Operator.div_coeff_grad(g, c).apply(v), g)
     W = np.diag(np.ravel(g.weights))
     act = np.flatnonzero(np.ravel(g.active))  # degrees of freedom only
     A = (W @ M)[np.ix_(act, act)]
@@ -130,8 +129,8 @@ def test_div_symmetry_random_fields():
         rng = np.random.default_rng(3)
         c = rng.random(g.shape)
         u, v = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-        a = g.inner(apply_div_coeff_grad(c, u, g), v)
-        b = g.inner(u, apply_div_coeff_grad(c, v, g))
+        a = g.inner(Operator.div_coeff_grad(g, c).apply(u), v)
+        b = g.inner(u, Operator.div_coeff_grad(g, c).apply(v))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -143,7 +142,7 @@ def test_conservation_second_order_kinds(bc):
     c = rng.random(g.shape)
     ones = np.ones(g.shape)
     for out in (Operator.laplacian(g).apply(v),
-                apply_div_coeff_grad(c, v, g)):
+                Operator.div_coeff_grad(g, c).apply(v)):
         assert abs(g.inner(out, ones)) <= 1e-12 * max(1.0, g.norm(v))
 
 
@@ -162,7 +161,7 @@ def test_conservation_lubrication_kind():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(16)
     c = rng.random(16)
-    out = apply_lubrication(c, v, g)
+    out = Operator.lubrication(g, c).apply(v)
     assert abs(g.inner(out, np.ones(16))) <= 1e-11 * max(1.0, g.norm(v))
 
 
@@ -181,7 +180,7 @@ def test_transport_div_form_allows_signed_coeff():
 def test_solve_shifted_eigenfunction():
     g = build_grid((0.0, 2 * np.pi), 32, "periodic")
     u_exact = np.sin(g.axes[0])
-    u, rep = solve_shifted(1.0, Operator.laplacian(g), 2.0 * u_exact)
+    u, rep = solve_operator(1.0, Operator.laplacian(g), 2.0 * u_exact)
     assert np.abs(u - u_exact).max() < 1e-13
     assert rep.converged
 
@@ -189,8 +188,8 @@ def test_solve_shifted_eigenfunction():
 def test_solve_shifted_constant_rhs():
     g = build_grid((0.0, 1.0), 8, "neumann")
     sigma, c0 = 3.0, 1.7
-    u, rep = solve_shifted(sigma, Operator.laplacian(g),
-                           np.full(9, sigma * c0))
+    u, rep = solve_operator(sigma, Operator.laplacian(g),
+                            np.full(9, sigma * c0))
     assert np.abs(u - c0).max() < 1e-13
 
 
@@ -201,7 +200,7 @@ def test_solve_shifted_residual_oracle_random():
     op = Operator.div_coeff_grad(g, c)
     rhs = rng.standard_normal(9) * g.active
     sigma = 2.5
-    u, rep = solve_shifted(sigma, op, rhs, tol=1e-12)
+    u, rep = solve_operator(sigma, op, rhs, tol=1e-12)
     res = sigma * u + op.apply(u) - rhs
     assert g.norm(res) <= 1e-12 * g.norm(rhs)
     assert rep.converged and rep.residual <= 1e-12
@@ -220,16 +219,16 @@ def test_solve_shifted_matches_dense_solve():
     act = np.flatnonzero(np.ravel(g.active))
     x = np.zeros(9)
     x[act] = np.linalg.solve(A[np.ix_(act, act)], rhs[act])
-    u, _ = solve_shifted(sigma, op, rhs, tol=1e-13)
+    u, _ = solve_operator(sigma, op, rhs, tol=1e-13)
     assert np.abs(u - x).max() < 1e-11
 
 
 def test_solve_shifted_validates():
     g = build_grid((0.0, 1.0), 8, "periodic")
     with pytest.raises(ValueError, match="positive"):
-        solve_shifted(0.0, Operator.laplacian(g), np.zeros(8))
-    with pytest.raises(ValueError, match="fourth-order"):
-        solve_shifted(1.0, Operator.lubrication(g, np.ones(8)), np.zeros(8))
+        solve_operator(0.0, Operator.laplacian(g), np.zeros(8))
+    with pytest.raises(ValueError, match="positive"):
+        solve_operator(0.0, Operator.lubrication(g, np.ones(8)), np.zeros(8))
 
 
 # -- fourth-order operator --------------------------------------------------------
@@ -238,20 +237,21 @@ def test_solve_shifted_validates():
 def test_lubrication_biharmonic_composition():
     g = build_grid((0.0, 2 * np.pi), 32, "periodic")
     u = np.sin(g.axes[0])
-    out = apply_lubrication(np.ones(32), u, g)
+    out = Operator.lubrication(g, np.ones(32)).apply(u)
     assert np.abs(out - u).max() < 1e-10
 
 
 def test_lubrication_zero_coeff():
     g = build_grid((0.0, 2 * np.pi), 16, "periodic")
     u = np.random.default_rng(10).standard_normal(16)
-    assert np.abs(apply_lubrication(np.zeros(16), u, g)).max() == 0.0
+    assert np.abs(Operator.lubrication(g, np.zeros(16)).apply(u)).max() == 0.0
 
 
 def test_lubrication_solve_eigenfunction():
     g = build_grid((0.0, 2 * np.pi), 32, "periodic")
     u_exact = np.sin(g.axes[0])
-    u, rep = solve_lubrication_shifted(1.0, np.ones(32), 2.0 * u_exact, g)
+    u, rep = solve_operator(1.0, Operator.lubrication(g, np.ones(32)),
+                            2.0 * u_exact)
     assert np.abs(u - u_exact).max() < 1e-13
     assert rep.converged
 
@@ -262,8 +262,8 @@ def test_lubrication_variable_coeff_residual():
     c = 0.5 + 0.4 * np.sin(np.pi * g.axes[0]) + 0.05 * rng.random(64)
     rhs = rng.standard_normal(64)
     sigma = 100.0
-    u, rep = solve_lubrication_shifted(sigma, c, rhs, g, tol=1e-11)
-    res = sigma * u + apply_lubrication(c, u, g) - rhs
+    u, rep = solve_operator(sigma, Operator.lubrication(g, c), rhs, tol=1e-11)
+    res = sigma * u + Operator.lubrication(g, c).apply(u) - rhs
     assert g.norm(res) <= 1e-11 * g.norm(rhs)
     assert rep.converged
 
@@ -271,7 +271,7 @@ def test_lubrication_variable_coeff_residual():
 def test_lubrication_rejects_nonperiodic():
     g = build_grid((0.0, 1.0), 8, "dirichlet")
     with pytest.raises(ValueError, match="periodic"):
-        apply_lubrication(np.ones(9), np.zeros(9), g)
+        Operator.lubrication(g, np.ones(9)).apply(np.zeros(9))
 
 
 def test_mixed_grid_div_form_conservation_symmetry():
@@ -280,10 +280,10 @@ def test_mixed_grid_div_form_conservation_symmetry():
     rng = np.random.default_rng(20)
     c = rng.random(g.shape)
     u, v = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-    out = apply_div_coeff_grad(c, u, g)
+    out = Operator.div_coeff_grad(g, c).apply(u)
     assert abs(g.inner(out, np.ones(g.shape))) <= 1e-12 * g.norm(u)
     assert g.inner(out, v) == pytest.approx(
-        g.inner(u, apply_div_coeff_grad(c, v, g)), rel=1e-12, abs=1e-12)
+        g.inner(u, Operator.div_coeff_grad(g, c).apply(v)), rel=1e-12, abs=1e-12)
 
 
 def test_mixed_grid_constant_coeff_solve_matches_dense():
@@ -299,7 +299,7 @@ def test_mixed_grid_constant_coeff_solve_matches_dense():
     A = sigma * np.eye(size) + M
     x = np.zeros(size)
     x[act] = np.linalg.solve(A[np.ix_(act, act)], np.ravel(rhs)[act])
-    u, rep = solve_shifted(sigma, op, rhs)
+    u, rep = solve_operator(sigma, op, rhs)
     assert rep.iterations == 0  # one-pass transform solve
     assert np.abs(np.ravel(u) - x).max() < 1e-12
 
@@ -322,7 +322,7 @@ def test_fused_fourth_order_matches_composed_form(extents, counts):
     fused = Operator.lubrication(g, c).apply(u)
     composed = -transport_div_form(c, apply_laplacian(u, g), g)
     assert np.abs(fused - composed).max() <= 1e-14 * np.abs(composed).max()
-    assert np.array_equal(fused, apply_lubrication(c, u, g))
+    assert np.array_equal(fused, Operator.lubrication(g, c).apply(u))
 
 
 MIXED_GRIDS = [("periodic", "neumann"), ("dirichlet", "periodic")]
@@ -357,7 +357,7 @@ def test_mixed_grid_transform_solve_matches_dense_odd_count(bcs):
     A = sigma * np.eye(M.shape[0]) + M
     x = np.zeros(M.shape[0])
     x[act] = np.linalg.solve(A[np.ix_(act, act)], np.ravel(rhs)[act])
-    u, rep = solve_shifted(sigma, op, rhs)
+    u, rep = solve_operator(sigma, op, rhs)
     assert rep.iterations == 0
     assert np.abs(np.ravel(u) - x).max() < 1e-12
 
@@ -386,7 +386,7 @@ def test_neumann_solve_matches_dense():
     rng = np.random.default_rng(12)
     rhs = rng.standard_normal(9)
     x = np.linalg.solve(sigma * np.eye(9) + M, rhs)
-    u, _ = solve_shifted(sigma, op, rhs)
+    u, _ = solve_operator(sigma, op, rhs)
     assert np.abs(u - x).max() < 1e-12
 
 

@@ -1,0 +1,88 @@
+"""Property tests of the correction kernel.
+
+Instances range over 1D and 2D grids, the three boundary conditions, orders
+k = 1..4, the three corrected variants and a zero or positive lower bound;
+the history levels and the prediction are drawn from a seeded generator.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from posikit.diagnostics import kkt_audit
+from posikit.grid import build_grid
+from posikit.stepper import (History, StepOptions, bdf_tableau,
+                             correct_positivity, solve_xi_exact)
+
+CORRECTED = ("multiplier", "cutoff", "mass")
+
+# derandomized, so every run checks the same examples
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def instances(draw, variants=CORRECTED, orders=(1, 2, 3, 4)):
+    dim = draw(st.sampled_from((1, 2)))
+    bc = draw(st.sampled_from(("periodic", "dirichlet", "neumann")))
+    n = draw(st.integers(4, 10 if dim == 2 else 40))
+    k = draw(st.sampled_from(orders))
+    variant = draw(st.sampled_from(variants))
+    eps_lb = draw(st.sampled_from((0.0, 1e-2)))
+    dt = draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    g = build_grid(((0.0, 2.0),) * dim, (n,) * dim, bc)
+    act = g.active
+    hist = History.start(g, (eps_lb + rng.random(g.shape)) * act)
+    for _ in range(k - 1):
+        hist.push((eps_lb + rng.random(g.shape)) * act,
+                  rng.random(g.shape) * rng.integers(0, 2, g.shape) * act,
+                  -0.1 * rng.random(), dt)
+    u_tilde = rng.standard_normal(g.shape) * rng.uniform(0.2, 3.0) * act
+    target = None
+    if variant == "mass":
+        floor = eps_lb * float(g.weights.sum())
+        target = floor + rng.uniform(0.05, 3.0)
+    opts = StepOptions(k=k, dt=dt, variant=variant, eps_lb=eps_lb,
+                       target_mass=target, secant_tol=1e-13)
+    return hist, bdf_tableau(k), u_tilde, opts
+
+
+@PROPERTY
+@given(instances())
+def test_correction_is_exactly_complementary(inst):
+    hist, tab, u_tilde, opts = inst
+    g = hist.grid
+    out = correct_positivity(u_tilde, hist, tab, opts)
+    report = kkt_audit(out.u_next, out.lambda_next, opts.eps_lb, g)
+    assert report.ok, report
+    assert report.worst_complementarity == 0.0
+    assert out.active_count == int(np.count_nonzero(
+        (out.lambda_next > 0.0) & g.active))
+
+
+@PROPERTY
+@given(instances(variants=("mass",)))
+def test_mass_correction_keeps_mass_and_matches_oracle(inst):
+    hist, tab, u_tilde, opts = inst
+    g = hist.grid
+    out = correct_positivity(u_tilde, hist, tab, opts)
+    target = opts.target_mass
+    assert abs(g.mass(out.u_next) - target) <= 1e-10 * target
+    shift_base = hist.lambda_combo(tab) + hist.xi_combo(tab)
+    xi_exact = solve_xi_exact(u_tilde, shift_base, opts.dt, tab, target, g,
+                              opts.eps_lb)
+    assert abs(out.xi_next - xi_exact) <= 1e-12 * max(1.0, abs(xi_exact))
+
+
+@PROPERTY
+@given(instances(variants=("multiplier",), orders=(1,)))
+def test_first_order_cutoff_is_multiplier_bit_for_bit(inst):
+    hist, tab, u_tilde, opts = inst
+    mult = correct_positivity(u_tilde, hist, tab, opts)
+    cut = correct_positivity(u_tilde, hist, tab,
+                             StepOptions(k=1, dt=opts.dt, variant="cutoff",
+                                         eps_lb=opts.eps_lb))
+    assert mult.u_next.tobytes() == cut.u_next.tobytes()
+    assert mult.lambda_next.tobytes() == cut.lambda_next.tobytes()
+    assert mult.active_count == cut.active_count

@@ -3,9 +3,8 @@ import pytest
 
 from posikit.grid import build_grid
 from posikit.operators import Operator
-from posikit.stepper import (History, SecantError, StepOptions,
-                             bdf_tableau, correct_cutoff,
-                             correct_mass_conserving, correct_positivity,
+from posikit.stepper import (VARIANTS, BlowUpError, History, SecantError,
+                             StepOptions, bdf_tableau, correct_positivity,
                              predict, residual_F, run_simulation,
                              solve_xi_exact, solve_xi_secant, step)
 
@@ -19,6 +18,12 @@ def three_node_grid():
 
 def embed3(a, b, c):
     return np.array([0.0, a, b, c, 0.0])
+
+
+def copts(variant, dt, eps_lb=0.0, target_mass=None):
+    """Options that select one correction of :func:`correct_positivity`."""
+    return StepOptions(k=1, dt=dt, variant=variant, eps_lb=eps_lb,
+                       target_mass=target_mass)
 
 
 class HeatModel:
@@ -146,7 +151,8 @@ def test_correct_positivity_forced_multiplier():
     # k=1, dt=0.1, u~ = -0.3 -> (0, 3.0)
     g = build_grid((0.0, 1.0), 4, "periodic")
     hist = History.start(g, np.zeros(4))
-    out = correct_positivity(np.full(4, -0.3), hist, bdf_tableau(1), 0.1)
+    out = correct_positivity(np.full(4, -0.3), hist, bdf_tableau(1),
+                             copts("multiplier", 0.1))
     assert np.all(out.u_next == 0.0)
     assert np.all(out.lambda_next == pytest.approx(3.0))
     assert out.active_count == 4
@@ -155,7 +161,8 @@ def test_correct_positivity_forced_multiplier():
 def test_correct_positivity_inactive_node():
     g = build_grid((0.0, 1.0), 4, "periodic")
     hist = History.start(g, np.zeros(4))
-    out = correct_positivity(np.full(4, 0.5), hist, bdf_tableau(1), 0.1)
+    out = correct_positivity(np.full(4, 0.5), hist, bdf_tableau(1),
+                             copts("multiplier", 0.1))
     assert np.all(out.u_next == 0.5)
     assert np.all(out.lambda_next == 0.0)
     assert out.active_count == 0
@@ -166,7 +173,8 @@ def test_correct_positivity_k2_shifted_branch():
     g = build_grid((0.0, 1.0), 4, "periodic")
     hist = History.start(g, np.zeros(4))
     hist.push(np.zeros(4), np.full(4, 0.6), 0.0, 0.1)
-    out = correct_positivity(np.full(4, 0.03), hist, bdf_tableau(2), 0.1)
+    out = correct_positivity(np.full(4, 0.03), hist, bdf_tableau(2),
+                             copts("multiplier", 0.1))
     assert np.all(out.u_next == 0.0)
     assert np.all(out.lambda_next == pytest.approx(0.15))
 
@@ -178,7 +186,8 @@ def test_correct_positivity_kkt_exact_random():
     hist.push(np.zeros(64), rng.random(64), 0.0, 0.05)
     for eps in (0.0, 1e-2):
         ut = rng.standard_normal(64)
-        out = correct_positivity(ut, hist, bdf_tableau(2), 0.05, eps)
+        out = correct_positivity(ut, hist, bdf_tableau(2),
+                                 copts("multiplier", 0.05, eps))
         assert np.all(out.lambda_next >= 0.0)
         assert np.all(out.u_next >= eps)
         prod = out.lambda_next * (out.u_next - eps)
@@ -190,7 +199,9 @@ def test_correct_positivity_kkt_exact_random():
 
 def test_correct_cutoff_forced():
     g = build_grid((0.0, 1.0), 4, "periodic")
-    out = correct_cutoff(np.full(4, -0.2), bdf_tableau(1), 0.1, g=g)
+    hist = History.start(g, np.zeros(4))
+    out = correct_positivity(np.full(4, -0.2), hist, bdf_tableau(1),
+                             copts("cutoff", 0.1))
     assert np.all(out.u_next == 0.0)
     assert np.all(out.lambda_next == pytest.approx(2.0))
 
@@ -198,7 +209,8 @@ def test_correct_cutoff_forced():
 def test_correct_cutoff_all_positive():
     g = build_grid((0.0, 1.0), 4, "periodic")
     ut = np.array([0.1, 0.2, 0.3, 0.4])
-    out = correct_cutoff(ut, bdf_tableau(2), 0.1, g=g)
+    hist = History.start(g, np.zeros(4))
+    out = correct_positivity(ut, hist, bdf_tableau(2), copts("cutoff", 0.1))
     assert np.array_equal(out.u_next, ut)
     assert np.all(out.lambda_next == 0.0)
     assert out.active_count == 0
@@ -210,8 +222,9 @@ def test_cutoff_equals_multiplier_for_k1_bitwise():
     hist = History.start(g, np.zeros(32))
     for _ in range(50):
         ut = rng.standard_normal(32) * rng.random()
-        a = correct_positivity(ut, hist, bdf_tableau(1), 0.01)
-        b = correct_cutoff(ut, bdf_tableau(1), 0.01, g=g)
+        a = correct_positivity(ut, hist, bdf_tableau(1),
+                               copts("multiplier", 0.01))
+        b = correct_positivity(ut, hist, bdf_tableau(1), copts("cutoff", 0.01))
         assert np.array_equal(a.u_next, b.u_next)
         assert np.array_equal(a.lambda_next, b.lambda_next)
 
@@ -336,7 +349,8 @@ def test_correct_mass_balanced_is_identity():
     g = three_node_grid()
     hist = History.start(g, np.zeros(5))
     ut = embed3(0.1, 0.3, 0.4)
-    out = correct_mass_conserving(ut, hist, bdf_tableau(1), 1.0, 0.8)
+    out = correct_positivity(ut, hist, bdf_tableau(1),
+                             copts("mass", 1.0, target_mass=0.8))
     assert out.xi_next == 0.0
     assert np.array_equal(out.u_next, ut)
     assert np.all(out.lambda_next == 0.0)
@@ -346,7 +360,8 @@ def test_correct_mass_three_node_oracle():
     g = three_node_grid()
     hist = History.start(g, np.zeros(5))
     ut = embed3(-0.5, 0.2, 0.6)
-    out = correct_mass_conserving(ut, hist, bdf_tableau(1), 1.0, 0.5)
+    out = correct_positivity(ut, hist, bdf_tableau(1),
+                             copts("mass", 1.0, target_mass=0.5))
     assert np.allclose(out.u_next, embed3(0.0, 0.05, 0.45), atol=1e-13)
     assert g.mass(out.u_next) == pytest.approx(0.5, abs=1e-12)
     # clamped node: lam = (alpha/dt)(0 - u~ - eta) = 0.5 + 0.15
@@ -365,8 +380,8 @@ def test_correct_mass_kkt_and_mass_random():
         ut = rng.standard_normal(32)
         eps = float(rng.choice([0.0, 1e-3]))
         target = eps * g.measure + rng.uniform(0.1, 1.0)
-        out = correct_mass_conserving(ut, hist, bdf_tableau(2), 0.05, target,
-                                      eps)
+        out = correct_positivity(ut, hist, bdf_tableau(2),
+                                 copts("mass", 0.05, eps, target))
         assert g.mass(out.u_next) == pytest.approx(target, abs=1e-11)
         assert np.all(out.lambda_next >= 0.0)
         assert np.all(out.u_next >= eps)
@@ -446,7 +461,10 @@ def test_step_mass_variant_conserves_with_source_free_operator():
         assert d.mass == pytest.approx(m0, rel=1e-12)
 
 
-def test_blowup_detection():
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blowup_detection(variant, k):
+    # a NaN prediction must not be clamped into a finite, "successful" step
     g = build_grid((0.0, 1.0), 8, "periodic")
 
     class NanModel(HeatModel):
@@ -454,9 +472,9 @@ def test_blowup_detection():
             return np.full(8, np.nan) if hist.nstep >= 1 else None
 
     model = NanModel(g, np.ones(8))
-    opts = StepOptions(k=1, dt=0.01, variant="none")
+    opts = StepOptions(k=k, dt=0.01, variant=variant)
     res = run_simulation(model, opts, 5, stop_on_failure=False)
-    assert res.failure is not None and "BlowUp" in res.failure
+    assert isinstance(res.failure, BlowUpError)
     assert len(res.diagnostics) == 1
 
 
