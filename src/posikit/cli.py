@@ -217,7 +217,7 @@ def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
 def _initial_row(g, u0):
     act = g.active
     return (0.0, g.mass(u0), float(u0[act].min()), float(u0[act].max()),
-            g.norm(u0), 0.0, 0, 0, 0.0)
+            g.norm(u0), 0.0, 0, 0, 0.0, 0, 0.0)
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
@@ -268,7 +268,14 @@ def reference_spec(cfg: RunConfig) -> ReferenceSpec:
                          variant=cfg.get("ref_variant", default.variant))
 
 
+def _single_field(cfg: RunConfig, command: str) -> None:
+    if cfg.model == "pnp":
+        raise ConfigError(f"key 'model': '{command}' takes single-field "
+                          f"models; run pnp through 'solve'")
+
+
 def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
+    _single_field(cfg, "convergence")
     model = build_model(cfg)
     variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
     _check_variant(cfg, variant)
@@ -299,6 +306,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
+    _single_field(cfg, "compare")
     model = build_model(cfg)
     variants_raw = cfg.get("variants", "multiplier,cutoff,mass,none")
     variants = [v.strip() for v in variants_raw.split(",") if v.strip()]

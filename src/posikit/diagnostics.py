@@ -224,7 +224,7 @@ def convergence_study(model, k: int, dts, reference,
 # -- CSV emission -----------------------------------------------------------------
 
 RUN_CSV_HEADER = ("t,mass,min_u,max_u,norm_u,xi,secant_iters,active_count,"
-                  "ledger_residual")
+                  "ledger_residual,solver_iters,solver_residual")
 
 
 def _fmt(x) -> str:
@@ -241,7 +241,8 @@ def write_run_csv(path, diags, initial_row=None) -> None:
             fh.write(",".join(_fmt(v) for v in initial_row) + "\n")
         for d in diags:
             row = (d.t, d.mass, d.min_u, d.max_u, d.norm_u, d.xi,
-                   d.secant_iterations, d.active_count, d.ledger_residual)
+                   d.secant_iterations, d.active_count, d.ledger_residual,
+                   d.solver_iterations, d.solver_residual)
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 

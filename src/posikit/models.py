@@ -22,7 +22,7 @@ from .grid import DIRICHLET, NEUMANN, PERIODIC, build_grid
 from .operators import (Operator, solve_conservative_poisson,
                         transport_div_form)
 from .stepper import (VARIANT_MASS, History, StepOptions, combine_levels,
-                      step)
+                      extrapolation_coeffs, step)
 
 _STAR_FLOOR = 1e-14
 
@@ -61,10 +61,6 @@ def _clamped_star(hist: History, k: int) -> np.ndarray:
 
 # -- phase-field relaxation on the periodic square ------------------------------
 
-_EXTRAP_COEFFS = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0),
-                  4: (4.0, -6.0, 4.0, -1.0)}
-
-
 @dataclass
 class AllenCahnModel:
     """u_t - Delta u + (1/eps2) u(u-1)(u-1/2) = 0 on [0, 2pi)^2, periodic.
@@ -95,7 +91,8 @@ class AllenCahnModel:
         return self._op
 
     def explicit_source(self, hist: History, k: int) -> np.ndarray:
-        star = combine_levels(_EXTRAP_COEFFS[min(k, len(hist.us))], hist.us)
+        star = combine_levels(extrapolation_coeffs(min(k, len(hist.us))),
+                              hist.us)
         return -(1.0 / self.eps2) * star * (star - 1.0) * (star - 0.5)
 
 

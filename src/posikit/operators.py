@@ -14,7 +14,10 @@ part ``L = -laplacian``):
   symmetric positive semidefinite in the grid inner product and makes the
   c == 1 case agree with the spectral Laplacian mode by mode.  On grids with
   Dirichlet/Neumann axes it is the edge-difference form with arithmetic-mean
-  edge coefficients.
+  edge coefficients ``0.5 * (c_i + c_{i+1})``; an :class:`Operator` builds
+  them on its first apply and keeps them (``Operator.edge_coeffs``), so a
+  Krylov solve builds them once, and :func:`transport_div_form` builds them
+  per call through the same two kernels.
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
   fourth-order thin-film operator; periodic grids only.  It is applied in
   fused form: u is transformed once, Delta u and its derivative stay in
@@ -33,10 +36,18 @@ All kinds annihilate constants in the adjoint sense: ``[L v, 1] = 0`` for
 periodic/Neumann grids, and the telescoped edge flux against the all-ones
 extension vanishes on Dirichlet grids.  Each kind is applied through
 :meth:`Operator.apply`, and every shifted system ``(sigma I + L) u = b`` goes
-through :func:`solve_operator`: one exact transform pass for constant
-coefficients; for variable coefficients conjugate gradients (SPD kinds) or
-BiCGStab (fourth-order kind), preconditioned by the constant-coefficient
-operator at the mean coefficient.
+through :func:`solve_operator`, preconditioned (where it iterates) by the
+constant-coefficient operator at the mean coefficient:
+
+* constant coefficients -- one exact transform pass;
+* variable second-order kinds -- conjugate gradients on physical vectors,
+  each matvec one :meth:`Operator.apply`;
+* the fourth-order kind -- BiCGStab whose search directions and iterate stay
+  in transform space: the preconditioner is one forward transform and a
+  division, the shifted operator adds ``sigma`` to the fused spectrum before
+  its one inverse transform, and the iterate is transformed back once, at
+  the exit (8 real transforms per iteration in 1D).  Residuals and inner
+  products stay physical.
 
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
@@ -45,7 +56,7 @@ functions of their inputs and may run concurrently on distinct fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -265,78 +276,90 @@ def apply_laplacian(u: np.ndarray, g: Grid) -> np.ndarray:
 # -- apply: divergence form ---------------------------------------------------
 
 
-def _spectral_div_grad(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
-    """div(c grad v) for the periodic field v whose real transform is U.
+def _div_grad_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
+    """Transform of div(c grad v) for the periodic field v whose real
+    transform is U.
 
     Each axis forms D v spectrally, multiplies by c in physical space and
-    applies D again; the per-axis spectra are summed before one inverse
-    transform (2 + 2 * dim real transforms when U is given).
+    applies D again; the per-axis spectra are summed (2 * dim real
+    transforms).  Callers add their own terms before the one inverse
+    transform.
     """
     acc = None
     for ax in range(g.dim):
         ik = _ik(g, ax)
         term = ik * _rfft(g, c * _irfft(g, ik * U))
         acc = term if acc is None else acc + term
-    return _irfft(g, acc)
+    return acc
 
 
-def _edge_div_axis(c: np.ndarray, u: np.ndarray, g: Grid, ax: int) -> np.ndarray:
-    h, bc = g.spacings[ax], g.bcs[ax]
-    if bc == PERIODIC:
-        un = np.roll(u, -1, axis=ax)
-        cn = np.roll(c, -1, axis=ax)
-        flux = 0.5 * (c + cn) * (un - u)          # edge (i, i+1 mod n)
-        net = np.roll(flux, 1, axis=ax) - flux
-    else:
-        du = _sl(u, ax, slice(1, None)) - _sl(u, ax, slice(0, -1))
-        ce = 0.5 * (_sl(c, ax, slice(1, None)) + _sl(c, ax, slice(0, -1)))
-        flux = ce * du                             # edges 0..n-1 along ax
-        net = np.zeros_like(u, dtype=float)
-        idx = [slice(None)] * u.ndim
-        idx[ax] = slice(0, -1)
-        net[tuple(idx)] -= flux
-        idx[ax] = slice(1, None)
-        net[tuple(idx)] += flux
-    # divide by h * axis weight (transverse weights cancel); excluded rows
-    # carry weight 0 and are masked by the caller
-    aw = _axis_weights(g, ax)
-    wax = np.where(aw > 0, aw, 1.0)
-    if u.ndim > 1:
-        shape = [1] * u.ndim
-        shape[ax] = g.shape[ax]
-        wax = wax.reshape(shape)
-    return net / (h * wax)
+def _fourth_order_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
+    """Transform of +div(c grad (Delta v)) for the periodic v with transform
+    U; Delta v stays in transform space."""
+    return _div_grad_spectrum(c, _laplacian_multiplier(g) * U, g)
+
+
+def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
+    """Edge coefficients 0.5 * (c_i + c_{i+1}) of the edge form, per axis.
+
+    Along a periodic axis of a mixed grid the last edge wraps to node 0;
+    along a Dirichlet/Neumann axis there are n edges between n + 1 nodes.
+    """
+    out = []
+    for ax, bc in enumerate(g.bcs):
+        if bc == PERIODIC:
+            out.append(0.5 * (c + np.roll(c, -1, axis=ax)))
+        else:
+            out.append(0.5 * (_sl(c, ax, slice(1, None))
+                              + _sl(c, ax, slice(0, -1))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _axis_weights(g: Grid, ax: int) -> np.ndarray:
+def _edge_scale(g: Grid, ax: int) -> np.ndarray:
+    """h times the node weight along ``ax``, shaped to broadcast; the
+    transverse weights cancel.  Excluded Dirichlet ends carry weight 1 (the
+    caller masks their rows), Neumann ends h/2."""
     n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
-    if bc == PERIODIC:
-        return np.full(n, h)
-    w = np.full(n + 1, h)
+    w = np.full(n if bc == PERIODIC else n + 1, h)
     if bc == DIRICHLET:
-        w[0] = w[-1] = 0.0
-    else:
+        w[0] = w[-1] = 1.0
+    elif bc == NEUMANN:
         w[0] = w[-1] = 0.5 * h
-    return w
+    return _along(h * w, ax, g.dim)
 
 
-def _div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
-    """Unvalidated divergence form, +<-div(c grad u)>; sign-indefinite c allowed."""
-    if g.fully_periodic:
-        return -_spectral_div_grad(c, _rfft(g, u), g)
-    out = _edge_div_axis(c, u, g, 0)
-    for ax in range(1, g.dim):
-        out += _edge_div_axis(c, u, g, ax)
+def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
+    """+<-div(c grad u)> in edge form, from the edge coefficients ``ce``."""
+    out = None
+    for ax, bc in enumerate(g.bcs):
+        if bc == PERIODIC:
+            flux = ce[ax] * (np.roll(u, -1, axis=ax) - u)  # edge (i, i+1 mod n)
+            net = np.roll(flux, 1, axis=ax) - flux
+        else:
+            # edges 0..n-1, scaled in place: one temporary fewer
+            flux = _sl(u, ax, slice(1, None)) - _sl(u, ax, slice(0, -1))
+            flux *= ce[ax]
+            net = np.zeros_like(u, dtype=float)
+            lo = _sl(net, ax, slice(0, -1))
+            lo -= flux
+            hi = _sl(net, ax, slice(1, None))
+            hi += flux
+        net /= _edge_scale(g, ax)
+        if out is None:
+            out = net
+        else:
+            out += net
     if not g.all_active:
         out *= g.active
     return out
 
 
-def _fourth_order_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
-    """+div(c grad (Delta u)) with Delta u kept in transform space: one
-    forward transform of u, then :func:`_spectral_div_grad`."""
-    return _spectral_div_grad(c, _laplacian_multiplier(g) * _rfft(g, u), g)
+def _div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
+    """Unvalidated divergence form, +<-div(c grad u)>; sign-indefinite c allowed."""
+    if g.fully_periodic:
+        return -_irfft(g, _div_grad_spectrum(c, _rfft(g, u), g))
+    return _edge_apply(_edge_coeffs(c, g), u, g)
 
 
 def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -383,6 +406,13 @@ class Operator:
         return cls(grid=g, kind=DIV_COEFF_GRAD_LAPLACIAN,
                    coeff=_nonnegative(g, c, "fourth-order"))
 
+    @cached_property
+    def edge_coeffs(self) -> tuple:
+        """Edge coefficients of the div-coeff-grad kind on a grid with a
+        Dirichlet/Neumann axis, built on first use and kept for the life of
+        the operator."""
+        return _edge_coeffs(self.coeff, self.grid)
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
         if self.kind == LAPLACIAN:
@@ -390,9 +420,12 @@ class Operator:
             if not g.all_active:
                 out *= g.active
             return out
+        u = g.check_field(u)
         if self.kind == DIV_COEFF_GRAD:
-            return _div_form(self.coeff, g.check_field(u), g)
-        return _fourth_order_form(self.coeff, g.check_field(u), g)
+            if g.fully_periodic:
+                return _div_form(self.coeff, u, g)
+            return _edge_apply(self.edge_coeffs, u, g)
+        return _irfft(g, _fourth_order_spectrum(self.coeff, _rfft(g, u), g))
 
     def quad(self, u: np.ndarray) -> float:
         """The bilinear form <L u, u> in the grid inner product."""
@@ -445,13 +478,20 @@ def _pcg(matvec, precond, b, w, tol, maxit, x0=None):
     return x, SolverReport(total, relres, bool(relres <= tol))
 
 
-def _pbicgstab(matvec, precond, b, w, tol, maxit, x0=None):
+def _pbicgstab(matvec, precond, b, w, tol, maxit, x0):
     """Restarted preconditioned BiCGStab; convergence judged on the true
-    residual, with the recursive residual as the cheap inner gate."""
+    residual, with the recursive residual as the cheap inner gate.
+
+    The preconditioned directions and the iterate live in the space that
+    ``precond`` maps a physical residual into (the transform space of the
+    fourth-order kind), starting from ``x0`` there; ``matvec`` maps that
+    space back to physical vectors.  Residuals and inner products stay
+    physical.  Returns the iterate in ``precond``'s space.
+    """
     bnorm = np.sqrt(_wdot(w, b, b))
     if bnorm == 0.0:
-        return np.zeros_like(b), SolverReport(0, 0.0, True)
-    x = np.zeros_like(b) if x0 is None else x0.astype(float).copy()
+        return np.zeros_like(x0), SolverReport(0, 0.0, True)
+    x = x0.copy()
     total = 0
     relres = np.inf
     while total < maxit:
@@ -520,10 +560,36 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
     denom = _denom(g, sigma, float(np.mean(vals)), op.kind)
     del vals  # a field-sized copy, not kept through the iterations
-    matvec = lambda v: sigma * v + op.apply(v)
+    if op.kind == DIV_COEFF_GRAD_LAPLACIAN:
+        # iterate on transforms: one forward transform per preconditioned
+        # direction, one inverse per operator apply
+        c = op.coeff
+
+        def matvec(V):
+            S = _fourth_order_spectrum(c, V, g)
+            S += sigma * V
+            return _irfft(g, S)
+
+        def precond(r):
+            P = _rfft(g, r)
+            P /= denom
+            return P
+
+        X0 = (np.zeros(denom.shape, dtype=complex) if x0 is None
+              else _rfft(g, g.check_field(x0)))
+        X, report = _pbicgstab(matvec, precond, rhs, g.weights, tol, maxit,
+                               X0)
+        return _irfft(g, X), report
+
+    def matvec(v):
+        # apply first: a sigma * v made before it would stay live through
+        # the apply and raise the solve's peak memory
+        out = op.apply(v)
+        out += sigma * v
+        return out
+
     precond = lambda r: _diag_solve(g, r, denom)
-    krylov = _pbicgstab if op.kind == DIV_COEFF_GRAD_LAPLACIAN else _pcg
-    return krylov(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
+    return _pcg(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:

@@ -37,7 +37,9 @@ separate instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,12 +89,20 @@ class BdfTableau:
     b_coeffs: tuple[float, ...]
 
 
+@lru_cache(maxsize=None)
+def extrapolation_coeffs(k: int) -> tuple[float, ...]:
+    """Weights (-1)^j C(k, j+1), j = 0..k-1, of the order-k extrapolation
+    from the k newest levels (newest first); empty for k = 0."""
+    return tuple(float((-1) ** j * math.comb(k, j + 1)) for j in range(k))
+
+
 _TABLEAUX = {
-    1: BdfTableau(1, 1.0, (1.0,), ()),
-    2: BdfTableau(2, 3.0 / 2.0, (2.0, -1.0 / 2.0), (1.0,)),
-    3: BdfTableau(3, 11.0 / 6.0, (3.0, -3.0 / 2.0, 1.0 / 3.0), (2.0, -1.0)),
+    1: BdfTableau(1, 1.0, (1.0,), extrapolation_coeffs(0)),
+    2: BdfTableau(2, 3.0 / 2.0, (2.0, -1.0 / 2.0), extrapolation_coeffs(1)),
+    3: BdfTableau(3, 11.0 / 6.0, (3.0, -3.0 / 2.0, 1.0 / 3.0),
+                  extrapolation_coeffs(2)),
     4: BdfTableau(4, 25.0 / 12.0, (4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0),
-                  (3.0, -3.0, 1.0)),
+                  extrapolation_coeffs(3)),
 }
 
 
@@ -475,7 +485,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
         secant_iterations=out.secant_iterations,
         active_count=out.active_count,
         solver_iterations=report.iterations,
-        solver_residual=report.residual,
+        solver_residual=float(report.residual),
         op_quad=op_quad,
         ledger_residual=ledger_residual,
     )

@@ -307,3 +307,80 @@ variants = multiplier,none
         assert row[col["failure"]] == "SolverError"
         assert row[col["blowup_t"]] == ""
         assert row[col["steps"]] == "0"
+
+
+# -- solver columns of the per-step logs -----------------------------------------
+
+RUN_HEADER = ["t", "mass", "min_u", "max_u", "norm_u", "xi", "secant_iters",
+              "active_count", "ledger_residual", "solver_iters",
+              "solver_residual"]
+
+
+def test_run_csv_reports_solver_iterations_and_residual(tmp_path):
+    # porous medium: a variable coefficient, so every step runs PCG
+    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 5e-3"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "run.csv")
+    assert header == RUN_HEADER
+    assert rows[0][9:] == ["0", "0.0"]  # the t = 0 row
+    for r in rows[1:]:
+        assert int(r[9]) > 0
+        assert 0.0 <= float(r[10]) <= 1e-10
+
+
+def test_pnp_solve_logs_reproduce_with_solver_columns(tmp_path):
+    cfg = write_config(tmp_path, """
+model = pnp
+nx = 16
+dt = 1e-3
+T = 3e-3
+""")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("run_p.csv", "run_n.csv"):
+        header, rows = read_csv(outs[0] / name)
+        assert header == RUN_HEADER
+        # transform solves: no Krylov iterations, residual reported as 0
+        assert all(r[9:] == ["0", "0.0"] for r in rows)
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_compare_run_logs_carry_solver_columns(tmp_path):
+    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 2e-3")
+                       + "variants = multiplier,none\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    for v in ("multiplier", "none"):
+        header, rows = read_csv(out / f"run_{v}.csv")
+        assert header == RUN_HEADER
+        assert len(rows) == 3 and int(rows[-1][9]) > 0
+
+
+# -- the two-species model runs through `solve` only --------------------------------
+
+PNP_STUDY_CFG = """
+model = pnp
+nx = 8
+dt = 1e-3
+T = 2e-3
+dts = 1e-3,5e-4
+ref_dt = 1e-4
+"""
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("convergence", "convergence_study"), ("compare", "run_simulation")])
+def test_pnp_rejected_by_study_commands(tmp_path, capsys, monkeypatch,
+                                        command, runner):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the model was checked")
+
+    monkeypatch.setattr(cli, runner, no_run)
+    cfg = write_config(tmp_path, PNP_STUDY_CFG)
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "pnp" in err and "'solve'" in err
+    assert not any(out.iterdir())

@@ -159,15 +159,17 @@ def test_run_csv_format(tmp_path):
                         ledger_residual=1e-14)
     path = tmp_path / "run.csv"
     write_run_csv(path, [d], initial_row=(0.0, 2.0, 0.0, 1.0, 1.5, 0.0, 0, 0,
-                                          0.0))
+                                          0.0, 0, 0.0))
     lines = path.read_text().splitlines()
     assert lines[0] == ("t,mass,min_u,max_u,norm_u,xi,secant_iters,"
-                        "active_count,ledger_residual")
+                        "active_count,ledger_residual,solver_iters,"
+                        "solver_residual")
     assert len(lines) == 3
     row = lines[2].split(",")
     assert float(row[0]) == 0.1
     assert float(row[5]) == -0.25
     assert row[6] == "2" and row[7] == "3"
+    assert row[9] == "4" and row[10] == "1e-12"
 
 
 def test_convergence_csv_format(tmp_path):

@@ -5,7 +5,7 @@ from posikit.grid import build_grid
 from posikit.operators import Operator
 from posikit.stepper import (VARIANTS, BlowUpError, History, SecantError,
                              StepOptions, bdf_tableau, correct_positivity,
-                             predict, residual_F, run_simulation,
+                             extrapolation_coeffs, predict, residual_F, run_simulation,
                              solve_xi_exact, solve_xi_secant, step)
 
 from test_operators import dense_matrix
@@ -88,6 +88,20 @@ def test_tableau_consistency_sums(k):
     t = bdf_tableau(k)
     assert sum(t.a_coeffs) == pytest.approx(t.alpha, rel=1e-15)
     assert sum(t.b_coeffs) == (1.0 if k >= 2 else 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_extrapolation_coeffs_are_exact_on_polynomials(k):
+    # order k: the k newest levels of a degree k - 1 polynomial, newest
+    # first, extrapolate to its next value exactly (whole-number weights)
+    w = extrapolation_coeffs(k)
+    assert len(w) == k and all(float(c).is_integer() for c in w)
+    for deg in range(k):
+        levels = [float((-j) ** deg) for j in range(k)]  # t = 0, -1, ...
+        assert sum(c * v for c, v in zip(w, levels)) == 1.0  # t = 1
+    assert extrapolation_coeffs(4) == (4.0, -6.0, 4.0, -1.0)
+    if k >= 2:
+        assert bdf_tableau(k).b_coeffs == extrapolation_coeffs(k - 1)
 
 
 @pytest.mark.parametrize("k", [0, 5, -1])
