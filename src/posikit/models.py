@@ -48,10 +48,11 @@ def extrapolate_star(un: np.ndarray, unm1: np.ndarray) -> np.ndarray:
 def _clamped_star(hist: History, k: int) -> np.ndarray:
     """History extrapolation for lagged coefficients, floored at zero.
 
-    The uncorrected baseline variant keeps solver-level negative noise in its
-    history; the lagged coefficient must stay nonnegative for the operator to
-    be well posed, so history levels are floored before extrapolating.  For
-    corrected variants the floor is a no-op.
+    The uncorrected baseline variant can carry negative values in its
+    history (on a periodic Fourier grid, whose divergence form is not
+    monotone); the lagged coefficient must stay nonnegative for the operator
+    to be well posed, so history levels are floored before extrapolating.
+    For corrected variants the floor is a no-op.
     """
     u0 = np.maximum(hist.us[0], 0.0)
     if k >= 2 and len(hist.us) >= 2:

@@ -1,53 +1,41 @@
 """Discrete spatial operators and the linear solvers behind the prediction step.
 
-Three operator kinds are provided, all in the sign convention of
-``u_t + L u = 0`` (so every kind is the *positive* direction: for the heat
-part ``L = -laplacian``):
+Three operator kinds, all in the sign convention of ``u_t + L u = 0`` (every
+kind is the *positive* direction: for the heat part ``L = -laplacian``):
 
 * ``laplacian``                 -- L u = -Delta u.  Periodic axes use exact
-  Fourier differentiation, Dirichlet/Neumann axes use the second-difference
+  Fourier differentiation, Dirichlet/Neumann axes the second-difference
   stencil of the lumped linear-element form (zero ghost / mirrored ghost).
 * ``div-coeff-grad``            -- L u = -div(c grad u) with nodal c >= 0.
-  On fully periodic grids this is assembled pseudo-spectrally from the
-  antisymmetric Fourier derivative (Nyquist mode dropped, the standard
-  convention for odd derivatives), which makes the operator exactly
-  symmetric positive semidefinite in the grid inner product and makes the
-  c == 1 case agree with the spectral Laplacian mode by mode.  On grids with
-  Dirichlet/Neumann axes it is the edge-difference form with arithmetic-mean
-  edge coefficients ``0.5 * (c_i + c_{i+1})``; an :class:`Operator` builds
-  them on its first apply and keeps them (``Operator.edge_coeffs``), so a
-  Krylov solve builds them once, and :func:`transport_div_form` builds them
-  per call through the same two kernels.
+  On fully periodic grids it is assembled pseudo-spectrally from the
+  antisymmetric Fourier derivative (Nyquist mode dropped), exactly
+  symmetric positive semidefinite in the grid inner product and equal to
+  the spectral Laplacian mode by mode at c == 1.  On grids with a
+  Dirichlet/Neumann axis it is the edge form with edge coefficients
+  ``0.5 * (c_i + c_{i+1})``, which an :class:`Operator` builds once
+  (``Operator.edge_coeffs``).
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
-  fourth-order thin-film operator; periodic grids only.  It is applied in
-  fused form: u is transformed once, Delta u and its derivative stay in
-  transform space, and per axis only ``c * D(Delta u)`` visits physical
-  space (4 real transforms in 1D, 6 in 2D).
+  fourth-order thin-film operator; periodic grids only, applied in fused
+  form (Delta u stays in transform space: 4 real transforms in 1D, 6 in 2D).
 
-Transforms.  Fields are real, so periodic axes use real FFTs (``rfft`` in
-1D, ``rfft2`` in 2D, inverse with the output length given, so odd counts
-round-trip); the last periodic axis holds the n//2 + 1 nonnegative
-frequencies.  Dirichlet/Neumann axes use DST-I/DCT-I.  The derivative
-multipliers ``i k`` and the unit-coefficient symbol of each kind are built
-once per grid on that layout and cached (read-only), so a shifted system's
-diagonal is ``sigma + cbar * symbol``.
+Periodic axes use real FFTs, Dirichlet/Neumann axes DST-I/DCT-I; the
+unit-coefficient symbol of each kind is cached per grid, so a
+constant-coefficient shifted system is the diagonal ``sigma + c * symbol``
+in transform space.  All kinds annihilate constants in the adjoint sense:
+``[L v, 1] = 0`` on periodic/Neumann grids, and the telescoped edge flux
+against the all-ones extension vanishes on Dirichlet grids.
 
-All kinds annihilate constants in the adjoint sense: ``[L v, 1] = 0`` for
-periodic/Neumann grids, and the telescoped edge flux against the all-ones
-extension vanishes on Dirichlet grids.  Each kind is applied through
-:meth:`Operator.apply`, and every shifted system ``(sigma I + L) u = b`` goes
-through :func:`solve_operator`, preconditioned (where it iterates) by the
-constant-coefficient operator at the mean coefficient:
+Every shifted system ``(sigma I + L) u = b`` goes through
+:func:`solve_operator`:
 
 * constant coefficients -- one exact transform pass;
-* variable second-order kinds -- conjugate gradients on physical vectors,
-  each matvec one :meth:`Operator.apply`;
-* the fourth-order kind -- BiCGStab whose search directions and iterate stay
-  in transform space: the preconditioner is one forward transform and a
-  division, the shifted operator adds ``sigma`` to the fused spectrum before
-  its one inverse transform, and the iterate is transformed back once, at
-  the exit (8 real transforms per iteration in 1D).  Residuals and inner
-  products stay physical.
+* the edge form -- conjugate gradients preconditioned by the exact diagonal
+  of ``sigma I + L``, with no transform at all;
+* the periodic second-order kind -- conjugate gradients preconditioned by
+  the transform solve at the mean coefficient;
+* the fourth-order kind -- BiCGStab with that preconditioner, whose search
+  directions and iterate stay in transform space (8 real transforms per
+  iteration in 1D).
 
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
@@ -355,6 +343,29 @@ def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
+def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
+    """Diagonal of :func:`_edge_apply`: per node, the sum of the edge
+    coefficients on its two sides, scaled as the apply scales them (rows of
+    inactive nodes are left for the caller to mask)."""
+    out = None
+    for ax, bc in enumerate(g.bcs):
+        if bc == PERIODIC:
+            # edges (i-1, i) and (i, i+1), wrapping around
+            net = ce[ax] + np.roll(ce[ax], 1, axis=ax)
+        else:
+            net = np.zeros(g.shape)
+            lo = _sl(net, ax, slice(0, -1))
+            lo += ce[ax]
+            hi = _sl(net, ax, slice(1, None))
+            hi += ce[ax]
+        net /= _edge_scale(g, ax)
+        if out is None:
+            out = net
+        else:
+            out += net
+    return out
+
+
 def _div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     """Unvalidated divergence form, +<-div(c grad u)>; sign-indefinite c allowed."""
     if g.fully_periodic:
@@ -542,29 +553,39 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
                    x0: np.ndarray | None = None):
     """Solve the shifted system (sigma I + L) u = rhs for any operator kind.
 
-    Constant coefficients (none, or equal on every active node) solve
+    Constant coefficients (none, or equal on every node) solve
     exactly in one transform pass (iterations = 0, residual reported as 0).
-    Variable coefficients use conjugate gradients in the weighted inner
-    product, or BiCGStab for the nonsymmetric fourth-order kind,
-    preconditioned by the constant-coefficient operator at the mean
-    coefficient.
+    Variable coefficients iterate, with the residual judged in the weighted
+    inner product:
+
+    * the edge form (a Dirichlet or Neumann axis) -- conjugate gradients
+      preconditioned by the exact diagonal of ``sigma I + L``, built once
+      per solve from ``Operator.edge_coeffs``; no transforms;
+    * the pseudo-spectral second-order kind (fully periodic) -- conjugate
+      gradients preconditioned by the transform solve of the
+      constant-coefficient operator at the mean coefficient;
+    * the fourth-order kind -- BiCGStab with the same mean-coefficient
+      preconditioner, iterating in transform space.
+
+    Iterative solves leave inactive (Dirichlet end) nodes at ``x0`` (0
+    without it); the transform pass sets them to 0.
     """
     if sigma <= 0:
         raise ValueError("shift sigma must be positive")
     g = op.grid
     rhs = g.check_field(rhs)
-    vals = None if op.coeff is None else op.coeff[g.active]
-    if vals is None or vals.max() == vals.min():
-        cval = 1.0 if vals is None else float(vals[0])
+    c = op.coeff
+    # every node counts: the edge form's end edges read the coefficient at
+    # inactive Dirichlet nodes
+    if c is None or c.max() == c.min():
+        cval = 1.0 if c is None else float(c.flat[0])
         denom = _denom(g, sigma, cval, op.kind)
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
-    denom = _denom(g, sigma, float(np.mean(vals)), op.kind)
-    del vals  # a field-sized copy, not kept through the iterations
+    if g.fully_periodic:
+        denom = _denom(g, sigma, float(np.mean(c)), op.kind)
     if op.kind == DIV_COEFF_GRAD_LAPLACIAN:
         # iterate on transforms: one forward transform per preconditioned
         # direction, one inverse per operator apply
-        c = op.coeff
-
         def matvec(V):
             S = _fourth_order_spectrum(c, V, g)
             S += sigma * V
@@ -588,7 +609,17 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         out += sigma * v
         return out
 
-    precond = lambda r: _diag_solve(g, r, denom)
+    if g.fully_periodic:
+        precond = lambda r: _diag_solve(g, r, denom)
+    else:
+        # the edge form is an M-matrix whose exact diagonal preconditions
+        # about as well as the mean-coefficient transform solve, at a
+        # fraction of its cost; zero on inactive rows, so the iterate keeps
+        # x0 there
+        inv = 1.0 / (sigma + _edge_diagonal(op.edge_coeffs, g))
+        if not g.all_active:
+            inv *= g.active
+        precond = lambda r: r * inv
     return _pcg(matvec, precond, rhs, g.weights, tol, maxit, x0=x0)
 
 

@@ -4,7 +4,7 @@ import pytest
 from posikit import operators as ops
 from posikit.grid import build_grid
 from posikit.operators import (DIV_COEFF_GRAD, Operator, SolverReport,
-                               _backward, _denom, _diag_solve, _forward,
+                               _backward, _denom, _diag_solve, _forward, _sl,
                                _symbol, apply_laplacian,
                                solve_conservative_poisson, solve_operator,
                                transport_div_form)
@@ -205,6 +205,21 @@ def test_solve_shifted_residual_oracle_random():
     res = sigma * u + op.apply(u) - rhs
     assert g.norm(res) <= 1e-12 * g.norm(rhs)
     assert rep.converged and rep.residual <= 1e-12
+
+
+def test_coefficient_constant_on_active_nodes_only_is_variable():
+    # the end edges of the Dirichlet edge form read the coefficient at the
+    # excluded nodes, so a coefficient constant on the active set alone is
+    # not the constant-coefficient operator
+    g = build_grid((0.0, 1.0), 16, "dirichlet")
+    c = np.ones(g.shape)
+    c[0] = c[-1] = 0.0
+    op = Operator.div_coeff_grad(g, c)
+    rhs = np.random.default_rng(10).standard_normal(g.shape) * g.active
+    u, rep = solve_operator(3.0, op, rhs, tol=1e-12)
+    assert rep.converged and rep.iterations > 0
+    res = 3.0 * u + op.apply(u) - rhs
+    assert g.norm(res) <= 1e-12 * g.norm(rhs)
 
 
 def test_solve_shifted_matches_dense_solve():
@@ -507,6 +522,101 @@ def test_edge_coefficients_built_once_per_operator(monkeypatch):
     assert len(built) == 1  # the same operator: still cached
     solve_operator(5.0, Operator.div_coeff_grad(g, c), rhs)
     assert len(built) == 2
+
+
+# -- edge-form PCG with the diagonal preconditioner -----------------------------
+
+
+def patchy_coefficient(g, seed):
+    """Spans three decades, with a zero patch over the first third of axis 0."""
+    c = 10.0 ** np.random.default_rng(seed).uniform(-2.0, 1.0, g.shape)
+    _sl(c, 0, slice(0, g.shape[0] // 3))[...] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
+def test_edge_diagonal_matches_dense(extents, counts, bcs):
+    g = build_grid(extents, counts, bcs)
+    c = patchy_coefficient(g, 60)
+    op = Operator.div_coeff_grad(g, c)
+    diag = ops._edge_diagonal(op.edge_coeffs, g) * g.active
+    ref = np.diag(edge_form_dense(c, g)).reshape(g.shape)
+    assert np.abs(diag - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("with_x0", [False, True], ids=["zero-x0", "x0"])
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
+def test_edge_form_solve_matches_dense(extents, counts, bcs, with_x0):
+    g = build_grid(extents, counts, bcs)
+    c = patchy_coefficient(g, 61)
+    positive = c[c > 0]
+    assert positive.max() >= 100.0 * positive.min() and (c == 0).any()
+    op = Operator.div_coeff_grad(g, c)
+    sigma, tol = 3.0, 1e-12
+    rng = np.random.default_rng(62)
+    rhs = rng.standard_normal(g.shape) * g.active
+    x0 = rng.standard_normal(g.shape) if with_x0 else np.zeros(g.shape)
+    u, rep = solve_operator(sigma, op, rhs, tol=tol,
+                            x0=x0 if with_x0 else None)
+    assert rep.converged and rep.iterations > 0 and rep.residual <= tol
+    res = (sigma * u + op.apply(u) - rhs) * g.active
+    assert g.norm(res) <= tol * g.norm(rhs)
+    inactive = ~g.active
+    assert np.array_equal(u[inactive], x0[inactive])
+    # reference: the active rows of sigma I + L, the inactive values held
+    # at x0
+    A = sigma * np.eye(u.size) + edge_form_dense(c, g)
+    b = np.ravel(rhs).copy()
+    rows = np.flatnonzero(np.ravel(inactive))
+    A[rows] = 0.0
+    A[rows, rows] = 1.0
+    b[rows] = np.ravel(x0)[rows]
+    x = np.linalg.solve(A, b).reshape(g.shape)
+    assert np.abs(u - x).max() <= 1e-9 * np.abs(x).max()
+
+
+def count_bounded_transforms(monkeypatch):
+    """Count the DST/DCT calls of :mod:`posikit.operators`, by name."""
+    calls = []
+    for name in ("dst", "dct", "idst", "idct"):
+        real = getattr(ops.sfft, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ops.sfft, name, counting)
+    return calls
+
+
+BOUNDED_GRIDS = EDGE_GRIDS[:4]
+BOUNDED_IDS = EDGE_IDS[:4]
+
+
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
+def test_edge_form_variable_solve_makes_no_transforms(monkeypatch, extents,
+                                                      counts, bcs):
+    calls = count_bounded_transforms(monkeypatch)
+    g = build_grid(extents, counts, bcs)
+    op = Operator.div_coeff_grad(g, patchy_coefficient(g, 63))
+    rhs = np.random.default_rng(64).standard_normal(g.shape) * g.active
+    _, rep = solve_operator(3.0, op, rhs, tol=1e-12)
+    assert rep.converged and rep.iterations > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("extents,counts,bcs", BOUNDED_GRIDS, ids=BOUNDED_IDS)
+def test_constant_coefficient_solve_makes_one_transform_pass(
+        monkeypatch, extents, counts, bcs):
+    calls = count_bounded_transforms(monkeypatch)
+    g = build_grid(extents, counts, bcs)
+    op = Operator.div_coeff_grad(g, np.full(g.shape, 2.0))
+    rhs = np.random.default_rng(65).standard_normal(g.shape) * g.active
+    _, rep = solve_operator(3.0, op, rhs)
+    assert rep.iterations == 0
+    forward, backward = ("dst", "idst") if bcs == "dirichlet" else ("dct",
+                                                                     "idct")
+    assert sorted(calls) == sorted([forward] * g.dim + [backward] * g.dim)
 
 
 # -- fourth-order BiCGStab in transform space -----------------------------------
