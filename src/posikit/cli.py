@@ -137,35 +137,39 @@ def build_model(cfg: RunConfig):
         raise ConfigError(f"model '{cfg.model}': {exc}") from exc
 
 
+_DEFAULT_NX = {"allen_cahn": 32, "pme": 128, "pnp": 64, "lubrication": 256}
+
+
+def _unused(cfg: RunConfig, key: str, why: str) -> None:
+    if key in cfg.raw:
+        raise ConfigError(f"key '{key}': not used {why}")
+
+
 def _build_model(cfg: RunConfig):
-    nx = cfg.get_int("nx", 0)
-    ny = cfg.get_int("ny", 0) if "ny" in cfg.raw else None
+    n = cfg.get_int("nx", _DEFAULT_NX[cfg.model])
+    ny = cfg.get_int("ny") if "ny" in cfg.raw else None
+    if ny is not None and ny != n:
+        raise ConfigError(f"key 'ny': {cfg.model} uses equal per-axis counts")
     if cfg.model == "allen_cahn":
-        n = nx or 32
-        if ny is not None and ny != n:
-            raise ConfigError("key 'ny': allen_cahn uses a square grid")
         return AllenCahnModel(eps2=cfg.get_float("eps2", 0.001), n=n)
     if cfg.model == "pme":
         dim = 2 if ny is not None else 1
-        n = nx or 128
-        if ny is not None and ny != n:
-            raise ConfigError("key 'ny': pme uses equal per-axis counts")
         return PorousMediumModel(m=cfg.get_float("m", 2.0), n=n, dim=dim,
                                  C=cfg.get_float("C", 1.0))
     if cfg.model == "pnp":
-        return PnpModel(eps_debye=cfg.get_float("eps_debye", 0.1), n=nx or 64)
+        _unused(cfg, "eps_lb", "by pnp, whose species solves keep no floor")
+        return PnpModel(eps_debye=cfg.get_float("eps_debye", 0.1), n=n)
     # lubrication
     reg = cfg.get("reg", "floor")
     if reg not in ("floor", "reg_eta"):
         raise ConfigError(f"key 'reg': unknown regularization '{reg}'")
     dim = 2 if ny is not None else 1
-    n = nx or 256
-    if ny is not None and ny != n:
-        raise ConfigError("key 'ny': lubrication uses equal per-axis counts")
     kwargs = dict(rho=cfg.get_float("rho", 0.5), mode=reg, n=n, dim=dim)
     if reg == "floor":
+        _unused(cfg, "eta", "with reg = floor")
         kwargs["eps_lb"] = cfg.get_float("eps_lb", 1e-2)
     else:
+        _unused(cfg, "eps_lb", "with reg = reg_eta, which keeps no floor")
         kwargs["eta"] = cfg.get_float("eta", 1e-8)
         kwargs["eps_lb"] = 0.0
     return LubricationModel(**kwargs)
@@ -225,8 +229,13 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     opts = build_options(cfg, model)
     n_steps = _n_steps(cfg.get_float("T"), opts.dt)
     cadence = cfg.get_int("snapshot_every", 0)
+    if cadence < 0:
+        raise ConfigError("key 'snapshot_every': must be nonnegative "
+                          "(0 writes no snapshots)")
 
     if cfg.model == "pnp":
+        _unused(cfg, "snapshot_every", "by pnp, which writes final fields "
+                "only")
         result = run_pnp(model, opts, n_steps)
         write_run_csv(os.path.join(out_dir, "run_p.csv"), result.diagnostics_p)
         write_run_csv(os.path.join(out_dir, "run_n.csv"), result.diagnostics_n)

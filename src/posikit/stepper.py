@@ -417,8 +417,12 @@ class StepOptions:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         bdf_tableau(self.k)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "solver_tol", "secant_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("solver_maxit", "secant_maxit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass

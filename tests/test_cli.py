@@ -208,19 +208,36 @@ def test_config_parse_errors(tmp_path, capsys):
     assert main(["solve", "--config", dup, "--out", str(tmp_path / "o")]) == 2
 
 
+LUB_CFG = "model = lubrication\nnx = 32\ndt = 1e-7\nT = 1e-6"
+PNP_CFG = "model = pnp\nnx = 8\ndt = 1e-3\nT = 2e-3"
+
+
 @pytest.mark.parametrize("text,word", [
     ("model = pme\nnx = 32\nny = abc\ndt = 1e-3\nT = 3e-3", "ny"),
     ("model = pme\nnx = 32\nk = 7\ndt = 1e-3\nT = 3e-3", "BDF order"),
     ("model = pme\nnx = 32\ndt = -1e-3\nT = 3e-3", "dt"),
     ("model = allen_cahn\nnx = 8\neps2 = -1\ndt = 1e-4\nT = 1e-3",
      "allen_cahn"),
+    # values that ran, failed late or were dropped without a word
+    (LUB_CFG + "\nsolver_tol = -1", "solver_tol"),
+    (LUB_CFG + "\nsolver_tol = 0", "solver_tol"),
+    (LUB_CFG + "\nsecant_tol = 0", "secant_tol"),
+    (LUB_CFG.replace("nx = 32", "nx = 0"), "points"),
+    (LUB_CFG + "\nsnapshot_every = -5", "snapshot_every"),
+    (LUB_CFG + "\nreg = floor\neta = 1e-6", "'eta'"),
+    (LUB_CFG + "\nreg = reg_eta\neps_lb = 1e-3", "'eps_lb'"),
+    (PNP_CFG + "\neps_lb = 1e-3", "'eps_lb'"),
+    (PNP_CFG + "\nsnapshot_every = 1", "'snapshot_every'"),
+    (PNP_CFG + "\nny = 16", "'ny'"),
 ])
 def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
     cfg = write_config(tmp_path, text + "\n")
-    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["solve", "--config", cfg, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and word in err
+    assert not any(out.iterdir())
 
 
 def test_horizon_not_multiple_of_dt_exits_2(tmp_path, capsys):

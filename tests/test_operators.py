@@ -245,6 +245,10 @@ def test_solve_shifted_validates():
         solve_operator(0.0, Operator.laplacian(g), np.zeros(8))
     with pytest.raises(ValueError, match="positive"):
         solve_operator(0.0, Operator.lubrication(g, np.ones(8)), np.zeros(8))
+    op = Operator.lubrication(g, 1.0 + np.arange(8.0))
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_operator(1.0, op, np.ones(8), tol=tol)
 
 
 # -- fourth-order operator --------------------------------------------------------
@@ -665,25 +669,111 @@ def test_fourth_order_solve_out_of_iterations_returns_physical_iterate():
     assert rep.residual == pytest.approx(g.norm(res) / g.norm(rhs), rel=1e-10)
 
 
-@pytest.mark.parametrize("maxit", [1, 5, 20])
-def test_fourth_order_solve_uses_eight_transforms_per_iteration(
-        monkeypatch, maxit):
-    # an unreachable tolerance runs exactly maxit iterations; per solve the
-    # fixed part is the transform of x0, the first and last residuals
-    # (3 transforms each in 1D) and the inverse transform of the iterate
+# -- periodic Krylov solves on real-FFT spectra --------------------------------
+
+PARSEVAL_GRIDS = KRYLOV_GRIDS + [(((0.0, 2 * np.pi), (0.0, 1.0)), (16, 16))]
+
+
+@pytest.mark.parametrize("extents,counts", PARSEVAL_GRIDS,
+                         ids=["32", "33", "12x13", "16x16"])
+def test_parseval_weights_reproduce_grid_inner(extents, counts):
+    g = build_grid(extents, counts, "periodic")
+    w = ops._parseval_weights(g)
+    rng = np.random.default_rng(56)
+    for _ in range(3):
+        a, b = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        A = ops._rfft(g, a).view(float)
+        B = ops._rfft(g, b).view(float)
+        scale = g.norm(a) * g.norm(b)
+        assert abs(ops._wdot(w, A, B) - g.inner(a, b)) <= 1e-13 * scale
+        assert ops._wdot(w, A, A) == pytest.approx(g.norm(a) ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("with_x0", [False, True], ids=["zero-x0", "x0"])
+@pytest.mark.parametrize("extents,counts", KRYLOV_GRIDS,
+                         ids=["32", "33", "12x13"])
+def test_periodic_second_order_solve_matches_dense(extents, counts, with_x0):
+    g = build_grid(extents, counts, "periodic")
+    op = Operator.div_coeff_grad(g, strongly_varying(g))
+    sigma, tol = 3.0, 1e-11
+    rng = np.random.default_rng(57)
+    rhs = rng.standard_normal(g.shape)
+    x0 = rng.standard_normal(g.shape) if with_x0 else None
+    u, rep = solve_operator(sigma, op, rhs, tol=tol, x0=x0)
+    assert rep.converged and rep.iterations > 0
+    assert u.dtype == np.float64 and u.shape == g.shape
+    res = sigma * u + op.apply(u) - rhs
+    assert g.norm(res) <= tol * g.norm(rhs)
+    A = sigma * np.eye(u.size) + dense_matrix(op.apply, g)
+    x = np.linalg.solve(A, np.ravel(rhs)).reshape(g.shape)
+    assert np.abs(u - x).max() <= 1e-8 * np.abs(x).max()
+
+
+def count_periodic_transforms(monkeypatch):
+    """Count the real FFT calls of the periodic transforms (1D and 2D)."""
     calls = []
-    for name in ("rfft", "irfft"):
-        real = getattr(np.fft, name)
+    for owner, names in ((np.fft, ("rfft", "irfft")),
+                         (ops.sfft, ("rfft2", "irfft2"))):
+        for name in names:
+            real = getattr(owner, name)
 
-        def counting(*args, _real=real, **kwargs):
-            calls.append(1)
-            return _real(*args, **kwargs)
+            def counting(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counting)
-    g = build_grid((0.0, 2 * np.pi), 64, "periodic")
-    op = Operator.lubrication(g, 1.0 + 0.5 * np.sin(g.axes[0]))
+            monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def periodic_solve_transforms(monkeypatch, g, op, maxit):
+    """Real FFTs made by a periodic solve that runs exactly ``maxit``
+    iterations (the tolerance is unreachable)."""
     rng = np.random.default_rng(55)
-    rhs, x0 = rng.standard_normal(64), rng.standard_normal(64)
+    rhs, x0 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    calls = count_periodic_transforms(monkeypatch)
     _, rep = solve_operator(10.0, op, rhs, tol=1e-30, maxit=maxit, x0=x0)
     assert rep.iterations == maxit and not rep.converged
-    assert len(calls) == 8 * maxit + 8
+    return len(calls)
+
+
+# Each operator apply makes 2 * dim real transforms.  Per solve the fixed
+# part is the transforms of rhs and x0, the first and last true residuals
+# (one apply each) and the inverse transform of the iterate.
+
+
+@pytest.mark.parametrize("maxit", [1, 5, 20])
+def test_fourth_order_solve_uses_four_transforms_per_iteration(
+        monkeypatch, maxit):
+    g = build_grid((0.0, 2 * np.pi), 64, "periodic")
+    op = Operator.lubrication(g, 1.0 + 0.5 * np.sin(g.axes[0]))
+    assert periodic_solve_transforms(monkeypatch, g, op, maxit) == \
+        4 * maxit + 7
+
+
+@pytest.mark.parametrize("maxit", [1, 5, 20])
+def test_periodic_second_order_solve_uses_two_transforms_per_iteration(
+        monkeypatch, maxit):
+    g = build_grid((0.0, 2 * np.pi), 64, "periodic")
+    op = Operator.div_coeff_grad(g, 1.0 + 0.5 * np.sin(g.axes[0]))
+    assert periodic_solve_transforms(monkeypatch, g, op, maxit) == \
+        2 * maxit + 7
+
+
+@pytest.mark.parametrize("kind,per_iteration", [("lubrication", 8),
+                                                ("div_coeff_grad", 4)],
+                         ids=["bicgstab", "cg"])
+def test_periodic_solve_transform_count_2d(monkeypatch, kind, per_iteration):
+    g = build_grid(*KRYLOV_GRIDS[2], "periodic")
+    op = getattr(Operator, kind)(g, strongly_varying(g))
+    assert periodic_solve_transforms(monkeypatch, g, op, 5) == \
+        5 * per_iteration + 11
+
+
+def test_bicgstab_zero_t_is_a_breakdown_not_a_division_by_zero():
+    # with the identity the first half step solves exactly, so s and t are
+    # 0; a negative tolerance keeps the inner gate from stopping before t
+    b = np.arange(1.0, 9.0)
+    x, rep = ops._krylov(ops._pbicgstab, lambda v: v.copy(),
+                         lambda r: r.copy(), b, np.ones(8), -1.0, 10)
+    assert np.array_equal(x, b)
+    assert rep.iterations == 1 and rep.residual == 0.0 and not rep.converged

@@ -503,3 +503,14 @@ def test_mass_options_reused_across_models_keep_own_mass():
         assert abs(res.diagnostics[-1].mass - m0) <= 1e-10 * m0
         assert opts.target_mass is None
 
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dt", 0.0), ("dt", float("nan")), ("solver_tol", 0.0),
+    ("solver_tol", -1.0), ("secant_tol", 0.0), ("solver_maxit", 0),
+    ("secant_maxit", 0)])
+def test_step_options_reject_unusable_tolerances_and_limits(field, value):
+    kwargs = dict(k=1, dt=0.01)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        StepOptions(**kwargs)
