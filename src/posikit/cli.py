@@ -20,6 +20,7 @@ Reruns of the same config reproduce all CSV output bit for bit.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -45,6 +46,18 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
+
+
+def _finite(key: str, text: str) -> float:
+    """Parse a number that must be finite: nan or inf in a config would
+    only surface as a traceback, a silent no-op or a late numerical failure."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"key '{key}': cannot parse {text!r} as a number")
+    if not math.isfinite(x):
+        raise ConfigError(f"key '{key}': {text!r} is not a finite number")
+    return x
 
 
 _COMMON_KEYS = {"model", "nx", "ny", "k", "dt", "T", "variant", "eps_lb",
@@ -82,10 +95,7 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"missing required key '{key}'")
             return default
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"key '{key}': cannot parse {v!r} as a number")
+        return _finite(key, v)
 
     def get_int(self, key, default=None):
         v = self.raw.get(key)
@@ -288,11 +298,8 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
     _check_variant(cfg, variant)
-    dts_raw = cfg.get("dts", "")
-    try:
-        dts = [float(s) for s in dts_raw.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"key 'dts': cannot parse {dts_raw!r}")
+    dts = [_finite("dts", s) for s in cfg.get("dts", "").split(",")
+           if s.strip()]
     if not dts:
         raise ConfigError("missing required key 'dts'")
     if any(b >= a for a, b in zip(dts, dts[1:])):

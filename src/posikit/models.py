@@ -138,8 +138,12 @@ class PorousMediumModel:
     C: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("exponent must be at least 1")
+        # the Barenblatt start needs m > 1; an amplitude C <= 0 starts from
+        # the zero state
+        if not self.m > 1:
+            raise ValueError("exponent m must be greater than 1")
+        if not self.C > 0:
+            raise ValueError("amplitude C must be positive")
         extents = ((-5.0, 5.0),) * self.dim
         self.grid = build_grid(extents, (self.n,) * self.dim, DIRICHLET)
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,7 @@ def test_config_parse_errors(tmp_path, capsys):
 
 LUB_CFG = "model = lubrication\nnx = 32\ndt = 1e-7\nT = 1e-6"
 PNP_CFG = "model = pnp\nnx = 8\ndt = 1e-3\nT = 2e-3"
+PME16_CFG = "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3"
 
 
 @pytest.mark.parametrize("text,word", [
@@ -229,6 +232,22 @@ PNP_CFG = "model = pnp\nnx = 8\ndt = 1e-3\nT = 2e-3"
     (PNP_CFG + "\neps_lb = 1e-3", "'eps_lb'"),
     (PNP_CFG + "\nsnapshot_every = 1", "'snapshot_every'"),
     (PNP_CFG + "\nny = 16", "'ny'"),
+    # non-finite numbers: T = inf ended in an OverflowError traceback,
+    # solver_tol = inf left every prediction unsolved with exit 0, the nan
+    # and inf model values ran 500 NaN iterations to exit 3, and
+    # secant_tol = inf was accepted
+    (PME16_CFG.replace("T = 2e-3", "T = inf"), "'T': 'inf' is not a finite"),
+    (PME16_CFG + "\nsolver_tol = inf", "'solver_tol': 'inf' is not a finite"),
+    (PME16_CFG.replace("m = 2", "m = nan"), "'m': 'nan' is not a finite"),
+    (PME16_CFG.replace("m = 2", "m = inf"), "'m': 'inf' is not a finite"),
+    (PME16_CFG + "\nC = nan", "'C': 'nan' is not a finite"),
+    (PME16_CFG + "\neps_lb = nan", "'eps_lb': 'nan' is not a finite"),
+    (PME16_CFG + "\nsecant_tol = inf", "'secant_tol': 'inf' is not a finite"),
+    # porous-medium values without a start: m = 1 has no Barenblatt
+    # profile (was exit 3), C <= 0 starts from zero (was exit 0)
+    (PME16_CFG.replace("m = 2", "m = 1"), "m must be greater than 1"),
+    (PME16_CFG + "\nC = 0", "C must be positive"),
+    (PME16_CFG + "\nC = -1", "C must be positive"),
 ])
 def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
     cfg = write_config(tmp_path, text + "\n")
@@ -285,7 +304,9 @@ ref_dt = 2e-5
     ("T = 1e-3\ndts = 2e-4,1e-4", "T = 0.0105\ndts = 2e-3,1e-3", "'T'"),
     ("dts = 2e-4,1e-4", "dts = 1e-4,2e-4", "decreasing"),
     ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_variant = bogus", "ref_variant"),
-], ids=["k", "T", "dts", "ref_variant"])
+    ("dts = 2e-4,1e-4", "dts = inf,1e-4", "'dts': 'inf' is not a finite"),
+    ("dts = 2e-4,1e-4", "dts = 2e-4,nan", "'dts': 'nan' is not a finite"),
+], ids=["k", "T", "dts", "ref_variant", "dts-inf", "dts-nan"])
 def test_convergence_config_mistakes_exit_2_before_any_run(
         tmp_path, capsys, monkeypatch, old, new, word):
     def no_run(*args, **kwargs):
@@ -333,9 +354,12 @@ RUN_HEADER = ["t", "mass", "min_u", "max_u", "norm_u", "xi", "secant_iters",
               "solver_residual"]
 
 
+# porous medium in 2D: a variable coefficient, so every step runs PCG
+PME2D_CFG = PME_CFG.replace("nx = 64", "nx = 24\nny = 24")
+
+
 def test_run_csv_reports_solver_iterations_and_residual(tmp_path):
-    # porous medium: a variable coefficient, so every step runs PCG
-    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 5e-3"))
+    cfg = write_config(tmp_path, PME2D_CFG.replace("T = 0.02", "T = 5e-3"))
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out / "run.csv")
@@ -344,6 +368,19 @@ def test_run_csv_reports_solver_iterations_and_residual(tmp_path):
     for r in rows[1:]:
         assert int(r[9]) > 0
         assert 0.0 <= float(r[10]) <= 1e-10
+
+
+def test_run_csv_reports_direct_1d_solves(tmp_path):
+    # the 1D edge form solves by one exact elimination: no iterations and
+    # the true residual at rounding level
+    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 5e-3"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "run.csv")
+    assert header == RUN_HEADER
+    for r in rows[1:]:
+        assert r[9] == "0"
+        assert 0.0 <= float(r[10]) <= 1e-13
 
 
 def test_pnp_solve_logs_reproduce_with_solver_columns(tmp_path):
@@ -365,7 +402,7 @@ T = 3e-3
 
 
 def test_compare_run_logs_carry_solver_columns(tmp_path):
-    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 2e-3")
+    cfg = write_config(tmp_path, PME2D_CFG.replace("T = 0.02", "T = 2e-3")
                        + "variants = multiplier,none\n")
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
@@ -373,6 +410,27 @@ def test_compare_run_logs_carry_solver_columns(tmp_path):
         header, rows = read_csv(out / f"run_{v}.csv")
         assert header == RUN_HEADER
         assert len(rows) == 3 and int(rows[-1][9]) > 0
+
+
+def test_1d_pme_solve_loads_no_scipy_linalg_or_sparse(tmp_path):
+    # each adds resident memory to a 1D run (scipy.linalg about 5 MiB) that
+    # the exact 1D elimination has no use for
+    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 3e-3"))
+    out = tmp_path / "o"
+    script = (
+        "import sys\n"
+        "from posikit.cli import main\n"
+        f"code = main(['solve', '--config', {cfg!r}, '--out', {str(out)!r}])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+        "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (out / "run.csv").exists()
 
 
 # -- the two-species model runs through `solve` only --------------------------------

@@ -11,7 +11,7 @@ from posikit.grid import build_grid
 from posikit.operators import Operator
 from posikit.stepper import (History, StepOptions, bdf_tableau,
                              correct_positivity, predict, run_simulation)
-from posikit.models import PorousMediumModel
+from posikit.models import AllenCahnModel, PorousMediumModel
 
 from test_stepper import HeatModel
 
@@ -138,6 +138,23 @@ def test_convergence_orders_against_exact_solution(k, expected):
     rows = convergence_study(model, k, dts, exact, horizon=horizon)
     for row in rows[1:]:
         assert abs(row.order - expected) <= 0.05
+
+
+@pytest.mark.parametrize("variant", ["none", "multiplier"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_allen_cahn_temporal_order_k1_k2(k, variant):
+    # the explicit reaction is extrapolated at order k, and the clamps of
+    # the multiplier variant engage (the uncorrected minimum reaches -6.6e-4)
+    # without costing order; k >= 3 reads about 2 here, because the ramp
+    # start-up's first step is BDF1
+    model = AllenCahnModel(eps2=0.05, n=16)
+    horizon = 0.02
+    dts = [horizon / 10, horizon / 20, horizon / 40, horizon / 80]
+    ref = ReferenceSpec(k=2, dt=horizon / 1280, variant=variant)
+    rows = convergence_study(model, k, dts, ref, variant=variant,
+                             horizon=horizon)
+    for row in rows[1:]:
+        assert abs(row.order - k) <= 0.1, [r.order for r in rows[1:]]
 
 
 def test_convergence_study_validates_dts():

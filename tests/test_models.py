@@ -78,6 +78,18 @@ def test_pme_operator_m1_is_heat():
     assert np.abs((op.apply(u) + apply_laplacian(u, g)) [g.active]).max() < 1e-12
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(m=1.0), "greater than 1"), (dict(m=float("nan")), "greater than 1"),
+    (dict(C=0.0), "C must be positive"), (dict(C=-1.0), "C must be positive"),
+])
+def test_porous_medium_model_rejects_parameters_without_a_start(kwargs,
+                                                               match):
+    # m = 1 has no Barenblatt profile, C <= 0 starts from the zero state;
+    # the heat branch of pme_operator above stays for lagged handles
+    with pytest.raises(ValueError, match=match):
+        PorousMediumModel(n=16, **kwargs)
+
+
 def test_pme_operator_degenerate_region():
     g = build_grid((-5.0, 5.0), 16, "dirichlet")
     u = np.zeros(17)

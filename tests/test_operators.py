@@ -217,7 +217,8 @@ def test_coefficient_constant_on_active_nodes_only_is_variable():
     op = Operator.div_coeff_grad(g, c)
     rhs = np.random.default_rng(10).standard_normal(g.shape) * g.active
     u, rep = solve_operator(3.0, op, rhs, tol=1e-12)
-    assert rep.converged and rep.iterations > 0
+    # the 1D edge form solves by one exact elimination
+    assert rep.converged and rep.iterations == 0 and rep.residual <= 1e-13
     res = 3.0 * u + op.apply(u) - rhs
     assert g.norm(res) <= 1e-12 * g.norm(rhs)
 
@@ -548,6 +549,26 @@ def test_edge_diagonal_matches_dense(extents, counts, bcs):
     assert np.abs(diag - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def assert_solve_path(g, rep):
+    """1D edge forms solve by one exact elimination, 2D ones by PCG."""
+    if g.dim == 1:
+        assert rep.iterations == 0 and rep.residual <= 1e-13
+    else:
+        assert rep.iterations > 0
+
+
+def dense_solve_holding_inactive(c, g, sigma, rhs, x0):
+    """Dense reference: the active rows of sigma I + L, the inactive
+    values held at x0."""
+    A = sigma * np.eye(rhs.size) + edge_form_dense(c, g)
+    b = np.ravel(rhs).copy()
+    rows = np.flatnonzero(~np.ravel(g.active))
+    A[rows] = 0.0
+    A[rows, rows] = 1.0
+    b[rows] = np.ravel(x0)[rows]
+    return np.linalg.solve(A, b).reshape(g.shape)
+
+
 @pytest.mark.parametrize("with_x0", [False, True], ids=["zero-x0", "x0"])
 @pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
 def test_edge_form_solve_matches_dense(extents, counts, bcs, with_x0):
@@ -562,21 +583,47 @@ def test_edge_form_solve_matches_dense(extents, counts, bcs, with_x0):
     x0 = rng.standard_normal(g.shape) if with_x0 else np.zeros(g.shape)
     u, rep = solve_operator(sigma, op, rhs, tol=tol,
                             x0=x0 if with_x0 else None)
-    assert rep.converged and rep.iterations > 0 and rep.residual <= tol
+    assert rep.converged and rep.residual <= tol
+    assert_solve_path(g, rep)
     res = (sigma * u + op.apply(u) - rhs) * g.active
     assert g.norm(res) <= tol * g.norm(rhs)
     inactive = ~g.active
     assert np.array_equal(u[inactive], x0[inactive])
-    # reference: the active rows of sigma I + L, the inactive values held
-    # at x0
-    A = sigma * np.eye(u.size) + edge_form_dense(c, g)
-    b = np.ravel(rhs).copy()
-    rows = np.flatnonzero(np.ravel(inactive))
-    A[rows] = 0.0
-    A[rows, rows] = 1.0
-    b[rows] = np.ravel(x0)[rows]
-    x = np.linalg.solve(A, b).reshape(g.shape)
+    x = dense_solve_holding_inactive(c, g, sigma, rhs, x0)
     assert np.abs(u - x).max() <= 1e-9 * np.abs(x).max()
+
+
+def test_1d_dirichlet_solve_holds_x0_at_both_ends():
+    # the elimination's identity rows: nonzero ends of x0 stay put and
+    # couple into the first and last active rows as the apply couples them
+    g = build_grid((0.0, 1.0), 32, "dirichlet")
+    c = patchy_coefficient(g, 66)
+    op = Operator.div_coeff_grad(g, c)
+    rng = np.random.default_rng(67)
+    rhs = rng.standard_normal(g.shape) * g.active
+    x0 = np.zeros(g.shape)
+    x0[0], x0[-1] = 0.75, -1.5
+    u, rep = solve_operator(2.0, op, rhs, tol=1e-12, x0=x0)
+    # the ends enter the first and last active rows with weights up to
+    # c / h^2 ~ 1e4, so rounding is measured against more than rhs
+    assert rep.converged and rep.iterations == 0 and rep.residual <= 1e-12
+    assert u[0] == 0.75 and u[-1] == -1.5
+    x = dense_solve_holding_inactive(c, g, 2.0, rhs, x0)
+    assert np.abs(u - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("bcs", ["dirichlet", "neumann"])
+def test_1d_solve_judges_its_residual_against_tol(bcs):
+    # no iterations to spend: an unreachable tolerance is reported as not
+    # converged, and maxit does not limit the elimination
+    g = build_grid((0.0, 1.0), 16, bcs)
+    op = Operator.div_coeff_grad(g, patchy_coefficient(g, 68))
+    rhs = np.random.default_rng(69).standard_normal(g.shape) * g.active
+    _, rep = solve_operator(3.0, op, rhs, tol=1e-30, maxit=1)
+    assert not rep.converged and rep.iterations == 0
+    assert 0.0 < rep.residual <= 1e-13
+    _, exact = solve_operator(3.0, op, rhs, tol=1e-12, maxit=1)
+    assert exact.converged and exact.residual == rep.residual
 
 
 def count_bounded_transforms(monkeypatch):
@@ -605,7 +652,8 @@ def test_edge_form_variable_solve_makes_no_transforms(monkeypatch, extents,
     op = Operator.div_coeff_grad(g, patchy_coefficient(g, 63))
     rhs = np.random.default_rng(64).standard_normal(g.shape) * g.active
     _, rep = solve_operator(3.0, op, rhs, tol=1e-12)
-    assert rep.converged and rep.iterations > 0
+    assert rep.converged
+    assert_solve_path(g, rep)
     assert calls == []
 
 
