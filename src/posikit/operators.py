@@ -484,11 +484,10 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None):
     ``cycle`` (:func:`_pcg` or :func:`_pbicgstab`) runs one recursion,
     updating ``x`` in place until its recursive residual meets half the
     tolerance, it breaks down or the iteration budget is spent, and returns
-    the iterations it took.
+    the iterations it took.  Where ``b`` vanishes the residual is judged
+    as absolute, so a nonzero ``x0`` is still carried to a solution.
     """
-    bnorm = np.sqrt(_wdot(w, b, b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), SolverReport(0, 0.0, True)
+    bnorm = np.sqrt(_wdot(w, b, b)) or 1.0
     x = np.zeros_like(b) if x0 is None else x0.astype(float)
     gate = 0.5 * tol * bnorm
     total = 0
@@ -643,9 +642,12 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
       weights, and the preconditioner (the operator at the mean
       coefficient) is a division.
 
-    Iterative solves leave inactive (Dirichlet end) nodes at ``x0`` (0
-    without it), and so does the 1D elimination, for which ``x0`` sets only
-    those ends; the transform pass sets them to 0.
+    The Krylov paths start from ``x0`` (0 without it), so a guess close to
+    the solution saves iterations; where ``rhs`` vanishes on the active
+    rows they judge the residual as absolute.  Iterative solves leave
+    inactive (Dirichlet end) nodes at ``x0``, and so does the 1D
+    elimination, for which ``x0`` sets only those ends; the transform pass
+    ignores ``x0`` and sets them to 0.
     """
     if sigma <= 0:
         raise ValueError("shift sigma must be positive")

@@ -29,7 +29,10 @@ an energy ledger is attached.
 
 Start-up for k >= 2 cascades through the lower orders (step n runs at order
 min(k, n+1)), which is also what the stability ledgers in
-:mod:`posikit.diagnostics` assume.
+:mod:`posikit.diagnostics` assume.  The prediction solve starts from the
+order-k extrapolation of the history; only the Krylov solves read the start,
+and they still solve to the tolerance.  The history keeps only the levels
+order k reads: k solution levels and max(k-1, 1) multiplier levels.
 
 A stepper's :class:`History` is owned by a single run; concurrent runs use
 separate instances.
@@ -119,13 +122,14 @@ def combine_levels(coeffs, levels) -> np.ndarray:
     """sum_i coeffs[i] * levels[i] over the leading levels, newest first."""
     out = coeffs[0] * levels[0]
     for c, v in zip(coeffs[1:], levels[1:]):
-        out = out + c * v
+        out += c * v
     return out
 
 
 @dataclass
 class History:
-    """Ring of the most recent solution/multiplier levels (newest first)."""
+    """The most recent solution/multiplier levels (newest first), as deep as
+    the order stepping them reads: see :meth:`push`."""
 
     grid: Grid
     us: list = field(default_factory=list)
@@ -158,13 +162,18 @@ class History:
             raise ValueError("not enough xi history for extrapolation")
         return float(sum(c * x for c, x in zip(tab.b_coeffs, self.xis)))
 
-    def push(self, u: np.ndarray, lam: np.ndarray, xi: float, dt: float) -> None:
+    def push(self, u: np.ndarray, lam: np.ndarray, xi: float, dt: float,
+             k: int = 4) -> None:
+        """Prepend a step's levels, keeping what BDF-k reads: k solution
+        levels and max(k - 1, 1) multiplier levels (the newest is kept at
+        k = 1 for the caller to read)."""
         self.us.insert(0, u)
         self.lams.insert(0, lam)
         self.xis.insert(0, float(xi))
-        del self.us[4:]
-        del self.lams[3:]
-        del self.xis[3:]
+        keep = max(k - 1, 1)
+        del self.us[k:]
+        del self.lams[keep:]
+        del self.xis[keep:]
         self.nstep += 1
         self.t = self.nstep * dt  # not a running sum, which drifts
 
@@ -190,7 +199,9 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     The extrapolated nodal multiplier enters the right side for the
     ``multiplier`` and ``mass`` variants, the scalar one for ``mass`` only.
     Explicit model sources (already evaluated at the extrapolated state) are
-    passed in via ``source``.
+    passed in via ``source``.  The solve starts from the order-k
+    extrapolation of the history (u^n at k = 1, 2u^n - u^(n-1) at k = 2),
+    which only the Krylov paths read.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -202,8 +213,9 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     if source is not None:
         rhs = rhs + source
     sigma = tab.alpha / dt
+    x0 = combine_levels(extrapolation_coeffs(tab.k), hist.us)
     u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol,
-                                     maxit=solver_maxit, x0=hist.us[0])
+                                     maxit=solver_maxit, x0=x0)
     if not report.converged:
         raise SolverError(
             f"prediction solve failed: {report.iterations} iterations, "
@@ -449,7 +461,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     (both may depend on the history).  Start-up runs at the highest order the
     history supports, capped at ``opts.k``.
     """
-    k_eff = min(opts.k, hist.nstep + 1)
+    k_eff = min(opts.k, len(hist.us))
     tab = bdf_tableau(k_eff)
     g = hist.grid
     op = model.operator(hist, k_eff)
@@ -493,7 +505,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
         op_quad=op_quad,
         ledger_residual=ledger_residual,
     )
-    hist.push(out.u_next, out.lambda_next, out.xi_next, opts.dt)
+    hist.push(out.u_next, out.lambda_next, out.xi_next, opts.dt, opts.k)
     return hist, diag
 
 

@@ -459,3 +459,55 @@ def test_pnp_rejected_by_study_commands(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and "pnp" in err and "'solve'" in err
     assert not any(out.iterdir())
+
+
+EXACT_PATH_CFGS = {
+    "pme1d": """
+model = pme
+m = 5
+nx = 32
+k = 2
+dt = 1e-3
+T = 0.02
+variant = mass
+""",
+    "allen_cahn": """
+model = allen_cahn
+eps2 = 1e-3
+nx = 16
+k = 2
+dt = 1e-6
+T = 2e-5
+variant = multiplier
+""",
+    "pnp": """
+model = pnp
+eps_debye = 0.1
+nx = 16
+k = 2
+dt = 1e-3
+T = 0.01
+variant = mass
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PATH_CFGS))
+def test_exact_solve_paths_ignore_the_start(tmp_path, monkeypatch, name):
+    # the 1D elimination and the transform pass read x0 only at inactive
+    # Dirichlet ends, which are 0 under any start the stepper passes: the
+    # outputs match a run whose solves get no start at all, bit for bit
+    from posikit import stepper
+    cfg = write_config(tmp_path, EXACT_PATH_CFGS[name])
+    shipped, startless = tmp_path / "shipped", tmp_path / "startless"
+    assert main(["solve", "--config", cfg, "--out", str(shipped)]) == 0
+    real = stepper.solve_operator
+    monkeypatch.setattr(stepper, "solve_operator",
+                        lambda *a, **kw: real(*a, **{**kw, "x0": None}))
+    assert main(["solve", "--config", cfg, "--out", str(startless)]) == 0
+    names = sorted(os.listdir(shipped))
+    assert names == sorted(os.listdir(startless))
+    assert any(n.startswith("run") and n.endswith(".csv") for n in names)
+    assert any(n.endswith("_final.txt") for n in names)
+    for n in names:
+        assert (shipped / n).read_bytes() == (startless / n).read_bytes(), n

@@ -612,6 +612,27 @@ def test_1d_dirichlet_solve_holds_x0_at_both_ends():
     assert np.abs(u - x).max() <= 1e-12 * np.abs(x).max()
 
 
+def test_2d_dirichlet_solve_with_zero_rhs_carries_x0():
+    # a right side that vanishes on the active rows is judged by the
+    # absolute residual: the ends stay at x0 = 1 and the rows next to them
+    # couple to them, so the interior is not zero either
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), "dirichlet")
+    assert g.shape == (9, 9)
+    c = patchy_coefficient(g, 70)
+    op = Operator.div_coeff_grad(g, c)
+    rhs = np.zeros(g.shape)
+    x0 = np.ones(g.shape)
+    u, rep = solve_operator(3.0, op, rhs, tol=1e-12, x0=x0)
+    assert rep.converged and rep.iterations > 0 and rep.residual <= 1e-12
+    assert np.all(u[~g.active] == 1.0)
+    assert np.abs(u[g.active]).max() > 0.0
+    x = dense_solve_holding_inactive(c, g, 3.0, rhs, x0)
+    assert np.abs(u - x).max() <= 1e-9 * np.abs(x).max()
+    # without a start the zero right side still gives zero at once
+    u0, rep0 = solve_operator(3.0, op, rhs, tol=1e-12)
+    assert np.all(u0 == 0.0) and rep0 == SolverReport(0, 0.0, True)
+
+
 @pytest.mark.parametrize("bcs", ["dirichlet", "neumann"])
 def test_1d_solve_judges_its_residual_against_tol(bcs):
     # no iterations to spend: an unreachable tolerance is reported as not

@@ -514,3 +514,78 @@ def test_step_options_reject_unusable_tolerances_and_limits(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=field):
         StepOptions(**kwargs)
+
+
+# -- starting iterate and history depth ------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k):
+    # the x0 handed to the solver is bitwise the extrapolation the step's
+    # order reads: u^n at k = 1 and at the first step, 2u^n - u^(n-1) from
+    # the second step on at k >= 2 (and the order-3 weights at k = 3)
+    from posikit import stepper as stepper_mod
+    from posikit.models import PorousMediumModel
+    starts = []
+    real = stepper_mod.solve_operator
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["x0"].copy())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepper_mod, "solve_operator", spy)
+    model = PorousMediumModel(m=3.0, n=16, dim=2)
+    levels = [model.initial_state()]
+    res = run_simulation(model, StepOptions(k=k, dt=1e-3, variant="mass"), 6,
+                         on_step=lambda h, d: levels.append(h.us[0].copy()))
+    assert sum(d.solver_iterations for d in res.diagnostics) > 0
+    assert len(starts) == 6
+    for n, x0 in enumerate(starts):
+        order = min(k, n + 1)
+        u = levels[n::-1]  # u^n first
+        if order == 1:
+            expect = u[0]
+        elif order == 2:
+            expect = 2.0 * u[0] - u[1]
+        else:
+            expect = 3.0 * u[0] - 3.0 * u[1] + u[2]
+        assert np.array_equal(x0, expect), (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_history_keeps_only_the_levels_order_k_reads(k):
+    from posikit.models import PorousMediumModel
+    model = PorousMediumModel(m=2.0, n=32, dim=1)
+    depths = []
+
+    def record(hist, diag):
+        depths.append((len(hist.us), len(hist.lams), len(hist.xis)))
+        assert len(hist.us) <= k
+        assert len(hist.lams) <= max(k - 1, 1)
+        assert len(hist.xis) <= max(k - 1, 1)
+
+    run_simulation(model, StepOptions(k=k, dt=1e-3, variant="mass"), 6,
+                   on_step=record)
+    assert depths[-1] == (k, max(k - 1, 1), max(k - 1, 1))
+
+
+def test_pme2d_step_peak_memory_in_field_sizes():
+    # the traced peak of a small 2D porous-medium mass run, in units of one
+    # field: the history levels, the Krylov vectors, the start and the
+    # correction's temporaries; a change that keeps more of them alive
+    # through the solve shows here before it shows in a benchmark's RSS
+    import tracemalloc
+    from posikit.models import PorousMediumModel
+
+    opts = StepOptions(k=2, dt=1e-3, variant="mass")
+    run_simulation(PorousMediumModel(m=5.0, n=64, dim=2), opts, 8)  # warm-up
+    model = PorousMediumModel(m=5.0, n=64, dim=2)
+    tracemalloc.start()
+    try:
+        res = run_simulation(model, opts, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(d.solver_iterations for d in res.diagnostics) > 0
+    field_bytes = np.zeros(model.grid.shape).nbytes
+    assert peak / field_bytes <= 21.0
