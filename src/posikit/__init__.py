@@ -16,8 +16,7 @@ from .stepper import (BdfTableau, BlowUpError, CorrectionOutcome, History,
                       run_simulation, solve_xi_exact, solve_xi_secant, step)
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, barenblatt, extrapolate_star,
-                     lubrication_f_eta, pme_operator, pnp_start, pnp_step,
-                     run_pnp)
+                     lubrication_f_eta, pme_operator, pnp_step, run_pnp)
 from .diagnostics import (ConvergenceRow, EnergyLedger, KktReport,
                           ReferenceSpec, convergence_study, kkt_audit,
                           ledger_variant_for, run_to_horizon)

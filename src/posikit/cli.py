@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import (EnergyLedger, ReferenceSpec, convergence_study,
-                          ledger_variant_for, write_convergence_csv,
-                          write_run_csv)
+                          horizon_steps, ledger_variant_for,
+                          write_convergence_csv, write_run_csv)
 from .grid import write_snapshot
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, run_pnp)
@@ -213,13 +213,10 @@ def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
 
 
 def _n_steps(horizon: float, dt: float) -> int:
-    if horizon < dt:
-        raise ConfigError("key 'T': horizon must be at least one step")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-        raise ConfigError(f"key 'T': horizon {horizon!r} is not an integer "
-                          f"number of steps of dt = {dt!r}")
-    return n_steps
+    try:
+        return horizon_steps(horizon, dt)
+    except ValueError as exc:
+        raise ConfigError(f"key 'T': {exc}") from exc
 
 
 def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
@@ -243,23 +240,20 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("key 'snapshot_every': must be nonnegative "
                           "(0 writes no snapshots)")
 
+    g = model.grid
     if cfg.model == "pnp":
         _unused(cfg, "snapshot_every", "by pnp, which writes final fields "
                 "only")
-        result = run_pnp(model, opts, n_steps)
-        write_run_csv(os.path.join(out_dir, "run_p.csv"), result.diagnostics_p)
-        write_run_csv(os.path.join(out_dir, "run_n.csv"), result.diagnostics_n)
-        g = model.grid
-        st = result.state
-        write_snapshot(os.path.join(out_dir, "p_final.txt"), st.hist_p.us[0],
-                       g, st.hist_p.t)
-        write_snapshot(os.path.join(out_dir, "n_final.txt"), st.hist_n.us[0],
-                       g, st.hist_n.t)
-        write_snapshot(os.path.join(out_dir, "phi_final.txt"), st.phis[0],
-                       g, st.hist_p.t)
+        run_p, run_n, phis = run_pnp(model, opts, n_steps)
+        for name, run in (("p", run_p), ("n", run_n)):
+            write_run_csv(os.path.join(out_dir, f"run_{name}.csv"),
+                          run.diagnostics)
+            write_snapshot(os.path.join(out_dir, f"{name}_final.txt"),
+                           run.history.us[0], g, run.history.t)
+        write_snapshot(os.path.join(out_dir, "phi_final.txt"), phis[0], g,
+                       run_p.history.t)
         return EXIT_OK
 
-    g = model.grid
     lv = ledger_variant_for(opts.variant, opts.k)
     ledger = EnergyLedger(g, lv) if lv is not None else None
 

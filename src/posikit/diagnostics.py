@@ -167,13 +167,21 @@ class ReferenceSpec:
     variant: str = VARIANT_MULTIPLIER
 
 
+def horizon_steps(horizon: float, dt: float) -> int:
+    """Steps of ``dt`` to the horizon: at least one, a whole number to 1e-9."""
+    if horizon < dt:
+        raise ValueError("horizon must be at least one step")
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon!r} is not an integer number of "
+                         f"steps of dt = {dt!r}")
+    return n_steps
+
+
 def run_to_horizon(model, k: int, dt: float, variant: str, horizon: float,
                    solver_tol: float = 1e-10) -> np.ndarray:
     """Run the model to the horizon and return the final field."""
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-        raise ValueError(f"horizon {horizon} is not an integer number of "
-                         f"steps of dt = {dt}")
+    n_steps = horizon_steps(horizon, dt)
     opts = StepOptions(k=k, dt=dt, variant=variant, solver_tol=solver_tol)
     result = run_simulation(model, opts, n_steps)
     return result.history.us[0]

@@ -21,8 +21,8 @@ import numpy as np
 from .grid import DIRICHLET, NEUMANN, PERIODIC, build_grid
 from .operators import (Operator, solve_conservative_poisson,
                         transport_div_form)
-from .stepper import (VARIANT_MASS, History, StepOptions, combine_levels,
-                      extrapolation_coeffs, step)
+from .stepper import (VARIANT_MASS, History, RunResult, StepOptions,
+                      combine_levels, extrapolation_coeffs, step)
 
 _STAR_FLOOR = 1e-14
 
@@ -201,32 +201,15 @@ class PnpModel:
         return solve_conservative_poisson(g, rho, self.eps_debye**2)
 
 
-@dataclass
-class PnpState:
-    hist_p: History
-    hist_n: History
-    phis: list  # newest first, at most two levels
-    target_p: float
-    target_n: float
-
-
-def pnp_start(model: PnpModel) -> PnpState:
-    p0, n0 = model.initial_state()
-    phi0 = model.potential(p0, n0)
-    g = model.grid
-    return PnpState(History.start(g, p0), History.start(g, n0), [phi0],
-                    target_p=g.mass(p0), target_n=g.mass(n0))
-
-
 @dataclass(frozen=True)
 class PnpSpecies:
     """One species of the electrodiffusion system as a single-field model.
 
     The diffusion part is the implicit Neumann Laplacian; the drift term
     ``sign * div(c grad phi)`` (sign -1 for the positive species, +1 for the
-    negative one) is explicit, assembled at the linear extrapolations c*,
-    phi* of the species history and of the potential levels ``phis``
-    (newest first, shared with the system state).
+    negative one) is explicit, assembled at the extrapolations c*, phi* of
+    the species history and of the potential levels ``phis`` (newest first),
+    linear once two potential levels exist at k >= 2.
     """
 
     laplacian: Operator
@@ -237,56 +220,44 @@ class PnpSpecies:
         return self.laplacian
 
     def explicit_source(self, hist: History, k: int) -> np.ndarray:
-        if k >= 2 and len(self.phis) >= 2:
-            c_star = 2.0 * hist.us[0] - hist.us[1]
-            phi_star = 2.0 * self.phis[0] - self.phis[1]
-        else:
-            c_star, phi_star = hist.us[0], self.phis[0]
+        coeffs = extrapolation_coeffs(2 if k >= 2 and len(self.phis) >= 2
+                                      else 1)
+        c_star = combine_levels(coeffs, hist.us)
+        phi_star = combine_levels(coeffs, self.phis)
         return self.sign * transport_div_form(c_star, phi_star, hist.grid)
 
 
-def pnp_step(state: PnpState, model: PnpModel, opts: StepOptions):
+def pnp_step(hists, phis: list, model: PnpModel, opts) -> tuple:
     """Advance both species and the potential by one step.
 
-    Each species takes one generic :func:`posikit.stepper.step` as a
-    :class:`PnpSpecies` with the mass-conserving correction (lower bound 0)
-    and its own multiplier pair and target mass; both species see the
-    potential levels from before the step.  The potential is then
-    recomputed from the corrected concentrations.  The new levels are read
-    from ``state``; returns the (p, n) step diagnostics.
+    Each species takes one :func:`posikit.stepper.step` with its (p, n)
+    entry of ``hists`` and ``opts``; both see the potential levels ``phis``
+    from before the step, to which the new potential is then prepended.
+    Returns the (p, n) step diagnostics.
     """
     diags = []
-    for hist, sign, target in ((state.hist_p, -1.0, state.target_p),
-                               (state.hist_n, 1.0, state.target_n)):
-        species = PnpSpecies(model.laplacian, state.phis, sign)
-        species_opts = replace(opts, variant=VARIANT_MASS, eps_lb=0.0,
-                               target_mass=target)
-        _, diag = step(hist, species, species_opts)
-        diags.append(diag)
-    phi = model.potential(state.hist_p.us[0], state.hist_n.us[0])
-    state.phis.insert(0, phi)
-    del state.phis[2:]
+    for hist, sign, species_opts in zip(hists, (-1.0, 1.0), opts):
+        species = PnpSpecies(model.laplacian, phis, sign)
+        diags.append(step(hist, species, species_opts)[1])
+    phis.insert(0, model.potential(hists[0].us[0], hists[1].us[0]))
+    del phis[2:]
     return tuple(diags)
 
 
-@dataclass
-class PnpRunResult:
-    state: PnpState
-    diagnostics_p: list
-    diagnostics_n: list
-
-
-def run_pnp(model: PnpModel, opts: StepOptions, n_steps: int,
-            on_step=None) -> PnpRunResult:
-    state = pnp_start(model)
-    dp, dn = [], []
+def run_pnp(model: PnpModel, opts: StepOptions, n_steps: int):
+    """Run both species (mass variant, lower bound 0, own initial mass) and
+    the potential; returns the p and n run results and the potential levels."""
+    g = model.grid
+    # only the histories hold the initial fields, which they soon drop
+    hists = tuple(History.start(g, u0) for u0 in model.initial_state())
+    phis = [model.potential(hists[0].us[0], hists[1].us[0])]
+    per_species = tuple(replace(opts, variant=VARIANT_MASS, eps_lb=0.0,
+                                target_mass=g.mass(h.us[0])) for h in hists)
+    runs = tuple(RunResult(h, []) for h in hists)
     for _ in range(n_steps):
-        diag_p, diag_n = pnp_step(state, model, opts)
-        dp.append(diag_p)
-        dn.append(diag_n)
-        if on_step is not None:
-            on_step(state, diag_p, diag_n)
-    return PnpRunResult(state, dp, dn)
+        for run, diag in zip(runs, pnp_step(hists, phis, model, per_species)):
+            run.diagnostics.append(diag)
+    return runs[0], runs[1], phis
 
 
 # -- thin-film (fourth-order) flow ----------------------------------------------

@@ -20,7 +20,7 @@ prediction before it clamps:
   to clamping (for k = 1 this is bit-identical to ``multiplier``);
 * ``mass``       -- multiplier variant plus the scalar mass multiplier,
   solved per step by a secant iteration on a piecewise-linear monotone
-  residual;
+  residual, with the exact breakpoint solve as its fallback;
 * ``none``       -- no correction (the uncorrected baseline scheme).
 
 A prediction that is not finite ends the step with :class:`BlowUpError`
@@ -48,8 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Grid
-from .operators import (DEFAULT_MAXIT, DEFAULT_TOL, Operator, SolverError,
-                        solve_operator)
+from .operators import DEFAULT_TOL, Operator, SolverError, solve_operator
 
 VARIANT_MULTIPLIER = "multiplier"
 VARIANT_CUTOFF = "cutoff"
@@ -62,11 +61,10 @@ DEFAULT_SECANT_MAXIT = 50
 
 
 class SecantError(RuntimeError):
-    """Secant iteration exhausted its budget; best iterate attached."""
+    """The scalar-multiplier solve failed; carries the secant updates made."""
 
-    def __init__(self, message, best=None, iterations=0):
+    def __init__(self, message, iterations=0):
         super().__init__(message)
-        self.best = best
         self.iterations = iterations
 
 
@@ -193,7 +191,7 @@ class CorrectionOutcome:
 def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
             variant: str = VARIANT_MULTIPLIER,
             source: Optional[np.ndarray] = None,
-            solver_tol: float = DEFAULT_TOL, solver_maxit: int = DEFAULT_MAXIT):
+            solver_tol: float = DEFAULT_TOL):
     """BDF-k IMEX prediction; returns (u~, SolverReport).
 
     The extrapolated nodal multiplier enters the right side for the
@@ -214,8 +212,7 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
         rhs = rhs + source
     sigma = tab.alpha / dt
     x0 = combine_levels(extrapolation_coeffs(tab.k), hist.us)
-    u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol,
-                                     maxit=solver_maxit, x0=x0)
+    u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol, x0=x0)
     if not report.converged:
         raise SolverError(
             f"prediction solve failed: {report.iterations} iterations, "
@@ -240,8 +237,9 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     The variants differ only in the shift s added to the prediction: 0 for
     ``cutoff``, -(dt/alpha) B_{k-1}(lam) for ``multiplier``, and
     (dt/alpha)(xi - B_{k-1}(lam) - B_{k-1}(xi)) for ``mass``, with xi the
-    secant root of :func:`residual_F`.  With base = u~ + s, nodes where
-    base >= eps_lb keep (base, 0); the others get
+    root of :func:`residual_F` by :func:`solve_xi_secant`, or by
+    :func:`solve_xi_exact` where the secant fails.  With base = u~ + s, nodes
+    where base >= eps_lb keep (base, 0); the others get
     (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
     branch so active_count counts strict clamps only.
     """
@@ -262,8 +260,15 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
             return residual_F(x, u_tilde, shift_base, dt, tab, target, g,
                               eps_lb)
 
-        xi, iters = solve_xi_secant(F, 0.0, -dt, tol=tol,
-                                    maxit=opts.secant_maxit)
+        try:
+            xi, iters = solve_xi_secant(F, 0.0, -dt, tol=tol)
+        except SecantError as exc:  # a flat step or the budget used up
+            iters = exc.iterations
+            try:
+                xi = solve_xi_exact(u_tilde, shift_base, dt, tab, target, g,
+                                    eps_lb)
+            except ValueError as err:  # the residual has no root
+                raise SecantError(str(err), iters) from err
         base = u_tilde + (dt / tab.alpha) * (xi - shift_base)
     else:
         base = u_tilde - (dt / tab.alpha) * hist.lambda_combo(tab)
@@ -296,9 +301,9 @@ def solve_xi_secant(F: Callable[[float], float], xi0: float, xi1: float,
                     maxit: int = DEFAULT_SECANT_MAXIT) -> tuple[float, int]:
     """Secant root search for a continuous monotone F; returns (xi, updates).
 
-    A vanishing secant denominator falls back to bisection on a geometrically
-    grown bracket.  Exceeding ``maxit`` raises :class:`SecantError` with the
-    best iterate attached.
+    A flat step (equal residuals at the two newest points) or an exhausted
+    ``maxit`` raises :class:`SecantError` with the updates made;
+    :func:`correct_positivity` then takes the exact solve.
     """
     f0 = F(xi0)
     if abs(f0) <= tol:
@@ -309,7 +314,7 @@ def solve_xi_secant(F: Callable[[float], float], xi0: float, xi1: float,
     a, fa, b, fb = xi0, f0, xi1, f1
     for it in range(1, maxit + 1):
         if fb == fa:
-            return _bisect_monotone(F, a, b, fa, fb, tol, maxit - it + 1, it - 1)
+            raise SecantError("secant step is flat", iterations=it - 1)
         xn = b - fb * (b - a) / (fb - fa)
         fn = F(xn)
         a, fa = b, fb
@@ -317,44 +322,7 @@ def solve_xi_secant(F: Callable[[float], float], xi0: float, xi1: float,
         if abs(fn) <= tol:
             return xn, it
     raise SecantError(f"secant did not reach |F| <= {tol:g} in {maxit} updates",
-                      best=b, iterations=maxit)
-
-
-def _bisect_monotone(F, a, b, fa, fb, tol, budget, used):
-    """Bisection fallback for nondecreasing F; expands the bracket as needed."""
-    lo, hi = min(a, b), max(a, b)
-    flo = fa if lo == a else fb
-    fhi = fb if hi == b else fa
-    grow = max(1.0, hi - lo)
-    it = used
-    while flo > 0.0 and it < used + budget:
-        it += 1
-        lo -= grow
-        grow *= 2.0
-        flo = F(lo)
-        if abs(flo) <= tol:
-            return lo, it
-    while fhi < 0.0 and it < used + budget:
-        it += 1
-        hi += grow
-        grow *= 2.0
-        fhi = F(hi)
-        if abs(fhi) <= tol:
-            return hi, it
-    best = hi if abs(fhi) < abs(flo) else lo
-    while it < used + budget:
-        it += 1
-        mid = 0.5 * (lo + hi)
-        fm = F(mid)
-        best = mid
-        if abs(fm) <= tol:
-            return mid, it
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise SecantError("bisection fallback exhausted its budget",
-                      best=best, iterations=it)
+                      iterations=maxit)
 
 
 def solve_xi_exact(u_tilde: np.ndarray, shift_base: np.ndarray, dt: float,
@@ -365,8 +333,8 @@ def solve_xi_exact(u_tilde: np.ndarray, shift_base: np.ndarray, dt: float,
     Node z leaves the clamp when xi exceeds
     t_z = shift_base(z) + (alpha/dt)(eps_lb - u~(z)); between consecutive
     breakpoints F is affine, so the segment containing the sign change is
-    solved in closed form.  Used as the independent oracle for
-    :func:`solve_xi_secant`.
+    solved in closed form.  The secant's fallback and test oracle; a target
+    with no root raises ValueError.
     """
     act = g.active
     w = g.weights[act]
@@ -421,9 +389,7 @@ class StepOptions:
     eps_lb: float = 0.0
     target_mass: Optional[float] = None
     solver_tol: float = DEFAULT_TOL
-    solver_maxit: int = DEFAULT_MAXIT
     secant_tol: float = DEFAULT_SECANT_TOL
-    secant_maxit: int = DEFAULT_SECANT_MAXIT
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -432,9 +398,6 @@ class StepOptions:
         for name in ("dt", "solver_tol", "secant_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("solver_maxit", "secant_maxit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -468,8 +431,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     source = model.explicit_source(hist, k_eff)
 
     u_tilde, report = predict(hist, tab, op, opts.dt, opts.variant, source,
-                              solver_tol=opts.solver_tol,
-                              solver_maxit=opts.solver_maxit)
+                              solver_tol=opts.solver_tol)
     t_next = (hist.nstep + 1) * opts.dt
     # checked before the correction, whose clamp would turn NaN into eps_lb
     if not np.isfinite(u_tilde).all():

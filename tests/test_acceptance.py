@@ -231,18 +231,17 @@ def test_criterion_08_secant_matches_exact_oracle():
 def test_criterion_09_electrodiffusion_sanity():
     model = PnpModel(eps_debye=0.1, n=64)
     opts = StepOptions(k=2, dt=1e-3, variant="mass")
-    res = run_pnp(model, opts, 100)  # to t = 0.1
-    st = res.state
+    run_p, run_n, phis = run_pnp(model, opts, 100)  # to t = 0.1
     checks = []
-    min_p = min(d.min_u for d in res.diagnostics_p)
-    min_n = min(d.min_u for d in res.diagnostics_n)
+    min_p = min(d.min_u for d in run_p.diagnostics)
+    min_n = min(d.min_u for d in run_n.diagnostics)
     checks.append((min_p >= 0.0 and min_n >= 0.0,
                    f"min p {min_p:.1e}, min n {min_n:.1e}"))
-    mp0 = res.diagnostics_p[0].mass
-    drift = max(abs(d.mass - mp0) for d in res.diagnostics_p) / mp0
+    mp0 = run_p.diagnostics[0].mass
+    drift = max(abs(d.mass - mp0) for d in run_p.diagnostics) / mp0
     checks.append((drift <= 1e-10, f"species mass drift {drift:.1e}"))
-    same = np.array_equal(st.hist_p.us[0], st.hist_n.us[0])
-    phi0 = float(np.abs(st.phis[0]).max())
+    same = np.array_equal(run_p.history.us[0], run_n.history.us[0])
+    phi0 = float(np.abs(phis[0]).max())
     checks.append((same and phi0 == 0.0,
                    f"p == n exactly, max |phi| = {phi0:.1e}"))
     report("criterion 9 (electrodiffusion sanity)", checks)

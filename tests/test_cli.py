@@ -347,6 +347,27 @@ variants = multiplier,none
         assert row[col["steps"]] == "0"
 
 
+def test_compare_records_an_infeasible_mass_target(tmp_path):
+    # the floor mass eps_lb * 10 exceeds the initial mass: the mass residual
+    # has no root, so the mass run fails at its first step with the secant's
+    # error, and the multiplier run is unaffected
+    cfg = write_config(tmp_path, """
+model = pme
+m = 2
+nx = 32
+dt = 1e-3
+T = 2e-3
+eps_lb = 0.5
+variants = mass,multiplier
+""")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1] == "mass,0,nan,,,SecantError,nan"
+    assert lines[2].split(",")[:2] == ["multiplier", "2"]
+    assert lines[2].split(",")[5] == ""
+
+
 # -- solver columns of the per-step logs -----------------------------------------
 
 RUN_HEADER = ["t", "mass", "min_u", "max_u", "norm_u", "xi", "secant_iters",
@@ -511,3 +532,26 @@ def test_exact_solve_paths_ignore_the_start(tmp_path, monkeypatch, name):
     assert any(n.endswith("_final.txt") for n in names)
     for n in names:
         assert (shipped / n).read_bytes() == (startless / n).read_bytes(), n
+
+
+# -- benchmark tracer hooks -------------------------------------------------------
+
+
+def test_every_benchmark_span_resolves_to_a_live_hook():
+    # perfbench/tracing.py wraps entry points by name and reports a missing
+    # one as absent, so a renamed function would silently drop its layer
+    import importlib
+    import importlib.util
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    live = {}
+    for span, target, attr, _ in tracing.HOOKS:
+        module, _, cls = target.partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls, None) if cls else owner
+        live[span] = live.get(span, False) or callable(
+            getattr(owner, attr, None))
+    assert sorted(span for span, ok in live.items() if not ok) == []

@@ -4,8 +4,8 @@ import pytest
 from posikit.grid import build_grid
 from posikit.models import (AllenCahnModel, LubricationModel, PnpModel,
                             PorousMediumModel, barenblatt, extrapolate_star,
-                            lubrication_f_eta, pme_operator, pnp_start,
-                            pnp_step, run_pnp)
+                            lubrication_f_eta, pme_operator, pnp_step,
+                            run_pnp)
 from posikit.operators import apply_laplacian
 from posikit.stepper import History, StepOptions, run_simulation
 
@@ -157,12 +157,11 @@ def test_pme_initial_state_zero_on_boundary():
 def test_pnp_symmetric_data_degenerates():
     model = PnpModel(eps_debye=0.1, n=16)
     opts = StepOptions(k=2, dt=1e-3, variant="mass")
-    res = run_pnp(model, opts, 10)
-    st = res.state
-    assert np.array_equal(st.hist_p.us[0], st.hist_n.us[0])
-    assert np.abs(st.phis[0]).max() == 0.0
-    m0 = res.diagnostics_p[0].mass
-    for d in res.diagnostics_p:
+    run_p, run_n, phis = run_pnp(model, opts, 10)
+    assert np.array_equal(run_p.history.us[0], run_n.history.us[0])
+    assert np.abs(phis[0]).max() == 0.0
+    m0 = run_p.diagnostics[0].mass
+    for d in run_p.diagnostics:
         assert d.mass == pytest.approx(m0, rel=1e-12)
         assert d.min_u >= 0.0
 
@@ -175,18 +174,16 @@ def test_pnp_asymmetric_drift_runs_conservatively():
     n0 = np.where((X + 0.3) ** 2 + Y**2 <= 0.16, 1.0, 0.0)
     assert g.mass(p0) == pytest.approx(g.mass(n0))
 
-    state = pnp_start(model)
-    state.hist_p = History.start(g, p0)
-    state.hist_n = History.start(g, n0)
-    state.phis = [model.potential(p0, n0)]
-    state.target_p = g.mass(p0)
-    state.target_n = g.mass(n0)
-    assert np.abs(state.phis[0]).max() > 0.0
+    hists = (History.start(g, p0), History.start(g, n0))
+    phis = [model.potential(p0, n0)]
+    assert np.abs(phis[0]).max() > 0.0
 
-    opts = StepOptions(k=2, dt=1e-3, variant="mass")
+    opts = tuple(StepOptions(k=2, dt=1e-3, variant="mass",
+                             target_mass=g.mass(u0)) for u0 in (p0, n0))
     for _ in range(10):
-        pnp_step(state, model, opts)
-    p, n, phi = state.hist_p.us[0], state.hist_n.us[0], state.phis[0]
+        pnp_step(hists, phis, model, opts)
+    assert len(phis) == 2
+    p, n, phi = hists[0].us[0], hists[1].us[0], phis[0]
     assert p.min() >= 0.0 and n.min() >= 0.0
     assert not np.array_equal(p, n)
     assert g.mass(p) == pytest.approx(g.mass(p0), rel=1e-10)

@@ -402,6 +402,31 @@ def test_correct_mass_kkt_and_mass_random():
         assert np.all(out.lambda_next * (out.u_next - eps) == 0.0)
 
 
+def test_correct_mass_flat_secant_falls_back_to_exact_solve():
+    # every node is clamped at xi = 0 and at xi = -dt, so the secant's first
+    # step is flat; the root unclamps all nodes at u = 1: xi = (1 + 10) / dt
+    g = build_grid((0.0, 1.0), 8, "neumann")
+    ut = np.full(g.shape, -10.0)
+    tab = bdf_tableau(1)
+    with pytest.raises(SecantError) as err:
+        solve_xi_secant(lambda x: residual_F(x, ut, 0.0, 0.01, tab, 1.0, g),
+                        0.0, -0.01)
+    assert err.value.iterations == 0
+    out = correct_positivity(ut, History.start(g, np.zeros(g.shape)), tab,
+                             copts("mass", 0.01, target_mass=1.0))
+    assert out.xi_next == pytest.approx(1100.0, rel=1e-12)
+    assert g.mass(out.u_next) == pytest.approx(1.0, abs=1e-12)
+    assert out.secant_iterations == 0 and out.active_count == 0
+
+
+def test_correct_mass_target_below_floor_raises_secant_error():
+    g = three_node_grid()
+    with pytest.raises(SecantError, match="floor"):
+        correct_positivity(embed3(0.1, 0.2, 0.3),
+                           History.start(g, np.zeros(5)), bdf_tableau(1),
+                           copts("mass", 1.0, eps_lb=0.05, target_mass=0.1))
+
+
 # -- full steps ------------------------------------------------------------------
 
 
@@ -507,8 +532,7 @@ def test_mass_options_reused_across_models_keep_own_mass():
 
 @pytest.mark.parametrize("field,value", [
     ("dt", 0.0), ("dt", float("nan")), ("solver_tol", 0.0),
-    ("solver_tol", -1.0), ("secant_tol", 0.0), ("solver_maxit", 0),
-    ("secant_maxit", 0)])
+    ("solver_tol", -1.0), ("secant_tol", 0.0)])
 def test_step_options_reject_unusable_tolerances_and_limits(field, value):
     kwargs = dict(k=1, dt=0.01)
     kwargs[field] = value
