@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (EnergyLedger, ReferenceSpec, convergence_study,
-                          horizon_steps, ledger_variant_for,
+from .diagnostics import (EnergyLedger, ReferenceSpec, check_study_steps,
+                          convergence_study, horizon_steps, ledger_variant_for,
                           write_convergence_csv, write_run_csv)
 from .grid import write_snapshot
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
@@ -191,12 +191,12 @@ def _check_variant(cfg: RunConfig, variant: str, key="variant") -> None:
                           f"model '{cfg.model}'")
 
 
-def _step_options(**kwargs) -> StepOptions:
-    """:class:`StepOptions` whose rejected values are configuration errors."""
+def _checked(what: str, rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``, its ValueError a ConfigError about ``what``."""
     try:
-        return StepOptions(**kwargs)
+        return rule(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"step options: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
@@ -206,17 +206,10 @@ def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
     eps_lb = getattr(model, "eps_lb", 0.0)
     if cfg.model != "lubrication":
         eps_lb = cfg.get_float("eps_lb", 0.0)
-    return _step_options(k=cfg.get_int("k", 2), dt=cfg.get_float("dt"),
-                         variant=variant, eps_lb=eps_lb,
-                         solver_tol=cfg.get_float("solver_tol", 1e-10),
-                         secant_tol=cfg.get_float("secant_tol", 1e-12))
-
-
-def _n_steps(horizon: float, dt: float) -> int:
-    try:
-        return horizon_steps(horizon, dt)
-    except ValueError as exc:
-        raise ConfigError(f"key 'T': {exc}") from exc
+    return _checked("step options", StepOptions, k=cfg.get_int("k", 2),
+                    dt=cfg.get_float("dt"), variant=variant, eps_lb=eps_lb,
+                    solver_tol=cfg.get_float("solver_tol", 1e-10),
+                    secant_tol=cfg.get_float("secant_tol", 1e-12))
 
 
 def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
@@ -234,7 +227,7 @@ def _initial_row(g, u0):
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     opts = build_options(cfg, model)
-    n_steps = _n_steps(cfg.get_float("T"), opts.dt)
+    n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"), opts.dt)
     cadence = cfg.get_int("snapshot_every", 0)
     if cadence < 0:
         raise ConfigError("key 'snapshot_every': must be nonnegative "
@@ -296,19 +289,17 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
            if s.strip()]
     if not dts:
         raise ConfigError("missing required key 'dts'")
-    if any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ConfigError("key 'dts': step sizes must be strictly decreasing")
+    _checked("key 'dts'", check_study_steps, dts)
     ref = reference_spec(cfg)
     _check_variant(cfg, ref.variant, "ref_variant")
-    if ref.dt >= min(dts):
-        raise ConfigError(f"key 'ref_dt': {ref.dt!r} is not below the study "
-                          f"step sizes")
+    _checked("key 'ref_dt'", check_study_steps, dts, ref.dt)
     k = cfg.get_int("k", 2)
     horizon = cfg.get_float("T", 0.01)
     runs = [(k, dt, variant) for dt in dts] + [(ref.k, ref.dt, ref.variant)]
     for run_k, dt, run_variant in runs:  # all checked before the first run
-        _step_options(k=run_k, dt=dt, variant=run_variant)
-        _n_steps(horizon, dt)
+        _checked("step options", StepOptions, k=run_k, dt=dt,
+                 variant=run_variant)
+        _checked("key 'T'", horizon_steps, horizon, dt)
     rows = convergence_study(model, k, dts, ref, variant=variant,
                              horizon=horizon)
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
@@ -328,7 +319,8 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     n_steps = None
     for v in variants:
         opts = build_options(cfg, model, variant=v)
-        n_steps = _n_steps(cfg.get_float("T"), opts.dt)
+        n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"),
+                           opts.dt)
         result = run_simulation(model, opts, n_steps, stop_on_failure=False)
         diags = result.diagnostics
         per_variant[v] = diags

@@ -196,6 +196,15 @@ def fit_orders(dts, errors) -> list[float]:
     return orders
 
 
+def check_study_steps(dts, ref_dt: Optional[float] = None) -> None:
+    """A convergence study's step sizes are strictly decreasing, and the
+    reference step ``ref_dt``, if given, lies below them all."""
+    if any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ValueError("step sizes must be strictly decreasing")
+    if ref_dt is not None and ref_dt >= min(dts):
+        raise ValueError(f"reference dt {ref_dt!r} not below the study steps")
+
+
 def convergence_study(model, k: int, dts, reference,
                       variant: str = VARIANT_MULTIPLIER,
                       horizon: float = 0.01,
@@ -205,18 +214,16 @@ def convergence_study(model, k: int, dts, reference,
 
     ``reference`` is either a :class:`ReferenceSpec` (the reference trajectory
     is computed once at its settings) or a precomputed final-state array.
-    Errors default to the max-norm over active nodes; step sizes must be
-    strictly decreasing.
+    Errors default to the max-norm over active nodes; the step sizes must
+    pass :func:`check_study_steps`.
     """
     dts = list(dts)
-    if any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ValueError("step sizes must be strictly decreasing")
     if isinstance(reference, ReferenceSpec):
-        if reference.dt >= min(dts):
-            raise ValueError("reference dt must be below the study range")
+        check_study_steps(dts, reference.dt)
         u_ref = run_to_horizon(model, reference.k, reference.dt,
                                reference.variant, horizon)
     else:
+        check_study_steps(dts)
         u_ref = np.asarray(reference)
     act = model.grid.active
     if error_norm is None:

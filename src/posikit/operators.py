@@ -39,13 +39,16 @@ Every shifted system ``(sigma I + L) u = b`` goes through
   solve as preconditioner (a division): only the operator applies
   transform (4 real transforms per BiCGStab iteration in 1D, 2 per CG one).
 
+On fully periodic grids the report keeps the solution's spectrum, from which
+``Operator.quad`` forms ``<L u, u>`` by Parseval, with no transform back.
+
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,6 +78,8 @@ class SolverReport:
     iterations: int
     residual: float
     converged: bool
+    # real-FFT spectrum of the returned field on fully periodic grids
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _sl(u: np.ndarray, ax: int, s: slice) -> np.ndarray:
@@ -389,13 +394,6 @@ def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
     return out
 
 
-def _div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
-    """Unvalidated divergence form, +<-div(c grad u)>; sign-indefinite c allowed."""
-    if g.fully_periodic:
-        return -_irfft(g, _div_grad_spectrum(c, _rfft(g, u), g))
-    return _edge_apply(_edge_coeffs(c, g), u, g)
-
-
 def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     """Divergence form +<-div(c grad u)> without the sign gate on c.
 
@@ -403,7 +401,10 @@ def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     coefficient is a solution extrapolation and may dip negative; the
     conservation and symmetry structure of the assembly is unchanged.
     """
-    return _div_form(g.check_field(c), g.check_field(u), g)
+    c, u = g.check_field(c), g.check_field(u)
+    if g.fully_periodic:
+        return -_irfft(g, _div_grad_spectrum(c, _rfft(g, u), g))
+    return _edge_apply(_edge_coeffs(c, g), u, g)
 
 
 # -- operator handles ---------------------------------------------------------
@@ -447,23 +448,37 @@ class Operator:
         the operator."""
         return _edge_coeffs(self.coeff, self.grid)
 
+    def apply_spectrum(self, V: np.ndarray) -> np.ndarray:
+        """Real-FFT spectrum of L v from the spectrum ``V`` of v on a fully
+        periodic grid (2 * dim transforms, none for the Laplacian)."""
+        if self.kind == LAPLACIAN:
+            return _symbol(self.grid, LAPLACIAN) * V
+        if self.kind == DIV_COEFF_GRAD:
+            return -_div_grad_spectrum(self.coeff, V, self.grid)
+        return _fourth_order_spectrum(self.coeff, V, self.grid)
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
+        if g.fully_periodic:
+            return _irfft(g, self.apply_spectrum(_rfft(g, g.check_field(u))))
         if self.kind == LAPLACIAN:
             out = -apply_laplacian(u, g)
             if not g.all_active:
                 out *= g.active
             return out
-        u = g.check_field(u)
-        if self.kind == DIV_COEFF_GRAD:
-            if g.fully_periodic:
-                return _div_form(self.coeff, u, g)
-            return _edge_apply(self.edge_coeffs, u, g)
-        return _irfft(g, _fourth_order_spectrum(self.coeff, _rfft(g, u), g))
+        return _edge_apply(self.edge_coeffs, g.check_field(u), g)
 
-    def quad(self, u: np.ndarray) -> float:
-        """The bilinear form <L u, u> in the grid inner product."""
-        return self.grid.inner(self.apply(u), u)
+    def quad(self, u: np.ndarray, U: np.ndarray | None = None) -> float:
+        """The bilinear form <L u, u> in the grid inner product; on fully
+        periodic grids the Parseval sum over the spectrum ``U`` of u, which
+        a solve's ``SolverReport.spectrum`` holds (else one transform)."""
+        g = self.grid
+        if not g.fully_periodic:
+            return g.inner(self.apply(u), u)
+        if U is None:
+            U = _rfft(g, g.check_field(u))
+        return _wdot(_parseval_weights(g), self.apply_spectrum(U).view(float),
+                     U.view(float))
 
 
 # -- Krylov kernels -----------------------------------------------------------
@@ -661,18 +676,18 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     if c is None or c.max() == c.min():
         cval = 1.0 if c is None else float(c.flat[0])
         denom = _denom(g, sigma, cval, op.kind)
+        if g.fully_periodic:  # the operations of _diag_solve, spectrum kept
+            U = _rfft(g, rhs) / denom
+            return _irfft(g, U), SolverReport(0, 0.0, True, U)
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
     if g.fully_periodic:
-        if op.kind == DIV_COEFF_GRAD_LAPLACIAN:
-            spectrum, coeff, cycle = _fourth_order_spectrum, c, _pbicgstab
-        else:  # L v = div(-c grad v)
-            spectrum, coeff, cycle = _div_grad_spectrum, -c, _pcg
+        cycle = _pbicgstab if op.kind == DIV_COEFF_GRAD_LAPLACIAN else _pcg
         denom = np.repeat(_denom(g, sigma, float(np.mean(c)), op.kind), 2,
                           axis=-1)
 
         def matvec(V):
             Z = V.view(complex)
-            S = spectrum(coeff, Z, g)
+            S = op.apply_spectrum(Z)
             S += sigma * Z
             return S.view(float)
 
@@ -680,7 +695,8 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         X, report = _krylov(cycle, matvec, lambda R: R / denom,
                             _rfft(g, rhs).view(float), _parseval_weights(g),
                             tol, maxit, x0=X0)
-        return _irfft(g, X.view(complex)), report
+        U = X.view(complex)
+        return _irfft(g, U), replace(report, spectrum=U)
     if g.dim == 1:
         return _tridiagonal_solve(sigma, op, rhs, tol, x0)
 

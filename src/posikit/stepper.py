@@ -24,8 +24,8 @@ prediction before it clamps:
 * ``none``       -- no correction (the uncorrected baseline scheme).
 
 A prediction that is not finite ends the step with :class:`BlowUpError`
-before any correction.  The energy term ``<L u~, u~>`` is computed only when
-an energy ledger is attached.
+before any correction.  The energy term ``<L u~, u~>`` is computed only for
+an attached ledger, on periodic grids from the prediction solve's spectrum.
 
 Start-up for k >= 2 cascades through the lower orders (step n runs at order
 min(k, n+1)), which is also what the stability ledgers in
@@ -445,7 +445,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
 
     op_quad = ledger_residual = float("nan")
     if ledger is not None:
-        op_quad = op.quad(u_tilde)
+        op_quad = op.quad(u_tilde, report.spectrum)
         ledger.update(dt=opts.dt, u_prev=hist.us[0], u_tilde=u_tilde,
                       u_next=out.u_next, lam_next=out.lambda_next,
                       xi_next=out.xi_next, op_quad=op_quad)

@@ -306,7 +306,10 @@ ref_dt = 2e-5
     ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_variant = bogus", "ref_variant"),
     ("dts = 2e-4,1e-4", "dts = inf,1e-4", "'dts': 'inf' is not a finite"),
     ("dts = 2e-4,1e-4", "dts = 2e-4,nan", "'dts': 'nan' is not a finite"),
-], ids=["k", "T", "dts", "ref_variant", "dts-inf", "dts-nan"])
+    ("dts = 2e-4,1e-4", "dts = 1e-4,1e-4", "'dts': step sizes must be"),
+    ("ref_dt = 2e-5", "ref_dt = 1e-4", "'ref_dt': reference dt 0.0001"),
+], ids=["k", "T", "dts", "ref_variant", "dts-inf", "dts-nan", "dts-equal",
+        "ref_dt"])
 def test_convergence_config_mistakes_exit_2_before_any_run(
         tmp_path, capsys, monkeypatch, old, new, word):
     def no_run(*args, **kwargs):
@@ -537,21 +540,78 @@ def test_exact_solve_paths_ignore_the_start(tmp_path, monkeypatch, name):
 # -- benchmark tracer hooks -------------------------------------------------------
 
 
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def load_tracing():
+    """``perfbench/tracing.py``, imported by path; no hook is installed."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(BENCH_DIR, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_benchmark_span_resolves_to_a_live_hook():
     # perfbench/tracing.py wraps entry points by name and reports a missing
     # one as absent, so a renamed function would silently drop its layer
     import importlib
-    import importlib.util
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     live = {}
-    for span, target, attr, _ in tracing.HOOKS:
+    for span, target, attr, _ in load_tracing().HOOKS:
         module, _, cls = target.partition(":")
         owner = importlib.import_module(module)
         owner = getattr(owner, cls, None) if cls else owner
         live[span] = live.get(span, False) or callable(
             getattr(owner, attr, None))
     assert sorted(span for span, ok in live.items() if not ok) == []
+
+
+TRACED_CFGS = {
+    "allen_cahn": """
+model = allen_cahn
+eps2 = 1e-3
+nx = 16
+k = 2
+dt = 1e-6
+T = 2e-5
+variant = multiplier
+""",
+    "lubrication_mass": """
+model = lubrication
+rho = 0.5
+reg = floor
+eps_lb = 1e-4
+nx = 64
+k = 2
+dt = 2e-7
+T = 4e-6
+variant = mass
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CFGS))
+def test_traced_benchmark_sample_reports_every_metric_finite(tmp_path, name):
+    # a layer whose hook no longer resolves reads None, and a traced sample
+    # with a None or non-finite metric is not a usable sample
+    import json
+    import math
+    cfg = write_config(tmp_path, TRACED_CFGS[name])
+    result, spans = tmp_path / "result.json", tmp_path / "spans.npz"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH_DIR, "child.py"), "--config", cfg,
+         "--out", str(tmp_path / "out"), "--result", str(result),
+         "--spans", str(spans)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["exit_code"] == 0
+    metrics, _ = load_tracing().analyze(spans)
+    bad = {k: v for k, v in metrics.items()
+           if not isinstance(v, (int, float)) or not math.isfinite(v)}
+    assert bad == {}
+    assert metrics["stepper.steps"] == 20

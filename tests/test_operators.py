@@ -846,3 +846,81 @@ def test_bicgstab_zero_t_is_a_breakdown_not_a_division_by_zero():
                          lambda r: r.copy(), b, np.ones(8), -1.0, 10)
     assert np.array_equal(x, b)
     assert rep.iterations == 1 and rep.residual == 0.0 and not rep.converged
+
+
+# -- the energy term <L u, u> from a solve's spectrum ---------------------------
+
+
+def periodic_operator(kind, g):
+    if kind == "laplacian":
+        return Operator.laplacian(g)
+    return getattr(Operator, kind)(g, strongly_varying(g))
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "div_coeff_grad",
+                                  "lubrication"])
+@pytest.mark.parametrize("extents,counts", KRYLOV_GRIDS,
+                         ids=["32", "33", "12x13"])
+def test_quad_from_the_solve_spectrum_is_the_grid_inner(extents, counts,
+                                                        kind):
+    g = build_grid(extents, counts, "periodic")
+    op = periodic_operator(kind, g)
+    rng = np.random.default_rng(58)
+    u, rep = solve_operator(10.0, op, rng.standard_normal(g.shape), tol=1e-11)
+    assert rep.converged
+    U = ops._rfft(g, u)
+    assert np.abs(rep.spectrum - U).max() <= 1e-13 * np.abs(U).max()
+    v = rng.standard_normal(g.shape)
+    for field, spectrum in ((u, None), (u, rep.spectrum), (v, None)):
+        expect = g.inner(op.apply(field), field)
+        assert op.quad(field, spectrum) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("constant", [False, True],
+                         ids=["variable", "constant"])
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
+def test_solve_keeps_no_spectrum_off_fully_periodic_grids(extents, counts,
+                                                          bcs, constant):
+    # tridiagonal (1D variable), edge-form PCG (2D variable) and the
+    # DST/DCT pass (constant)
+    g = build_grid(extents, counts, bcs)
+    c = np.full(g.shape, 2.0) if constant else patchy_coefficient(g, 59)
+    rhs = np.random.default_rng(60).standard_normal(g.shape) * g.active
+    _, rep = solve_operator(3.0, Operator.div_coeff_grad(g, c), rhs)
+    assert rep.converged and rep.spectrum is None
+
+
+def test_solve_spectrum_stays_out_of_report_repr_and_equality():
+    g = build_grid((0.0, 2 * np.pi), 32, "periodic")
+    _, rep = solve_operator(1.0, Operator.laplacian(g), np.cos(g.axes[0]))
+    assert rep.spectrum is not None
+    assert rep == SolverReport(0, 0.0, True)
+    assert "spectrum" not in repr(rep)
+
+
+def test_fourth_order_quad_from_the_solve_spectrum_takes_two_transforms(
+        monkeypatch):
+    g = build_grid((0.0, 2 * np.pi), 64, "periodic")
+    op = Operator.lubrication(g, 1.0 + 0.5 * np.sin(g.axes[0]))
+    rhs = np.random.default_rng(61).standard_normal(g.shape)
+    u, rep = solve_operator(10.0, op, rhs)
+    calls = count_periodic_transforms(monkeypatch)
+    op.quad(u, rep.spectrum)
+    assert len(calls) == 2
+
+
+def test_ledger_allen_cahn_step_takes_two_transforms(monkeypatch):
+    # the prediction solve's forward and inverse transform; the energy term
+    # reuses the solve's spectrum
+    from posikit.diagnostics import EnergyLedger, ledger_variant_for
+    from posikit.models import AllenCahnModel
+    from posikit.stepper import History, StepOptions, step
+    model = AllenCahnModel(eps2=1e-3, n=16)
+    opts = StepOptions(k=2, dt=1e-6)
+    hist = History.start(model.grid, model.initial_state())
+    ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
+    step(hist, model, opts, ledger)
+    calls = count_periodic_transforms(monkeypatch)
+    _, diag = step(hist, model, opts, ledger)
+    assert len(calls) == 2
+    assert diag.op_quad > 0.0 and diag.ledger_residual <= 1e-8
