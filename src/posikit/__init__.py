@@ -8,7 +8,7 @@ model problems, runtime stability ledgers, and a convergence-study harness.
 """
 
 from .grid import Grid, build_grid, read_snapshot, write_snapshot
-from .operators import (Operator, SolverError, SolverReport, apply_laplacian,
+from .operators import (Operator, SolverError, SolverReport,
                         solve_conservative_poisson, solve_operator)
 from .stepper import (BdfTableau, BlowUpError, CorrectionOutcome, History,
                       RunResult, SecantError, StepDiagnostics, StepOptions,

@@ -10,7 +10,8 @@ are excluded and get weight zero).  Diagonal weights are chosen deliberately:
 pointwise clamping and the discrete inner product then commute exactly, so
 the energy identities checked in :mod:`posikit.diagnostics` hold to rounding.
 
-Boundary handling per axis:
+A grid is periodic on every axis or on none; bounded axes may mix
+Dirichlet and Neumann.  Boundary handling per axis:
 
 * ``periodic``   -- nodes a + i*h on [a, b), h = (b-a)/N, weight h each;
 * ``dirichlet``  -- homogeneous essential condition; nodes a + i*h on [a, b],
@@ -135,18 +136,20 @@ def build_grid(extents, counts, bcs) -> Grid:
         Interval per axis.
     counts : int or sequence of int
         Number of subintervals per axis (collocation count for periodic
-        axes).  At least 4 per axis.
+        axes).  Integral, at least 4 per axis.
     bcs : str or sequence of str
-        One of ``periodic``, ``dirichlet``, ``neumann`` per axis.
+        One of ``periodic``, ``dirichlet``, ``neumann`` per axis; a periodic
+        axis needs every other axis periodic too.
     """
     if np.isscalar(extents[0]):
         extents = (tuple(extents),)
     else:
         extents = tuple(tuple(e) for e in extents)
     if np.isscalar(counts):
-        counts = (int(counts),) * len(extents)
-    else:
-        counts = tuple(int(c) for c in counts)
+        counts = (counts,) * len(extents)
+    if any(int(c) != c for c in counts):
+        raise ValueError(f"interval counts must be integers, got {counts}")
+    counts = tuple(int(c) for c in counts)
     if isinstance(bcs, str):
         bcs = (bcs,) * len(extents)
     else:
@@ -170,6 +173,9 @@ def build_grid(extents, counts, bcs) -> Grid:
         axw.append(w)
         axact.append(act)
         spacings.append(h)
+    if PERIODIC in bcs and len(set(bcs)) > 1:
+        raise ValueError(f"boundary conditions {bcs}: a grid is periodic on "
+                         "every axis or on none")
 
     if len(axes) == 1:
         weights = axw[0].copy()

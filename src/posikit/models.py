@@ -121,11 +121,7 @@ def barenblatt(x, t: float, m: float, C: float = 1.0):
 def pme_operator(hist: History, m: float, k: int = 2) -> Operator:
     """Lagged diffusion handle with coefficient m * star^(m-1) >= 0."""
     star = _clamped_star(hist, k)
-    if m == 1:
-        c = np.ones(hist.grid.shape)
-    else:
-        c = m * star ** (m - 1.0)
-    return Operator.div_coeff_grad(hist.grid, c)
+    return Operator.div_coeff_grad(hist.grid, m * star ** (m - 1.0))
 
 
 @dataclass

@@ -3,22 +3,22 @@
 Three operator kinds, all in the sign convention of ``u_t + L u = 0`` (every
 kind is the *positive* direction: for the heat part ``L = -laplacian``):
 
-* ``laplacian``                 -- L u = -Delta u.  Periodic axes use exact
-  Fourier differentiation, Dirichlet/Neumann axes the second-difference
-  stencil of the lumped linear-element form (zero ghost / mirrored ghost).
+* ``laplacian``                 -- L u = -Delta u.  Periodic grids use exact
+  Fourier differentiation, bounded grids the div-coeff-grad edge form at
+  c == 1 (the second-difference stencil of the lumped linear-element form).
 * ``div-coeff-grad``            -- L u = -div(c grad u) with nodal c >= 0.
-  On fully periodic grids it is assembled pseudo-spectrally from the
+  On periodic grids it is assembled pseudo-spectrally from the
   antisymmetric Fourier derivative (Nyquist mode dropped), exactly
   symmetric positive semidefinite in the grid inner product and equal to
-  the spectral Laplacian mode by mode at c == 1.  On grids with a
-  Dirichlet/Neumann axis it is the edge form with edge coefficients
-  ``0.5 * (c_i + c_{i+1})``, which an :class:`Operator` builds once
-  (``Operator.edge_coeffs``).
+  the spectral Laplacian mode by mode at c == 1.  On bounded grids it is
+  the edge form with edge coefficients ``0.5 * (c_i + c_{i+1})``, which an
+  :class:`Operator` builds once (``Operator.edge_coeffs``).
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
   fourth-order thin-film operator; periodic grids only, applied in fused
   form (Delta u stays in transform space: 4 real transforms in 1D, 6 in 2D).
 
-Periodic axes use real FFTs, Dirichlet/Neumann axes DST-I/DCT-I; the
+A grid is periodic on every axis or on none (:func:`posikit.grid.build_grid`).
+Periodic grids use real FFTs, Dirichlet/Neumann axes DST-I/DCT-I; the
 unit-coefficient symbol of each kind is cached per grid, so a
 constant-coefficient shifted system is the diagonal ``sigma + c * symbol``
 in transform space.  All kinds annihilate constants in the adjoint sense:
@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import DIRICHLET, NEUMANN, PERIODIC, Grid
+from .grid import DIRICHLET, PERIODIC, Grid
 
 LAPLACIAN = "laplacian"
 DIV_COEFF_GRAD = "div-coeff-grad"
@@ -90,10 +90,10 @@ def _sl(u: np.ndarray, ax: int, s: slice) -> np.ndarray:
 
 # -- transform layout and symbols ---------------------------------------------
 #
-# Periodic axes use real FFTs: the last periodic axis of a grid holds only the
-# n//2 + 1 nonnegative frequencies, and every multiplier below is cached once
-# per grid on that layout, shaped to broadcast along its axis.  Bounded axes
-# use DST-I (Dirichlet, interior nodes) or DCT-I (Neumann, all nodes).
+# Periodic grids use real FFTs: the last axis holds only the n//2 + 1
+# nonnegative frequencies, and every multiplier below is cached once per grid
+# on that layout, shaped to broadcast along its axis.  Bounded axes use DST-I
+# (Dirichlet, interior nodes) or DCT-I (Neumann, all nodes).
 
 
 def _along(a: np.ndarray, ax: int, ndim: int) -> np.ndarray:
@@ -106,9 +106,10 @@ def _along(a: np.ndarray, ax: int, ndim: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _wavenumbers(g: Grid, ax: int) -> np.ndarray:
-    """Angular wavenumbers of periodic axis ``ax`` on the real-FFT layout."""
+    """Angular wavenumbers of axis ``ax`` of a periodic grid on the real-FFT
+    layout."""
     n, h = g.counts[ax], g.spacings[ax]
-    halved = all(bc != PERIODIC for bc in g.bcs[ax + 1:])
+    halved = ax == g.dim - 1
     freq = np.fft.rfftfreq(n, d=h) if halved else np.fft.fftfreq(n, d=h)
     return _along(2.0 * np.pi * freq, ax, g.dim)
 
@@ -140,12 +141,6 @@ def _axis_symbol_div(g: Grid, ax: int) -> np.ndarray:
     """Per-axis symbol of the c == 1 divergence form in the solve basis."""
     if g.fully_periodic:
         return _ik(g, ax).imag ** 2
-    if g.bcs[ax] == PERIODIC:
-        # mixed grid: the edge stencil wraps around, FD symbol in FFT basis
-        n, h = g.counts[ax], g.spacings[ax]
-        j = np.arange(n // 2 + 1)
-        return _along((2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / h**2,
-                      ax, g.dim)
     return _axis_symbol_laplacian(g, ax)
 
 
@@ -221,24 +216,18 @@ def _forward(g: Grid, v: np.ndarray) -> np.ndarray:
     for ax, bc in enumerate(g.bcs):
         if bc == DIRICHLET:
             v = sfft.dst(v, type=1, axis=ax)
-        elif bc == NEUMANN:
+        else:
             v = sfft.dct(v, type=1, axis=ax)
-    if PERIODIC in g.bcs:  # mixed grid: the periodic axis goes last
-        v = np.fft.rfft(v, axis=g.bcs.index(PERIODIC))
     return v
 
 
 def _backward(g: Grid, v: np.ndarray) -> np.ndarray:
     if g.fully_periodic:
         return _irfft(g, v)
-    if PERIODIC in g.bcs:
-        ax = g.bcs.index(PERIODIC)
-        v = np.fft.irfft(v, g.counts[ax], axis=ax)
     for ax in reversed(range(g.dim)):  # the inverse of _forward's order
-        bc = g.bcs[ax]
-        if bc == DIRICHLET:
+        if g.bcs[ax] == DIRICHLET:
             v = sfft.idst(v, type=1, axis=ax)
-        elif bc == NEUMANN:
+        else:
             v = sfft.idct(v, type=1, axis=ax)
     return v
 
@@ -250,42 +239,6 @@ def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
     sl = _interior_slices(g)
     out = np.zeros(g.shape)
     out[sl] = _backward(g, _forward(g, rhs[sl]) / denom)
-    return out
-
-
-# -- apply: Laplacian ---------------------------------------------------------
-
-
-def _axis_laplacian(u: np.ndarray, g: Grid, ax: int) -> np.ndarray:
-    n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
-    if bc == PERIODIC:
-        # mixed grid only; fully periodic grids transform all axes at once
-        return np.fft.irfft(-_axis_symbol_laplacian(g, ax)
-                            * np.fft.rfft(u, axis=ax), n, axis=ax)
-    out = np.zeros_like(u, dtype=float)
-    mid = (_sl(u, ax, slice(0, -2)) - 2.0 * _sl(u, ax, slice(1, -1))
-           + _sl(u, ax, slice(2, None))) / h**2
-    idx = [slice(None)] * u.ndim
-    idx[ax] = slice(1, -1)
-    out[tuple(idx)] = mid
-    if bc == NEUMANN:
-        # mirrored ghosts at both ends
-        lo, hi = [slice(None)] * u.ndim, [slice(None)] * u.ndim
-        lo[ax], hi[ax] = 0, 1
-        out[tuple(lo)] = 2.0 * (u[tuple(hi)] - u[tuple(lo)]) / h**2
-        lo[ax], hi[ax] = -1, -2
-        out[tuple(lo)] = 2.0 * (u[tuple(hi)] - u[tuple(lo)]) / h**2
-    return out
-
-
-def apply_laplacian(u: np.ndarray, g: Grid) -> np.ndarray:
-    """Discrete Laplacian of ``u`` (the actual Laplacian, not its negative)."""
-    u = g.check_field(u)
-    if g.fully_periodic:
-        return _irfft(g, _laplacian_multiplier(g) * _rfft(g, u))
-    out = _axis_laplacian(u, g, 0)
-    for ax in range(1, g.dim):
-        out += _axis_laplacian(u, g, ax)
     return out
 
 
@@ -316,18 +269,14 @@ def _fourth_order_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
-    """Edge coefficients 0.5 * (c_i + c_{i+1}) of the edge form, per axis.
-
-    Along a periodic axis of a mixed grid the last edge wraps to node 0;
-    along a Dirichlet/Neumann axis there are n edges between n + 1 nodes.
-    """
+    """Edge coefficients 0.5 * (c_i + c_{i+1}) of the edge form, per axis
+    of a bounded grid: n edges between n + 1 nodes."""
+    # a list, not tuple() over a generator: that form raised the traced
+    # peak memory of a pnp run by about 90 KiB
     out = []
-    for ax, bc in enumerate(g.bcs):
-        if bc == PERIODIC:
-            out.append(0.5 * (c + np.roll(c, -1, axis=ax)))
-        else:
-            out.append(0.5 * (_sl(c, ax, slice(1, None))
-                              + _sl(c, ax, slice(0, -1))))
+    for ax in range(g.dim):
+        out.append(0.5 * (_sl(c, ax, slice(1, None))
+                          + _sl(c, ax, slice(0, -1))))
     return tuple(out)
 
 
@@ -336,31 +285,24 @@ def _edge_scale(g: Grid, ax: int) -> np.ndarray:
     """h times the node weight along ``ax``, shaped to broadcast; the
     transverse weights cancel.  Excluded Dirichlet ends carry weight 1 (the
     caller masks their rows), Neumann ends h/2."""
-    n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
-    w = np.full(n if bc == PERIODIC else n + 1, h)
-    if bc == DIRICHLET:
-        w[0] = w[-1] = 1.0
-    elif bc == NEUMANN:
-        w[0] = w[-1] = 0.5 * h
+    n, h = g.counts[ax], g.spacings[ax]
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 1.0 if g.bcs[ax] == DIRICHLET else 0.5 * h
     return _along(h * w, ax, g.dim)
 
 
 def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
     """+<-div(c grad u)> in edge form, from the edge coefficients ``ce``."""
     out = None
-    for ax, bc in enumerate(g.bcs):
-        if bc == PERIODIC:
-            flux = ce[ax] * (np.roll(u, -1, axis=ax) - u)  # edge (i, i+1 mod n)
-            net = np.roll(flux, 1, axis=ax) - flux
-        else:
-            # edges 0..n-1, scaled in place: one temporary fewer
-            flux = _sl(u, ax, slice(1, None)) - _sl(u, ax, slice(0, -1))
-            flux *= ce[ax]
-            net = np.zeros_like(u, dtype=float)
-            lo = _sl(net, ax, slice(0, -1))
-            lo -= flux
-            hi = _sl(net, ax, slice(1, None))
-            hi += flux
+    for ax in range(g.dim):
+        # edges 0..n-1, scaled in place: one temporary fewer
+        flux = _sl(u, ax, slice(1, None)) - _sl(u, ax, slice(0, -1))
+        flux *= ce[ax]
+        net = np.zeros_like(u, dtype=float)
+        lo = _sl(net, ax, slice(0, -1))
+        lo -= flux
+        hi = _sl(net, ax, slice(1, None))
+        hi += flux
         net /= _edge_scale(g, ax)
         if out is None:
             out = net
@@ -376,16 +318,12 @@ def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
     coefficients on its two sides, scaled as the apply scales them (rows of
     inactive nodes are left for the caller to mask)."""
     out = None
-    for ax, bc in enumerate(g.bcs):
-        if bc == PERIODIC:
-            # edges (i-1, i) and (i, i+1), wrapping around
-            net = ce[ax] + np.roll(ce[ax], 1, axis=ax)
-        else:
-            net = np.zeros(g.shape)
-            lo = _sl(net, ax, slice(0, -1))
-            lo += ce[ax]
-            hi = _sl(net, ax, slice(1, None))
-            hi += ce[ax]
+    for ax in range(g.dim):
+        net = np.zeros(g.shape)
+        lo = _sl(net, ax, slice(0, -1))
+        lo += ce[ax]
+        hi = _sl(net, ax, slice(1, None))
+        hi += ce[ax]
         net /= _edge_scale(g, ax)
         if out is None:
             out = net
@@ -443,10 +381,11 @@ class Operator:
 
     @cached_property
     def edge_coeffs(self) -> tuple:
-        """Edge coefficients of the div-coeff-grad kind on a grid with a
-        Dirichlet/Neumann axis, built on first use and kept for the life of
-        the operator."""
-        return _edge_coeffs(self.coeff, self.grid)
+        """Edge coefficients on a bounded grid (from c == 1 for the
+        Laplacian), built on first use and kept for the life of the
+        operator."""
+        c = np.ones(self.grid.shape) if self.coeff is None else self.coeff
+        return _edge_coeffs(c, self.grid)
 
     def apply_spectrum(self, V: np.ndarray) -> np.ndarray:
         """Real-FFT spectrum of L v from the spectrum ``V`` of v on a fully
@@ -461,11 +400,6 @@ class Operator:
         g = self.grid
         if g.fully_periodic:
             return _irfft(g, self.apply_spectrum(_rfft(g, g.check_field(u))))
-        if self.kind == LAPLACIAN:
-            out = -apply_laplacian(u, g)
-            if not g.all_active:
-                out *= g.active
-            return out
         return _edge_apply(self.edge_coeffs, g.check_field(u), g)
 
     def quad(self, u: np.ndarray, U: np.ndarray | None = None) -> float:
@@ -647,10 +581,10 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     * the edge form on a 1D (Dirichlet or Neumann) grid -- one exact
       tridiagonal elimination built from ``Operator.edge_coeffs``
       (iterations = 0, ``maxit`` unused);
-    * the edge form on a 2D grid (a Dirichlet or Neumann axis) -- conjugate
-      gradients preconditioned by the exact diagonal of ``sigma I + L``,
-      built once per solve from ``Operator.edge_coeffs``; no transforms;
-    * the pseudo-spectral second-order kind (fully periodic) -- conjugate
+    * the edge form on a bounded 2D grid -- conjugate gradients
+      preconditioned by the exact diagonal of ``sigma I + L``, built once
+      per solve from ``Operator.edge_coeffs``; no transforms;
+    * the pseudo-spectral second-order kind (periodic) -- conjugate
       gradients, and the fourth-order kind -- BiCGStab, both on the float
       view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
       once and the iterate back once, inner products carry the Parseval

@@ -615,3 +615,21 @@ def test_traced_benchmark_sample_reports_every_metric_finite(tmp_path, name):
            if not isinstance(v, (int, float)) or not math.isfinite(v)}
     assert bad == {}
     assert metrics["stepper.steps"] == 20
+
+
+def test_shipped_configs_build_without_a_solve():
+    # a tightened rule (grid, model or option) must not break a shipped
+    # config unseen; a study config has no dt of its own, only a reference
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = sorted(os.path.join(root, name) for name in os.listdir(root)
+                   if name.endswith(".cfg"))
+    assert paths
+    for path in paths:
+        cfg = parse_config(path)
+        model = cli.build_model(cfg)
+        if "dts" in cfg.raw:
+            assert isinstance(reference_spec(cfg), ReferenceSpec)
+            continue
+        variants = cfg.get("variants")
+        for v in variants.split(",") if variants else [None]:
+            assert cli.build_options(cfg, model, variant=v).dt > 0, path

@@ -71,7 +71,7 @@ def test_pythagoras_for_orthogonal_fields():
 
 
 def test_inner_symmetric_and_bilinear():
-    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (6, 5), ("periodic", "neumann"))
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (6, 5), ("dirichlet", "neumann"))
     rng = np.random.default_rng(2)
     u, v, w = (rng.standard_normal(g.shape) for _ in range(3))
     a, b = 1.7, -0.3
@@ -102,6 +102,30 @@ def test_build_grid_validation():
         build_grid((1.0, 1.0), 8, "periodic")
     with pytest.raises(ValueError, match="boundary"):
         build_grid((0.0, 1.0), 8, "robin")
+
+
+@pytest.mark.parametrize("bcs", [("periodic", "neumann"),
+                                 ("dirichlet", "periodic")],
+                         ids=["periodic-x-neumann", "dirichlet-x-periodic"])
+def test_build_grid_rejects_a_periodic_axis_beside_a_bounded_one(bcs):
+    with pytest.raises(ValueError, match="periodic on every axis or on none"):
+        build_grid(((0.0, 1.0), (0.0, 2.0)), (6, 5), bcs)
+
+
+def test_build_grid_mixes_bounded_axes():
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (6, 5), ("dirichlet", "neumann"))
+    assert g.shape == (7, 6) and not g.fully_periodic
+    assert g.active.sum() == 5 * 6
+
+
+@pytest.mark.parametrize("counts", [8.5, (8, 6.5), (np.float64(8.25), 8)],
+                         ids=["scalar", "second-axis", "numpy-float"])
+def test_build_grid_rejects_non_integral_counts(counts):
+    extents = (0.0, 1.0) if np.isscalar(counts) else ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match="integers"):
+        build_grid(extents, counts, "periodic")
+    # an integral float is the count it names
+    assert build_grid((0.0, 1.0), 8.0, "periodic").counts == (8,)
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from posikit.models import (AllenCahnModel, LubricationModel, PnpModel,
                             PorousMediumModel, barenblatt, extrapolate_star,
                             lubrication_f_eta, pme_operator, pnp_step,
                             run_pnp)
-from posikit.operators import apply_laplacian
+from posikit.operators import Operator
 from posikit.stepper import History, StepOptions, run_simulation
 
 
@@ -75,7 +75,8 @@ def test_pme_operator_m1_is_heat():
     hist = History.start(g, rng.random(17) * g.active)
     op = pme_operator(hist, 1.0, k=1)
     u = rng.standard_normal(17) * g.active
-    assert np.abs((op.apply(u) + apply_laplacian(u, g)) [g.active]).max() < 1e-12
+    heat = Operator.laplacian(g).apply(u)
+    assert np.abs((op.apply(u) - heat)[g.active]).max() < 1e-12
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -85,7 +86,7 @@ def test_pme_operator_m1_is_heat():
 def test_porous_medium_model_rejects_parameters_without_a_start(kwargs,
                                                                match):
     # m = 1 has no Barenblatt profile, C <= 0 starts from the zero state;
-    # the heat branch of pme_operator above stays for lagged handles
+    # pme_operator itself still takes m = 1 (the heat operator above)
     with pytest.raises(ValueError, match=match):
         PorousMediumModel(n=16, **kwargs)
 

@@ -4,8 +4,7 @@ import pytest
 from posikit import operators as ops
 from posikit.grid import build_grid
 from posikit.operators import (DIV_COEFF_GRAD, Operator, SolverReport,
-                               _backward, _denom, _diag_solve, _forward, _sl,
-                               _symbol, apply_laplacian,
+                               _denom, _diag_solve, _sl, _symbol,
                                solve_conservative_poisson, solve_operator,
                                transport_div_form)
 
@@ -43,13 +42,13 @@ def edge_flux_sum(c, v, ones_ext, g):
 def test_laplacian_periodic_eigenfunction():
     g = build_grid((0.0, 2 * np.pi), 32, "periodic")
     u = np.sin(g.axes[0])
-    assert np.abs(apply_laplacian(u, g) + u).max() < 1e-12
+    assert np.abs(Operator.laplacian(g).apply(u) - u).max() < 1e-12
 
 
 def test_laplacian_constant_is_zero():
     for bc in ("periodic", "neumann"):
         g = build_grid((0.0, 3.0), 8, bc)
-        out = apply_laplacian(np.full(g.shape, 2.5), g)
+        out = Operator.laplacian(g).apply(np.full(g.shape, 2.5))
         assert np.abs(out).max() < 1e-12
 
 
@@ -58,7 +57,7 @@ def test_laplacian_dirichlet_hat_stencil():
     h = g.spacings[0]
     u = np.zeros(11)
     u[4] = 1.0
-    out = apply_laplacian(u, g)
+    out = -Operator.laplacian(g).apply(u)
     assert out[4] == pytest.approx(-2.0 / h**2)
     assert out[3] == pytest.approx(1.0 / h**2)
     assert out[5] == pytest.approx(1.0 / h**2)
@@ -68,8 +67,8 @@ def test_laplacian_2d_separable():
     g = build_grid(((0.0, 2 * np.pi), (0.0, 2 * np.pi)), (16, 16), "periodic")
     X, Y = g.coords()
     u = np.sin(X) * np.cos(2 * Y)
-    expect = -(1 + 4) * u
-    assert np.abs(apply_laplacian(u, g) - expect).max() < 1e-11
+    expect = (1 + 4) * u
+    assert np.abs(Operator.laplacian(g).apply(u) - expect).max() < 1e-11
 
 
 # -- divergence form --------------------------------------------------------------
@@ -82,8 +81,21 @@ def test_div_unit_coeff_reduces_to_laplacian_fd():
     u[0] = u[-1] = 0.0
     c = np.ones(10)
     lhs = Operator.div_coeff_grad(g, c).apply(u)
-    rhs = -apply_laplacian(u, g)
+    rhs = Operator.laplacian(g).apply(u)
     assert np.abs((lhs - rhs)[g.active]).max() < 1e-12
+
+
+@pytest.mark.parametrize("extents,counts", [((-1.0, 1.0), 9),
+                                            (((0.0, 1.0), (0.0, 2.0)), (6, 5))],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_bounded_laplacian_is_the_unit_coefficient_edge_form(extents, counts,
+                                                              bc):
+    # one stencil: the Laplacian applies through the edge form at c == 1
+    g = build_grid(extents, counts, bc)
+    u = np.random.default_rng(3).standard_normal(g.shape)
+    unit = Operator.div_coeff_grad(g, np.ones(g.shape))
+    assert np.array_equal(Operator.laplacian(g).apply(u), unit.apply(u))
 
 
 def test_div_unit_coeff_reduces_to_laplacian_periodic():
@@ -92,7 +104,7 @@ def test_div_unit_coeff_reduces_to_laplacian_periodic():
     x = g.axes[0]
     u = 0.3 + np.sin(x) - 2.1 * np.cos(3 * x) + 0.2 * np.sin(7 * x)
     lhs = Operator.div_coeff_grad(g, np.ones(16)).apply(u)
-    rhs = -apply_laplacian(u, g)
+    rhs = Operator.laplacian(g).apply(u)
     assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -295,36 +307,6 @@ def test_lubrication_rejects_nonperiodic():
         Operator.lubrication(g, np.ones(9)).apply(np.zeros(9))
 
 
-def test_mixed_grid_div_form_conservation_symmetry():
-    # periodic x neumann: the edge path wraps around the periodic axis
-    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (8, 6), ("periodic", "neumann"))
-    rng = np.random.default_rng(20)
-    c = rng.random(g.shape)
-    u, v = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-    out = Operator.div_coeff_grad(g, c).apply(u)
-    assert abs(g.inner(out, np.ones(g.shape))) <= 1e-12 * g.norm(u)
-    assert g.inner(out, v) == pytest.approx(
-        g.inner(u, Operator.div_coeff_grad(g, c).apply(v)), rel=1e-12, abs=1e-12)
-
-
-def test_mixed_grid_constant_coeff_solve_matches_dense():
-    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (6, 5), ("periodic", "dirichlet"))
-    cval = 0.7
-    op = Operator.div_coeff_grad(g, np.full(g.shape, cval))
-    sigma = 3.0
-    M = dense_matrix(op.apply, g)
-    rng = np.random.default_rng(21)
-    rhs = rng.standard_normal(g.shape) * g.active
-    act = np.flatnonzero(np.ravel(g.active))
-    size = M.shape[0]
-    A = sigma * np.eye(size) + M
-    x = np.zeros(size)
-    x[act] = np.linalg.solve(A[np.ix_(act, act)], np.ravel(rhs)[act])
-    u, rep = solve_operator(sigma, op, rhs)
-    assert rep.iterations == 0  # one-pass transform solve
-    assert np.abs(np.ravel(u) - x).max() < 1e-12
-
-
 # -- real-transform spectral core ---------------------------------------------
 
 PERIODIC_GRIDS = [((-1.0, 1.0), 255), ((-1.0, 1.0), 256),
@@ -341,50 +323,13 @@ def test_fused_fourth_order_matches_composed_form(extents, counts):
     c = rng.random(g.shape) + 0.1
     u = rng.standard_normal(g.shape)
     fused = Operator.lubrication(g, c).apply(u)
-    composed = -transport_div_form(c, apply_laplacian(u, g), g)
+    composed = transport_div_form(c, Operator.laplacian(g).apply(u), g)
     assert np.abs(fused - composed).max() <= 1e-14 * np.abs(composed).max()
     assert np.array_equal(fused, Operator.lubrication(g, c).apply(u))
 
 
-MIXED_GRIDS = [("periodic", "neumann"), ("dirichlet", "periodic")]
-
-
-@pytest.mark.parametrize("bcs", MIXED_GRIDS)
-def test_transform_round_trip_mixed_grid_odd_count(bcs):
-    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (7, 7), bcs)
-    rng = np.random.default_rng(31)
-    v = rng.standard_normal(g.shape)
-    if "dirichlet" in bcs:
-        v = v[1:-1, :]  # the transforms act on interior nodes
-    assert np.abs(_backward(g, _forward(g, v)) - v).max() < 1e-13
-    # constant-coefficient operator, then its one-pass inverse
-    u = rng.standard_normal(g.shape) * g.active
-    cval, sigma = 0.7, 3.0
-    op = Operator.div_coeff_grad(g, np.full(g.shape, cval))
-    rhs = sigma * u + op.apply(u)
-    back = _diag_solve(g, rhs, _denom(g, sigma, cval, DIV_COEFF_GRAD))
-    assert np.abs(back - u).max() < 1e-12
-
-
-@pytest.mark.parametrize("bcs", MIXED_GRIDS)
-def test_mixed_grid_transform_solve_matches_dense_odd_count(bcs):
-    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (7, 6), bcs)
-    cval, sigma = 1.3, 2.0
-    op = Operator.div_coeff_grad(g, np.full(g.shape, cval))
-    M = dense_matrix(op.apply, g)
-    rng = np.random.default_rng(32)
-    rhs = rng.standard_normal(g.shape) * g.active
-    act = np.flatnonzero(np.ravel(g.active))
-    A = sigma * np.eye(M.shape[0]) + M
-    x = np.zeros(M.shape[0])
-    x[act] = np.linalg.solve(A[np.ix_(act, act)], np.ravel(rhs)[act])
-    u, rep = solve_operator(sigma, op, rhs)
-    assert rep.iterations == 0
-    assert np.abs(np.ravel(u) - x).max() < 1e-12
-
-
 def test_symbols_built_once_per_grid():
-    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (9, 8), ("periodic", "dirichlet"))
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (9, 8), ("dirichlet", "neumann"))
     rhs = np.random.default_rng(33).standard_normal(g.shape) * g.active
     before = _symbol.cache_info()
     results = [_diag_solve(g, rhs, _denom(g, 2.0, 0.5, DIV_COEFF_GRAD))
@@ -437,7 +382,8 @@ def edge_form_dense(c, g):
     Every edge (i, j) along an axis carries 0.5 * (c_i + c_j); it adds its
     flux c_e * (u_j - u_i) to node j and subtracts it from node i, and each
     node's sum is divided by h times its own weight along that axis (1 at an
-    excluded Dirichlet node, whose row is then zeroed).
+    excluded Dirichlet node, whose row is then zeroed).  Every axis is
+    bounded: n - 1 edges between its n nodes.
     """
     size = int(np.prod(g.shape))
     M = np.zeros((size, size))
@@ -454,10 +400,10 @@ def edge_form_dense(c, g):
 
         for idx in np.ndindex(g.shape):
             i = idx[ax]
-            if i == n - 1 and bc != "periodic":
+            if i == n - 1:
                 continue
             nxt = list(idx)
-            nxt[ax] = (i + 1) % n
+            nxt[ax] = i + 1
             a, b = flat(idx), flat(tuple(nxt))
             ce = 0.5 * (c[idx] + c[tuple(nxt)])
             M[a, a] += ce / scale(i)
@@ -473,10 +419,10 @@ EDGE_GRIDS = [
     ((0.0, 1.0), 9, "neumann"),
     (((0.0, 1.0), (0.0, 2.0)), (6, 5), "dirichlet"),
     (((0.0, 1.0), (0.0, 2.0)), (6, 5), "neumann"),
-    (((0.0, 1.0), (0.0, 2.0)), (6, 5), ("periodic", "dirichlet")),
+    (((0.0, 1.0), (0.0, 2.0)), (6, 5), ("dirichlet", "neumann")),
 ]
 EDGE_IDS = ["1d-dirichlet", "1d-neumann", "2d-dirichlet", "2d-neumann",
-            "periodic-x-dirichlet"]
+            "dirichlet-x-neumann"]
 
 
 @pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
@@ -661,10 +607,6 @@ def count_bounded_transforms(monkeypatch):
     return calls
 
 
-BOUNDED_GRIDS = EDGE_GRIDS[:4]
-BOUNDED_IDS = EDGE_IDS[:4]
-
-
 @pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
 def test_edge_form_variable_solve_makes_no_transforms(monkeypatch, extents,
                                                       counts, bcs):
@@ -678,7 +620,7 @@ def test_edge_form_variable_solve_makes_no_transforms(monkeypatch, extents,
     assert calls == []
 
 
-@pytest.mark.parametrize("extents,counts,bcs", BOUNDED_GRIDS, ids=BOUNDED_IDS)
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
 def test_constant_coefficient_solve_makes_one_transform_pass(
         monkeypatch, extents, counts, bcs):
     calls = count_bounded_transforms(monkeypatch)
@@ -687,9 +629,9 @@ def test_constant_coefficient_solve_makes_one_transform_pass(
     rhs = np.random.default_rng(65).standard_normal(g.shape) * g.active
     _, rep = solve_operator(3.0, op, rhs)
     assert rep.iterations == 0
-    forward, backward = ("dst", "idst") if bcs == "dirichlet" else ("dct",
-                                                                     "idct")
-    assert sorted(calls) == sorted([forward] * g.dim + [backward] * g.dim)
+    pass_of = {"dirichlet": ["dst", "idst"], "neumann": ["dct", "idct"]}
+    expect = [name for bc in g.bcs for name in pass_of[bc]]
+    assert sorted(calls) == sorted(expect)
 
 
 # -- fourth-order BiCGStab in transform space -----------------------------------
