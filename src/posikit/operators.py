@@ -38,6 +38,15 @@ Every shifted system ``(sigma I + L) u = b`` goes through
   with Parseval-weighted inner products and the mean-coefficient transform
   solve as preconditioner (a division): only the operator applies
   transform (4 real transforms per BiCGStab iteration in 1D, 2 per CG one).
+  A 1D fourth-order solve whose coefficient contrast reaches
+  ``_FD_CONTRAST`` (50) and which has not converged after ``_FD_SWITCH``
+  (2) iterations goes on from its iterate preconditioned by the exact band
+  solve of its second-order finite-difference counterpart, factored once
+  per solve (finite-difference preconditioning of a spectral operator,
+  Orszag 1980): 8 transforms per iteration.  That one sees the contrast of
+  a thin film past touchdown, which no constant coefficient can; the
+  spectral one goes first, because it ends smooth solves within the switch
+  and converges faster on white-noise coefficients.
 
 On fully periodic grids the report keeps the solution's spectrum, from which
 ``Operator.quad`` forms ``<L u, u>`` by Parseval, with no transform back.
@@ -426,7 +435,7 @@ def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(p.sum())
 
 
-def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None):
+def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
     """Restarted Krylov solve in the weighted inner product.
 
     Convergence is judged on the true residual.  From each true residual
@@ -435,17 +444,24 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None):
     tolerance, it breaks down or the iteration budget is spent, and returns
     the iterations it took.  Where ``b`` vanishes the residual is judged
     as absolute, so a nonzero ``x0`` is still carried to a solution.
+    ``x0`` becomes the iterate: the caller hands over an array it owns.
+    With ``switch = (n, make)`` the recursions stop after n iterations and,
+    if the true residual there misses the tolerance, go on from it with the
+    preconditioner ``make()``.
     """
     bnorm = np.sqrt(_wdot(w, b, b)) or 1.0
-    x = np.zeros_like(b) if x0 is None else x0.astype(float)
+    x = np.zeros_like(b) if x0 is None else x0
     gate = 0.5 * tol * bnorm
     total = 0
+    cap = maxit if switch is None else min(switch[0], maxit)
     while total < maxit:
         r = b - matvec(x)
         relres = np.sqrt(_wdot(w, r, r)) / bnorm
         if relres <= tol:
             return x, SolverReport(total, relres, True)
-        used = cycle(matvec, precond, x, r, w, gate, maxit - total)
+        if total >= cap:
+            precond, cap = switch[1](), maxit
+        used = cycle(matvec, precond, x, r, w, gate, cap - total)
         if used == 0:
             break  # immediate breakdown, no progress possible
         total += used
@@ -565,6 +581,92 @@ def _tridiagonal_solve(sigma: float, op: Operator, rhs: np.ndarray,
     return x, SolverReport(0, relres, relres <= tol)
 
 
+# -- finite-difference preconditioner of the 1D thin film ---------------------
+
+# BiCGStab iterations on the mean-coefficient preconditioner before a 1D
+# fourth-order solve switches to the finite-difference one: of 1, 2 and 3,
+# 2 solved the thin film's systems past touchdown fastest
+_FD_SWITCH = 2
+# the coefficient contrast max c / min c from which a solve switches at all:
+# an iteration under the finite-difference preconditioner costs about three
+# spectral ones.  On thin-film systems (256 nodes, dt 2e-7 to 1e-4) the
+# switch cut solve time by up to 43 % above a contrast of 50, or cost at
+# most 8 % more; below 40 it cost up to 2.6 times as much.
+_FD_CONTRAST = 50.0
+
+
+def _band_factor(c: np.ndarray, sigma: float, h: float) -> tuple:
+    """LU factors of ``sigma I + delta_c delta^2``, the second-order finite
+    differences of div(c grad Delta), by elimination without pivoting.
+
+    Row i is ``[cem, -ce-3cem, sigma h^4+3ce+3cem, -3ce-cem, ce] / h^4``
+    (columns i-2..i+2) with ``ce = (c_i + c_{i+1}) / 2`` and ``cem =
+    ce_{i-1}``, the periodic wrap entries dropped.  Every pivot is at least
+    sigma, zero patches of c included, while sigma h^4 is above 1e-12 of
+    max c (:func:`solve_operator` checks).  Returns per row the two
+    multipliers, the pivot and the two entries right of it, as float lists
+    (see :func:`_thomas`); the rows are read through memoryviews, which
+    make each Python float only as it is used.
+    """
+    # concatenate, not np.roll: the roll's small index objects stayed alive
+    # and held about 40 KiB through a thin-film run (tracemalloc)
+    ce = 0.5 * (c + np.concatenate((c[1:], c[:1]))) / h**4
+    cem = np.concatenate((ce[-1:], ce[:-1]))
+    rows = [cem, -ce - 3.0 * cem, sigma + 3.0 * (ce + cem), -3.0 * ce - cem]
+    rows[0][:2] = rows[1][0] = rows[3][-1] = 0.0
+    f = ce.tolist()
+    f[-2] = f[-1] = 0.0
+    l2s, l1s, ps, u1s = [], [], [], []
+    p2, u12, u22 = 1.0, 0.0, 0.0       # pivot, u1, u2 of row i-2
+    p1, u11, u21 = 1.0, 0.0, 0.0       # and of row i-1
+    for ei, ai, di, bi, fi in zip(*map(memoryview, rows), f):
+        l2 = ei / p2
+        l1 = (ai - l2 * u12) / p1
+        p = di - l2 * u22 - l1 * u11
+        u1 = bi - l1 * u21
+        l2s.append(l2)
+        l1s.append(l1)
+        ps.append(p)
+        u1s.append(u1)
+        p2, u12, u22, p1, u11, u21 = p1, u11, u21, p, u1, fi
+    return l2s, l1s, ps, u1s, f
+
+
+def _band_solve(factor: tuple, r: np.ndarray) -> np.ndarray:
+    """Forward and back substitution with :func:`_band_factor`'s factors;
+    the back substitution writes straight into the returned array."""
+    l2s, l1s, ps, u1s, u2s = factor
+    y, y2, y1 = [], 0.0, 0.0
+    for l2, l1, ri in zip(l2s, l1s, memoryview(r)):
+        y2, y1 = y1, ri - l2 * y2 - l1 * y1
+        y.append(y1)
+    out = np.empty(len(y))
+    x, x2, x1 = memoryview(out), 0.0, 0.0
+    for i in range(len(y) - 1, -1, -1):
+        x2, x1 = x1, (y[i] - u1s[i] * x1 - u2s[i] * x2) / ps[i]
+        x[i] = x1
+    return out
+
+
+def _fd_preconditioner(g: Grid, sigma: float, c: np.ndarray, cbar: float,
+                       denom: np.ndarray):
+    """``R -> rfft(B^-1 irfft(R)) * (sigma + cbar k_FD^4) / denom`` on the
+    float view of 1D spectra, B from :func:`_band_factor` and ``k_FD^2 =
+    (2 - 2 cos kh) / h^2``: the rescale turns the finite-difference symbol
+    at the mean coefficient into the spectral one, ``denom``."""
+    h = g.spacings[0]
+    factor = _band_factor(c, sigma, h)
+    kfd2 = (2.0 - 2.0 * np.cos(_wavenumbers(g, 0) * h)) / h**2
+    scale = (sigma + cbar * kfd2**2) / denom
+
+    def precond(R):
+        Y = _rfft(g, _band_solve(factor, _irfft(g, R.view(complex))))
+        Y *= scale
+        return Y.view(float)
+
+    return precond
+
+
 # -- shifted solves -----------------------------------------------------------
 
 
@@ -589,7 +691,12 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
       view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
       once and the iterate back once, inner products carry the Parseval
       weights, and the preconditioner (the operator at the mean
-      coefficient) is a division.
+      coefficient) is a division.  In 1D the fourth-order kind with a
+      coefficient contrast of at least ``_FD_CONTRAST`` switches, if
+      ``_FD_SWITCH`` iterations leave it short of ``tol``, to the band
+      solve of its finite-difference counterpart (:func:`_band_factor`,
+      :func:`_fd_preconditioner`) and restarts from its iterate and true
+      residual: 4 real transforms per iteration before the switch, 8 after.
 
     The Krylov paths start from ``x0`` (0 without it), so a guess close to
     the solution saves iterations; where ``rhs`` vanishes on the active
@@ -607,17 +714,18 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     c = op.coeff
     # every node counts: the edge form's end edges read the coefficient at
     # inactive Dirichlet nodes
-    if c is None or c.max() == c.min():
-        cval = 1.0 if c is None else float(c.flat[0])
-        denom = _denom(g, sigma, cval, op.kind)
+    lo, hi = (1.0, 1.0) if c is None else (c.min(), c.max())
+    if lo == hi:
+        denom = _denom(g, sigma, float(hi), op.kind)
         if g.fully_periodic:  # the operations of _diag_solve, spectrum kept
             U = _rfft(g, rhs) / denom
             return _irfft(g, U), SolverReport(0, 0.0, True, U)
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
     if g.fully_periodic:
-        cycle = _pbicgstab if op.kind == DIV_COEFF_GRAD_LAPLACIAN else _pcg
-        denom = np.repeat(_denom(g, sigma, float(np.mean(c)), op.kind), 2,
-                          axis=-1)
+        fourth = op.kind == DIV_COEFF_GRAD_LAPLACIAN
+        cbar = float(np.mean(c))
+        diag = _denom(g, sigma, cbar, op.kind)
+        denom = np.repeat(diag, 2, axis=-1)
 
         def matvec(V):
             Z = V.view(complex)
@@ -625,10 +733,19 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
             S += sigma * Z
             return S.view(float)
 
+        switch = None
+        # the band pivots keep their sign while sigma h^4 stands above the
+        # rounding of the stencil (lost from about 1e-16 of max c)
+        if (fourth and g.dim == 1 and hi > _FD_CONTRAST * lo
+                and sigma * g.spacings[0] ** 4 > 1e-12 * hi):
+            switch = (_FD_SWITCH,
+                      lambda: _fd_preconditioner(g, sigma, c, cbar, diag))
+        # a fresh spectrum: _krylov iterates on it without a copy
         X0 = None if x0 is None else _rfft(g, g.check_field(x0)).view(float)
-        X, report = _krylov(cycle, matvec, lambda R: R / denom,
-                            _rfft(g, rhs).view(float), _parseval_weights(g),
-                            tol, maxit, x0=X0)
+        X, report = _krylov(_pbicgstab if fourth else _pcg, matvec,
+                            lambda R: R / denom, _rfft(g, rhs).view(float),
+                            _parseval_weights(g), tol, maxit, x0=X0,
+                            switch=switch)
         U = X.view(complex)
         return _irfft(g, U), replace(report, spectrum=U)
     if g.dim == 1:
@@ -648,7 +765,7 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     if not g.all_active:
         inv *= g.active
     return _krylov(_pcg, matvec, lambda r: r * inv, rhs, g.weights, tol,
-                   maxit, x0=x0)
+                   maxit, x0=None if x0 is None else x0.astype(float))
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:

@@ -436,24 +436,50 @@ def test_compare_run_logs_carry_solver_columns(tmp_path):
         assert len(rows) == 3 and int(rows[-1][9]) > 0
 
 
-def test_1d_pme_solve_loads_no_scipy_linalg_or_sparse(tmp_path):
+# a thin film past touchdown (clamped nodes from step 37 of 50), whose
+# solves factor the finite-difference preconditioner
+THINFILM_TOUCHDOWN_CFG = """
+model = lubrication
+rho = 0.5
+reg = floor
+eps_lb = 1e-4
+nx = 256
+k = 2
+dt = 2e-5
+T = 1e-3
+variant = mass
+"""
+
+
+@pytest.mark.parametrize("text,factors", [
+    (PME_CFG.replace("T = 0.02", "T = 3e-3"), False),
+    (THINFILM_TOUCHDOWN_CFG, True)], ids=["pme", "thinfilm"])
+def test_1d_pme_solve_loads_no_scipy_linalg_or_sparse(tmp_path, text,
+                                                      factors):
     # each adds resident memory to a 1D run (scipy.linalg about 5 MiB) that
-    # the exact 1D elimination has no use for
-    cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 3e-3"))
+    # neither the exact 1D elimination nor the thin film's band elimination
+    # has any use for
+    cfg = write_config(tmp_path, text)
     out = tmp_path / "o"
     script = (
         "import sys\n"
+        "from posikit import operators\n"
         "from posikit.cli import main\n"
+        "built, real = [], operators._band_factor\n"
+        "operators._band_factor = lambda *a: built.append(1) or real(*a)\n"
         f"code = main(['solve', '--config', {cfg!r}, '--out', {str(out)!r}])\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+        "print(len(built))\n"
         "sys.exit(code)\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    modules, built = proc.stdout.splitlines()
+    assert modules == "[]"
+    assert (int(built) > 0) == factors
     assert (out / "run.csv").exists()
 
 

@@ -752,13 +752,24 @@ def periodic_solve_transforms(monkeypatch, g, op, maxit):
 # (one apply each) and the inverse transform of the iterate.
 
 
-@pytest.mark.parametrize("maxit", [1, 5, 20])
+@pytest.mark.parametrize("contrast", [3.0, 403.0], ids=["low", "high"])
+@pytest.mark.parametrize("maxit", [1, 2, 5, 20])
 def test_fourth_order_solve_uses_four_transforms_per_iteration(
-        monkeypatch, maxit):
+        monkeypatch, maxit, contrast):
+    # 4 per iteration on the spectral preconditioner; where the contrast
+    # calls for the switch, the finite-difference one adds 2 per
+    # application (8 per iteration) and the restart's true residual one
+    # more apply
     g = build_grid((0.0, 2 * np.pi), 64, "periodic")
-    op = Operator.lubrication(g, 1.0 + 0.5 * np.sin(g.axes[0]))
+    c = contrast ** (0.5 + 0.5 * np.sin(g.axes[0]))
+    op = Operator.lubrication(g, c)
+    assert c.max() / c.min() == pytest.approx(contrast, rel=1e-3)
+    spectral = maxit if contrast < ops._FD_CONTRAST else \
+        min(maxit, ops._FD_SWITCH)
+    fd = maxit - spectral
+    restart = 2 if fd else 0
     assert periodic_solve_transforms(monkeypatch, g, op, maxit) == \
-        4 * maxit + 7
+        4 * spectral + restart + 8 * fd + 7
 
 
 @pytest.mark.parametrize("maxit", [1, 5, 20])
@@ -778,6 +789,124 @@ def test_periodic_solve_transform_count_2d(monkeypatch, kind, per_iteration):
     op = getattr(Operator, kind)(g, strongly_varying(g))
     assert periodic_solve_transforms(monkeypatch, g, op, 5) == \
         5 * per_iteration + 11
+
+
+def fd_stencil_matrix(c, sigma, h):
+    """Dense sigma I + delta_c delta^2 row by row from its 5-point stencil,
+    the periodic wrap entries dropped."""
+    n = c.size
+    ce = 0.5 * (c + np.roll(c, -1))
+    A = np.zeros((n, n))
+    for i in range(n):
+        cem = ce[i - 1]
+        row = [cem, -ce[i] - 3 * cem, sigma * h**4 + 3 * ce[i] + 3 * cem,
+               -3 * ce[i] - cem, ce[i]]
+        for j, v in zip(range(i - 2, i + 3), row):
+            if 0 <= j < n:
+                A[i, j] = v / h**4
+    return A
+
+
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_band_solve_matches_the_finite_difference_stencil(n):
+    rng = np.random.default_rng(58)
+    c = np.exp(3.0 * rng.standard_normal(n))
+    c[n // 3:n // 2] = 0.0
+    sigma, h = 2.0, 2.0 / n
+    r = rng.standard_normal(n)
+    y = ops._band_solve(ops._band_factor(c, sigma, h), r)
+    A = fd_stencil_matrix(c, sigma, h)
+    assert np.abs(A @ y - r).max() <= 1e-12 * np.abs(A).max() * np.abs(y).max()
+
+
+def post_touchdown_system():
+    """The BDF2 prediction system of a thin film (mobility u^(1/2)) one step
+    after a BDF1 step from a touched-down profile clamped at 1e-4: sigma,
+    operator, right side and the extrapolated start."""
+    g = build_grid((-1.0, 1.0), 256, "periodic")
+    dt = 2e-7
+    u0 = np.maximum(1.8 * np.abs(np.sin(0.5 * np.pi * g.axes[0])) ** 2.8,
+                    1e-4)
+    u1, _ = solve_operator(1.0 / dt, Operator.lubrication(g, np.sqrt(u0)),
+                           u0 / dt)
+    star = 2.0 * u1 - u0
+    op = Operator.lubrication(g, np.sqrt(np.maximum(star, 1e-4)))
+    return 1.5 / dt, op, (2.0 * u1 - 0.5 * u0) / dt, star
+
+
+def test_post_touchdown_solve_takes_the_finite_difference_preconditioner():
+    sigma, op, rhs, x0 = post_touchdown_system()
+    g, c = op.grid, op.coeff
+    assert c.max() / c.min() > 100 and sigma == 1.5 / 2e-7
+    u, rep = solve_operator(sigma, op, rhs, x0=x0)
+    # the mean-coefficient preconditioner alone takes 49
+    assert rep.converged and ops._FD_SWITCH < rep.iterations <= 12
+    A = sigma * np.eye(g.shape[0]) + dense_matrix(op.apply, g)
+    x = np.linalg.solve(A, rhs)
+    assert np.abs(u - x).max() <= 1e-8 * np.abs(x).max()
+    # a zero patch, as the reg_eta mobility gives where the film is dry
+    v = x0 - 0.01
+    assert np.count_nonzero(v <= 0.0) > 0
+    dry = Operator.lubrication(g, np.maximum(v, 0.0) ** 2)
+    _, rep = solve_operator(sigma, dry, rhs, x0=x0)
+    assert rep.converged and rep.iterations > ops._FD_SWITCH
+
+
+def test_finite_difference_preconditioner_built_only_past_the_switch(
+        monkeypatch):
+    calls = []
+    real = ops._band_factor
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ops, "_band_factor", counting)
+    # smooth, low contrast: converged before the switch
+    g = build_grid((-1.0, 1.0), 256, "periodic")
+    u = 1.0 + 0.2 * np.cos(np.pi * g.axes[0])
+    sigma = 1.5 / 2e-7
+    _, rep = solve_operator(sigma, Operator.lubrication(g, np.sqrt(u)),
+                            sigma * u, x0=u.copy())
+    assert rep.converged and rep.iterations <= ops._FD_SWITCH
+    # low contrast past the switch: the spectral preconditioner stays
+    g1 = build_grid((0.0, 2 * np.pi), 64, "periodic")
+    c = 1.0 + 0.5 * np.sin(g1.axes[0])
+    _, rep = solve_operator(10.0, Operator.lubrication(g1, c),
+                            np.cos(g1.axes[0]))
+    assert rep.converged and rep.iterations > ops._FD_SWITCH
+    # 2D stays on the spectral preconditioner however long it iterates
+    g2 = build_grid(*KRYLOV_GRIDS[2], "periodic")
+    rhs = np.random.default_rng(59).standard_normal(g2.shape)
+    op2 = Operator.lubrication(g2, strongly_varying(g2))
+    _, rep = solve_operator(10.0, op2, rhs)
+    assert rep.converged and rep.iterations > ops._FD_SWITCH
+    # nor does a 1D zero patch with sigma h^4 below the stencil's rounding,
+    # where the elimination's pivots lose their sign
+    c = np.maximum(np.cos(np.pi * g.axes[0]), 0.0)
+    sigma = 1e-17 / g.spacings[0] ** 4
+    _, rep = solve_operator(sigma, Operator.lubrication(g, c), sigma * u)
+    assert rep.iterations > ops._FD_SWITCH
+    assert calls == []
+    # past touchdown in 1D: one factorization for the whole solve
+    sigma, op, rhs, x0 = post_touchdown_system()
+    calls.clear()
+    solve_operator(sigma, op, rhs, x0=x0)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("extents,counts,bcs,kind", [
+    ((0.0, 2 * np.pi), 64, "periodic", "lubrication"),
+    (((0.0, 1.0), (0.0, 1.0)), (9, 9), "dirichlet", "div_coeff_grad")],
+    ids=["periodic", "2d-edge"])
+def test_krylov_solve_leaves_the_callers_start_alone(extents, counts, bcs,
+                                                      kind):
+    g = build_grid(extents, counts, bcs)
+    op = getattr(Operator, kind)(g, 1.0 + g.coords()[0] ** 2)
+    x0 = np.random.default_rng(60).standard_normal(g.shape)
+    kept = x0.copy()
+    _, rep = solve_operator(10.0, op, np.ones(g.shape), x0=x0)
+    assert rep.iterations > 0 and np.array_equal(x0, kept)
 
 
 def test_bicgstab_zero_t_is_a_breakdown_not_a_division_by_zero():

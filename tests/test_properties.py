@@ -1,13 +1,16 @@
-"""Property tests of the correction kernel.
+"""Property tests of the correction kernel and of the thin film's band
+elimination.
 
-Instances range over 1D and 2D grids, the three boundary conditions, orders
-k = 1..4, the three corrected variants and a zero or positive lower bound;
-the history levels and the prediction are drawn from a seeded generator.
+Correction instances range over 1D and 2D grids, the three boundary
+conditions, orders k = 1..4, the three corrected variants and a zero or
+positive lower bound; the history levels and the prediction are drawn from a
+seeded generator.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from posikit import operators as ops
 from posikit.diagnostics import kkt_audit
 from posikit.grid import build_grid
 from posikit.stepper import (History, StepOptions, bdf_tableau,
@@ -86,3 +89,25 @@ def test_first_order_cutoff_is_multiplier_bit_for_bit(inst):
     assert mult.u_next.tobytes() == cut.u_next.tobytes()
     assert mult.lambda_next.tobytes() == cut.lambda_next.tobytes()
     assert mult.active_count == cut.active_count
+
+
+@PROPERTY
+@given(n=st.integers(8, 256), contrast=st.floats(1.0, 1e4),
+       smooth=st.booleans(), patch=st.booleans(),
+       shift=st.floats(-12.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_band_elimination_pivots_are_at_least_sigma(n, contrast, smooth,
+                                                   patch, shift, seed):
+    # no pivoting is needed and no pivot can be 0 (no ZeroDivisionError)
+    # over the shifts for which solve_operator factors
+    rng = np.random.default_rng(seed)
+    t = (0.5 + 0.5 * np.sin(2 * np.pi * (np.arange(n) / n + rng.random()))
+         if smooth else rng.random(n))
+    c = contrast ** t
+    if patch:
+        start, width = rng.integers(0, n), rng.integers(1, n)
+        c[(start + np.arange(width)) % n] = 0.0
+    h = 2.0 / n
+    # sigma h^4 from 1e-12 to 1e3 of the largest coefficient
+    sigma = 10.0 ** shift * contrast / h**4
+    pivots = ops._band_factor(c, sigma, h)[2]
+    assert min(pivots) >= sigma
