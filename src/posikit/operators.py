@@ -12,7 +12,10 @@ kind is the *positive* direction: for the heat part ``L = -laplacian``):
   symmetric positive semidefinite in the grid inner product and equal to
   the spectral Laplacian mode by mode at c == 1.  On bounded grids it is
   the edge form with edge coefficients ``0.5 * (c_i + c_{i+1})``, which an
-  :class:`Operator` builds once (``Operator.edge_coeffs``).
+  :class:`Operator` builds once (``Operator.edge_coeffs``) on the flat
+  C-order field: one array per axis, entry i coupling flat nodes i and
+  i + s (s the axis stride, zero across the row wraps of a 2D grid), so an
+  apply is one pass of contiguous shifts.
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
   fourth-order thin-film operator; periodic grids only, applied in fused
   form (Delta u stays in transform space: 4 real transforms in 1D, 6 in 2D).
@@ -89,12 +92,6 @@ class SolverReport:
     converged: bool
     # real-FFT spectrum of the returned field on fully periodic grids
     spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
-def _sl(u: np.ndarray, ax: int, s: slice) -> np.ndarray:
-    idx = [slice(None)] * u.ndim
-    idx[ax] = s
-    return u[tuple(idx)]
 
 
 # -- transform layout and symbols ---------------------------------------------
@@ -180,11 +177,6 @@ def _denom(g: Grid, sigma: float, cbar: float, kind: str) -> np.ndarray:
     return sigma + cbar * _symbol(g, kind)
 
 
-def _interior_slices(g: Grid):
-    return tuple(slice(1, -1) if bc == DIRICHLET else slice(None)
-                 for bc in g.bcs)
-
-
 def _rfft(g: Grid, v: np.ndarray) -> np.ndarray:
     """Real FFT over every axis of a fully periodic grid."""
     if g.dim == 1:
@@ -245,7 +237,8 @@ def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Solve a constant-coefficient system diagonalized by the grid transforms."""
     if g.all_active:
         return _backward(g, _forward(g, rhs) / denom)
-    sl = _interior_slices(g)
+    sl = tuple(slice(1, -1) if bc == DIRICHLET else slice(None)
+               for bc in g.bcs)
     out = np.zeros(g.shape)
     out[sl] = _backward(g, _forward(g, rhs[sl]) / denom)
     return out
@@ -278,67 +271,71 @@ def _fourth_order_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
-    """Edge coefficients 0.5 * (c_i + c_{i+1}) of the edge form, per axis
-    of a bounded grid: n edges between n + 1 nodes."""
+    """Edge coefficients on the flat (C-order) field of a bounded grid, per
+    axis N - s entries: ``0.5 * (c_i + c_{i+s})`` couples flat nodes i and
+    i + s, s the axis stride.  On a 2D grid the row-wrap entries are 0 and
+    each axis's entries carry the other axis's :func:`_edge_scale`, so one
+    division by every axis's scale weights both axes."""
     # a list, not tuple() over a generator: that form raised the traced
     # peak memory of a pnp run by about 90 KiB
-    out = []
+    v, out, s = c.reshape(-1), [], c.size
     for ax in range(g.dim):
-        out.append(0.5 * (_sl(c, ax, slice(1, None))
-                          + _sl(c, ax, slice(0, -1))))
+        s //= g.shape[ax]
+        ce = 0.5 * (v[s:] + v[:-s])
+        if g.dim == 2:  # the other axis's scale, 0 across the row wraps
+            w = np.broadcast_to(_edge_scale(g, 1 - ax), g.shape).copy()
+            w[:, -1] *= ax == 0
+            ce *= w.reshape(-1)[:ce.size]
+        out.append(ce)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _edge_scale(g: Grid, ax: int) -> np.ndarray:
-    """h times the node weight along ``ax``, shaped to broadcast; the
-    transverse weights cancel.  Excluded Dirichlet ends carry weight 1 (the
-    caller masks their rows), Neumann ends h/2."""
+    """h times the node weight along ``ax``, shaped to broadcast.  Excluded
+    Dirichlet ends carry weight 1 (the caller masks their rows), Neumann
+    ends h/2."""
     n, h = g.counts[ax], g.spacings[ax]
     w = np.full(n + 1, h)
     w[0] = w[-1] = 1.0 if g.bcs[ax] == DIRICHLET else 0.5 * h
     return _along(h * w, ax, g.dim)
 
 
-def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
-    """+<-div(c grad u)> in edge form, from the edge coefficients ``ce``."""
-    out = None
+def _edge_scaled(out: np.ndarray, g: Grid) -> np.ndarray:
+    """Flat node sums on the grid, divided by every axis's scale and masked
+    to the active rows."""
+    out = out.reshape(g.shape)
     for ax in range(g.dim):
-        # edges 0..n-1, scaled in place: one temporary fewer
-        flux = _sl(u, ax, slice(1, None)) - _sl(u, ax, slice(0, -1))
-        flux *= ce[ax]
-        net = np.zeros_like(u, dtype=float)
-        lo = _sl(net, ax, slice(0, -1))
-        lo -= flux
-        hi = _sl(net, ax, slice(1, None))
-        hi += flux
-        net /= _edge_scale(g, ax)
-        if out is None:
-            out = net
-        else:
-            out += net
+        out /= _edge_scale(g, ax)
     if not g.all_active:
         out *= g.active
     return out
 
 
+def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
+    """+<-div(c grad u)> in edge form, from the flat edge coefficients
+    ``ce``: per axis one difference of contiguous slices, scaled in place
+    and scattered to both ends, into one output."""
+    v = u.reshape(-1)
+    out = np.zeros(v.size)
+    for e in ce:
+        s = v.size - e.size
+        d = v[s:] - v[:-s]
+        d *= e
+        out[:-s] -= d
+        out[s:] += d
+    return _edge_scaled(out, g)
+
+
 def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
     """Diagonal of :func:`_edge_apply`: per node, the sum of the edge
-    coefficients on its two sides, scaled as the apply scales them (rows of
-    inactive nodes are left for the caller to mask)."""
-    out = None
-    for ax in range(g.dim):
-        net = np.zeros(g.shape)
-        lo = _sl(net, ax, slice(0, -1))
-        lo += ce[ax]
-        hi = _sl(net, ax, slice(1, None))
-        hi += ce[ax]
-        net /= _edge_scale(g, ax)
-        if out is None:
-            out = net
-        else:
-            out += net
-    return out
+    coefficients on its sides, scaled and masked as the apply's."""
+    out = np.zeros(g.weights.size)
+    for e in ce:
+        s = out.size - e.size
+        out[:-s] += e
+        out[s:] += e
+    return _edge_scaled(out, g)
 
 
 def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -685,7 +682,8 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
       (iterations = 0, ``maxit`` unused);
     * the edge form on a bounded 2D grid -- conjugate gradients
       preconditioned by the exact diagonal of ``sigma I + L``, built once
-      per solve from ``Operator.edge_coeffs``; no transforms;
+      per solve from ``Operator.edge_coeffs``; no transforms, and each
+      matvec one pass of contiguous shifts over the flat field;
     * the pseudo-spectral second-order kind (periodic) -- conjugate
       gradients, and the fourth-order kind -- BiCGStab, both on the float
       view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
@@ -700,10 +698,12 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
 
     The Krylov paths start from ``x0`` (0 without it), so a guess close to
     the solution saves iterations; where ``rhs`` vanishes on the active
-    rows they judge the residual as absolute.  Iterative solves leave
-    inactive (Dirichlet end) nodes at ``x0``, and so does the 1D
-    elimination, for which ``x0`` sets only those ends; the transform pass
-    ignores ``x0`` and sets them to 0.
+    rows they judge the residual as absolute.  They iterate in ``x0``: the
+    2D edge path in a float ``x0`` itself, without a copy, so the caller
+    hands over an array it owns (the periodic paths in its transform).
+    Iterative solves leave inactive (Dirichlet end) nodes at ``x0``, and
+    so does the 1D elimination, for which ``x0`` sets only those ends; the
+    transform pass ignores ``x0`` and sets them to 0.
     """
     if sigma <= 0:
         raise ValueError("shift sigma must be positive")
@@ -765,7 +765,7 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     if not g.all_active:
         inv *= g.active
     return _krylov(_pcg, matvec, lambda r: r * inv, rhs, g.weights, tol,
-                   maxit, x0=None if x0 is None else x0.astype(float))
+                   maxit, x0=None if x0 is None else np.asarray(x0, float))
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:

@@ -614,6 +614,17 @@ dt = 2e-7
 T = 4e-6
 variant = mass
 """,
+    "pme2d_mass": """
+model = pme
+m = 5
+C = 1.0
+nx = 16
+ny = 16
+k = 2
+dt = 1e-3
+T = 2e-2
+variant = mass
+""",
 }
 
 

@@ -1,10 +1,12 @@
-"""Property tests of the correction kernel and of the thin film's band
-elimination.
+"""Property tests of the correction kernel, of the flat edge form and of the
+thin film's band elimination.
 
 Correction instances range over 1D and 2D grids, the three boundary
 conditions, orders k = 1..4, the three corrected variants and a zero or
 positive lower bound; the history levels and the prediction are drawn from a
-seeded generator.
+seeded generator.  Edge-form instances range over bounded grids down to two
+nodes per axis, every boundary combination and coefficients with zero
+patches or support on one edge column only.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from posikit import operators as ops
 from posikit.diagnostics import kkt_audit
-from posikit.grid import build_grid
+from posikit.grid import Grid, _axis_nodes, build_grid
 from posikit.stepper import (History, StepOptions, bdf_tableau,
                              correct_positivity, solve_xi_exact)
+
+from test_operators import edge_form_dense
 
 CORRECTED = ("multiplier", "cutoff", "mass")
 
@@ -111,3 +115,61 @@ def test_band_elimination_pivots_are_at_least_sigma(n, contrast, smooth,
     sigma = 10.0 ** shift * contrast / h**4
     pivots = ops._band_factor(c, sigma, h)[2]
     assert min(pivots) >= sigma
+
+
+def bounded_grid(counts, bcs):
+    """A bounded grid with ``counts`` intervals per axis, from 1 (two
+    nodes) up: :func:`build_grid` takes at least 4."""
+    parts = [_axis_nodes(0.0, 1.0 + ax, n, bc)
+             for ax, (n, bc) in enumerate(zip(counts, bcs))]
+    axes, ws, acts, hs = zip(*parts)
+    weights, active = ws[0], acts[0]
+    if len(parts) == 2:
+        weights = np.multiply.outer(*ws)
+        active = np.logical_and.outer(*acts)
+    return Grid(extents=tuple((0.0, 1.0 + ax) for ax in range(len(counts))),
+                counts=tuple(counts), bcs=tuple(bcs), axes=axes, spacings=hs,
+                weights=weights, active=active)
+
+
+@st.composite
+def edge_forms(draw):
+    if draw(st.booleans()):
+        counts = (draw(st.integers(1, 12)),)
+    else:  # n0 != n1: a transposed stride shows
+        counts = draw(st.tuples(st.integers(1, 6), st.integers(1, 7))
+                      .filter(lambda n: n[0] != n[1]))
+    bcs = tuple(draw(st.sampled_from(("dirichlet", "neumann")))
+                for _ in counts)
+    g = bounded_grid(counts, bcs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = 10.0 ** rng.uniform(-2.0, 1.0, g.shape)
+    support = draw(st.sampled_from(("all", "patches", "first", "last")))
+    if support == "patches":
+        c *= rng.integers(0, 2, g.shape)
+    elif support != "all":  # one column of the last axis: its row wraps
+        keep = np.zeros(g.shape[-1])
+        keep[0 if support == "first" else -1] = 1.0
+        c *= keep
+    return g, c, rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+
+
+@PROPERTY
+@given(edge_forms())
+def test_flat_edge_form_is_the_edge_by_edge_form(inst):
+    g, c, u, v = inst
+    op = ops.Operator.div_coeff_grad(g, c)
+    M = edge_form_dense(c, g)
+    scale = np.abs(M).max()
+    Lu = op.apply(u)
+    ref = (M @ np.ravel(u)).reshape(g.shape)
+    assert np.abs(Lu - ref).max() <= 1e-12 * scale * np.abs(u).max()
+    diag = ops._edge_diagonal(op.edge_coeffs, g)
+    assert np.abs(np.ravel(diag) - np.diag(M)).max() <= 1e-12 * scale
+    # symmetric in the grid inner product on fields held at 0 where inactive
+    u, v = u * g.active, v * g.active
+    tol = 1e-12 * scale * g.norm(u)
+    assert abs(g.inner(op.apply(u), v) - g.inner(u, op.apply(v))) \
+        <= tol * g.norm(v)
+    if all(bc == "neumann" for bc in g.bcs):  # [L u, 1] = 0
+        assert abs(g.mass(op.apply(u))) <= tol * np.sqrt(g.measure)
