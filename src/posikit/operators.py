@@ -273,69 +273,69 @@ def _fourth_order_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
 def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
     """Edge coefficients on the flat (C-order) field of a bounded grid, per
     axis N - s entries: ``0.5 * (c_i + c_{i+s})`` couples flat nodes i and
-    i + s, s the axis stride.  On a 2D grid the row-wrap entries are 0 and
-    each axis's entries carry the other axis's :func:`_edge_scale`, so one
-    division by every axis's scale weights both axes."""
+    i + s, s the axis stride; 0 across the row wraps of a 2D grid."""
     # a list, not tuple() over a generator: that form raised the traced
     # peak memory of a pnp run by about 90 KiB
     v, out, s = c.reshape(-1), [], c.size
     for ax in range(g.dim):
         s //= g.shape[ax]
         ce = 0.5 * (v[s:] + v[:-s])
-        if g.dim == 2:  # the other axis's scale, 0 across the row wraps
-            w = np.broadcast_to(_edge_scale(g, 1 - ax), g.shape).copy()
-            w[:, -1] *= ax == 0
-            ce *= w.reshape(-1)[:ce.size]
+        if ax == 1:  # the row wraps
+            ce[g.shape[1] - 1::g.shape[1]] = 0.0
         out.append(ce)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _edge_scale(g: Grid, ax: int) -> np.ndarray:
-    """h times the node weight along ``ax``, shaped to broadcast.  Excluded
-    Dirichlet ends carry weight 1 (the caller masks their rows), Neumann
-    ends h/2."""
+    """h times the node weight along ``ax``, shaped to broadcast; the
+    transverse weights cancel.  Excluded Dirichlet ends carry weight 1 (the
+    caller masks their rows), Neumann ends h/2."""
     n, h = g.counts[ax], g.spacings[ax]
     w = np.full(n + 1, h)
     w[0] = w[-1] = 1.0 if g.bcs[ax] == DIRICHLET else 0.5 * h
     return _along(h * w, ax, g.dim)
 
 
-def _edge_scaled(out: np.ndarray, g: Grid) -> np.ndarray:
-    """Flat node sums on the grid, divided by every axis's scale and masked
-    to the active rows."""
-    out = out.reshape(g.shape)
-    for ax in range(g.dim):
-        out /= _edge_scale(g, ax)
-    if not g.all_active:
-        out *= g.active
+def _edge_sum(ce: tuple, g: Grid, edge_values, lower) -> np.ndarray:
+    """Per node and axis, 0 combined by ``lower`` (in place) with the value
+    ``edge_values(e)`` on the edge above it, plus the one on the edge below
+    (two scatters into contiguous slices of the flat field), divided by the
+    axis's scale; summed over the axes, the inactive rows set to 0."""
+    out = None
+    for ax, e in enumerate(ce):
+        f, net = edge_values(e), np.zeros(g.weights.size)
+        lower(net[:f.size], f)
+        net[net.size - f.size:] += f
+        del f  # freed first: the broadcast division takes a field's buffer
+        net = net.reshape(g.shape)
+        net /= _edge_scale(g, ax)
+        out = net if out is None else np.add(out, net, out=out)
+    for ax, bc in enumerate(g.bcs):  # set: a bool mask multiply casts
+        if bc == DIRICHLET:
+            ends = out.swapaxes(0, ax)
+            ends[0] = ends[-1] = 0.0
     return out
 
 
 def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
     """+<-div(c grad u)> in edge form, from the flat edge coefficients
-    ``ce``: per axis one difference of contiguous slices, scaled in place
-    and scattered to both ends, into one output."""
+    ``ce``: per axis the flux, a difference of contiguous slices scaled in
+    place, leaves each node by its upper edge and enters by its lower."""
     v = u.reshape(-1)
-    out = np.zeros(v.size)
-    for e in ce:
-        s = v.size - e.size
-        d = v[s:] - v[:-s]
+
+    def flux(e):
+        d = v[v.size - e.size:] - v[:e.size]
         d *= e
-        out[:-s] -= d
-        out[s:] += d
-    return _edge_scaled(out, g)
+        return d
+
+    return _edge_sum(ce, g, flux, np.ndarray.__isub__)
 
 
 def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
     """Diagonal of :func:`_edge_apply`: per node, the sum of the edge
     coefficients on its sides, scaled and masked as the apply's."""
-    out = np.zeros(g.weights.size)
-    for e in ce:
-        s = out.size - e.size
-        out[:-s] += e
-        out[s:] += e
-    return _edge_scaled(out, g)
+    return _edge_sum(ce, g, lambda e: e, np.ndarray.__iadd__)
 
 
 def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
