@@ -61,6 +61,7 @@ class EnergyLedger:
         self.sum_increments = 0.0    # sum ||u~^{n+1} - u^n||^2
         self.sum_mult2 = 0.0         # sum dt^2 ||lam (+xi)||^2
         self.sum_quad = 0.0          # sum dt <L u~, u~>
+        self.um_norm = 0.0           # ||u^{n+1}|| of the last step
         self.um_norm2 = 0.0
         self.mult_m_norm2 = 0.0
 
@@ -82,7 +83,8 @@ class EnergyLedger:
         self.mult_m_norm2 = g.norm(mult) ** 2
         self.sum_mult2 += dt**2 * self.mult_m_norm2
         self.sum_quad += dt * op_quad
-        self.um_norm2 = g.norm(u_next) ** 2
+        self.um_norm = g.norm(u_next)
+        self.um_norm2 = self.um_norm ** 2
         self.nsteps += 1
         if self.nsteps == 1:
             self.rhs_second = (g.norm(2.0 * u_next - u_prev) ** 2
@@ -242,23 +244,30 @@ RUN_CSV_HEADER = ("t,mass,min_u,max_u,norm_u,xi,secant_iters,active_count,"
                   "ledger_residual,solver_iters,solver_residual")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _run_row(t, mass, min_u, max_u, norm_u, xi, secant_iters, active_count,
+             ledger_residual, solver_iters, solver_residual) -> str:
+    # by value: numpy scalars write as the Python float or int they equal
+    return (f"{float(t)!r},{float(mass)!r},{float(min_u)!r},"
+            f"{float(max_u)!r},{float(norm_u)!r},{float(xi)!r},"
+            f"{int(secant_iters)},{int(active_count)},"
+            f"{float(ledger_residual)!r},{int(solver_iters)},"
+            f"{float(solver_residual)!r}\n")
 
 
 def write_run_csv(path, diags, initial_row=None) -> None:
-    """Per-step log; one row per step, optionally preceded by the t = 0 row."""
+    """Per-step log; one row per step, optionally preceded by the t = 0 row.
+
+    The count columns (secant_iters, active_count, solver_iters) are
+    written as integers, every other column as the repr of a float.
+    """
     with open(path, "w") as fh:
         fh.write(RUN_CSV_HEADER + "\n")
         if initial_row is not None:
-            fh.write(",".join(_fmt(v) for v in initial_row) + "\n")
-        for d in diags:
-            row = (d.t, d.mass, d.min_u, d.max_u, d.norm_u, d.xi,
-                   d.secant_iterations, d.active_count, d.ledger_residual,
-                   d.solver_iterations, d.solver_residual)
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_run_row(*initial_row))
+        fh.writelines(
+            _run_row(d.t, d.mass, d.min_u, d.max_u, d.norm_u, d.xi,
+                     d.secant_iterations, d.active_count, d.ledger_residual,
+                     d.solver_iterations, d.solver_residual) for d in diags)
 
 
 def write_convergence_csv(path, rows) -> None:

@@ -28,6 +28,7 @@ every model in this package).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,21 +92,25 @@ class Grid:
 
     # -- quadrature ---------------------------------------------------------
 
+    # Each reduction forms its product in place and sums it with
+    # ndarray.sum: the pairwise sum of np.sum(w * u * v), bit for bit.
+
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Weighted discrete inner product over the active node set."""
-        u = self.check_field(u)
-        v = self.check_field(v)
-        return float(np.sum(self.weights * u * v))
+        p = self.weights * self.check_field(u)
+        p *= self.check_field(v)
+        return float(p.sum())
 
     def norm(self, u: np.ndarray) -> float:
         """Norm induced by :meth:`inner`."""
         u = self.check_field(u)
-        return float(np.sqrt(np.sum(self.weights * u * u)))
+        p = self.weights * u
+        p *= u
+        return math.sqrt(p.sum())
 
     def mass(self, u: np.ndarray) -> float:
         """Inner product of ``u`` against the constant-one field."""
-        u = self.check_field(u)
-        return float(np.sum(self.weights * u))
+        return float((self.weights * self.check_field(u)).sum())
 
 
 def _axis_nodes(a: float, b: float, n: int, bc: str):

@@ -94,7 +94,12 @@ class AllenCahnModel:
     def explicit_source(self, hist: History, k: int) -> np.ndarray:
         star = combine_levels(extrapolation_coeffs(min(k, len(hist.us))),
                               hist.us)
-        return -(1.0 / self.eps2) * star * (star - 1.0) * (star - 0.5)
+        # -(1/eps2) * star * (star - 1) * (star - 1/2), the products taken
+        # in that order, in place
+        out = -(1.0 / self.eps2) * star
+        out *= star - 1.0
+        out *= star - 0.5
+        return out
 
 
 # -- degenerate diffusion with a moving interface -------------------------------

@@ -185,31 +185,43 @@ class CorrectionOutcome:
     active_count: int
 
 
+def multiplier_load(hist: History, tab: BdfTableau, variant: str) -> tuple:
+    """The extrapolated multiplier load a variant carries, as the pair
+    (B_{k-1}(lam), B_{k-1}(xi)): the nodal term for ``multiplier`` and
+    ``mass``, the scalar one for ``mass`` only, None where it is absent."""
+    lam = (hist.lambda_combo(tab)
+           if variant in (VARIANT_MULTIPLIER, VARIANT_MASS) else None)
+    xi = hist.xi_combo(tab) if variant == VARIANT_MASS else None
+    return lam, xi
+
+
 # -- prediction ---------------------------------------------------------------
 
 
 def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
             variant: str = VARIANT_MULTIPLIER,
             source: Optional[np.ndarray] = None,
-            solver_tol: float = DEFAULT_TOL):
+            solver_tol: float = DEFAULT_TOL, load: Optional[tuple] = None):
     """BDF-k IMEX prediction; returns (u~, SolverReport).
 
-    The extrapolated nodal multiplier enters the right side for the
-    ``multiplier`` and ``mass`` variants, the scalar one for ``mass`` only.
-    Explicit model sources (already evaluated at the extrapolated state) are
-    passed in via ``source``.  The solve starts from the order-k
-    extrapolation of the history (u^n at k = 1, 2u^n - u^(n-1) at k = 2),
-    which only the Krylov paths read.
+    The multiplier load of :func:`multiplier_load` enters the right side;
+    a caller that has formed it passes it as ``load``.  Explicit model
+    sources (already evaluated at the extrapolated state) are passed in via
+    ``source``.  The solve starts from the order-k extrapolation of the
+    history (u^n at k = 1, 2u^n - u^(n-1) at k = 2), which only the Krylov
+    paths read.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rhs = hist.a_combo(tab) / dt
-    if variant in (VARIANT_MULTIPLIER, VARIANT_MASS):
-        rhs = rhs + hist.lambda_combo(tab)
-    if variant == VARIANT_MASS:
-        rhs = rhs + hist.xi_combo(tab)
+    lam, xi = multiplier_load(hist, tab, variant) if load is None else load
+    rhs = hist.a_combo(tab)
+    rhs /= dt
+    if lam is not None:
+        rhs += lam
+    if xi is not None:
+        rhs += xi
     if source is not None:
-        rhs = rhs + source
+        rhs += source
     sigma = tab.alpha / dt
     x0 = combine_levels(extrapolation_coeffs(tab.k), hist.us)
     u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol, x0=x0)
@@ -224,14 +236,9 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
 # -- corrections --------------------------------------------------------------
 
 
-def _masked(g: Grid, u: np.ndarray) -> np.ndarray:
-    if g.all_active:
-        return u
-    return np.where(g.active, u, 0.0)
-
-
 def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
-                       opts: StepOptions) -> CorrectionOutcome:
+                       opts: StepOptions,
+                       load: Optional[tuple] = None) -> CorrectionOutcome:
     """Pointwise correction enforcing u >= eps_lb, for every corrected variant.
 
     The variants differ only in the shift s added to the prediction: 0 for
@@ -241,11 +248,14 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     :func:`solve_xi_exact` where the secant fails.  With base = u~ + s, nodes
     where base >= eps_lb keep (base, 0); the others get
     (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
-    branch so active_count counts strict clamps only.
+    branch so active_count counts strict clamps only.  ``load`` is the
+    :func:`multiplier_load` of the step where the caller has formed it.
     """
     g = hist.grid
     u_tilde = g.check_field(u_tilde)
     dt, eps_lb = opts.dt, opts.eps_lb
+    if load is None and opts.variant != VARIANT_CUTOFF:
+        load = multiplier_load(hist, tab, opts.variant)
     xi, iters = 0.0, 0
     if opts.variant == VARIANT_CUTOFF:
         base = u_tilde
@@ -253,7 +263,7 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
         if opts.target_mass is None:
             raise ValueError("mass variant needs target_mass")
         target = opts.target_mass
-        shift_base = hist.lambda_combo(tab) + hist.xi_combo(tab)
+        shift_base = load[0] + load[1]
         tol = opts.secant_tol * max(1.0, abs(target))
 
         def F(x: float) -> float:
@@ -271,13 +281,16 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
                 raise SecantError(str(err), iters) from err
         base = u_tilde + (dt / tab.alpha) * (xi - shift_base)
     else:
-        base = u_tilde - (dt / tab.alpha) * hist.lambda_combo(tab)
+        base = u_tilde - (dt / tab.alpha) * load[0]
     inactive = base >= eps_lb
     u = np.where(inactive, base, eps_lb)
     lam = np.where(inactive, 0.0, (tab.alpha / dt) * (eps_lb - base))
-    u = _masked(g, u)
-    lam = _masked(g, lam)
-    active_count = int(np.count_nonzero(~inactive & g.active))
+    if g.all_active:
+        active_count = inactive.size - int(np.count_nonzero(inactive))
+    else:
+        u = np.where(g.active, u, 0.0)
+        lam = np.where(g.active, lam, 0.0)
+        active_count = int(np.count_nonzero(~inactive & g.active))
     return CorrectionOutcome(u, lam, float(xi), iters, active_count)
 
 
@@ -430,8 +443,9 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     op = model.operator(hist, k_eff)
     source = model.explicit_source(hist, k_eff)
 
+    load = multiplier_load(hist, tab, opts.variant)
     u_tilde, report = predict(hist, tab, op, opts.dt, opts.variant, source,
-                              solver_tol=opts.solver_tol)
+                              solver_tol=opts.solver_tol, load=load)
     t_next = (hist.nstep + 1) * opts.dt
     # checked before the correction, whose clamp would turn NaN into eps_lb
     if not np.isfinite(u_tilde).all():
@@ -441,24 +455,28 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     if opts.variant == VARIANT_NONE:
         out = CorrectionOutcome(u_tilde, np.zeros(g.shape), 0.0, 0, 0)
     else:
-        out = correct_positivity(u_tilde, hist, tab, opts)
+        out = correct_positivity(u_tilde, hist, tab, opts, load=load)
 
+    u_next = out.u_next
     op_quad = ledger_residual = float("nan")
     if ledger is not None:
         op_quad = op.quad(u_tilde, report.spectrum)
         ledger.update(dt=opts.dt, u_prev=hist.us[0], u_tilde=u_tilde,
-                      u_next=out.u_next, lam_next=out.lambda_next,
+                      u_next=u_next, lam_next=out.lambda_next,
                       xi_next=out.xi_next, op_quad=op_quad)
         ledger_residual = ledger.residual_rel()
+        norm_u = ledger.um_norm
+    else:
+        norm_u = g.norm(u_next)
 
-    act = g.active
+    u_act = u_next if g.all_active else u_next[g.active]
     diag = StepDiagnostics(
         step=hist.nstep + 1,
         t=t_next,
-        mass=g.mass(out.u_next),
-        min_u=float(out.u_next[act].min()),
-        max_u=float(out.u_next[act].max()),
-        norm_u=g.norm(out.u_next),
+        mass=g.mass(u_next),
+        min_u=float(u_act.min()),
+        max_u=float(u_act.max()),
+        norm_u=norm_u,
         xi=out.xi_next,
         secant_iterations=out.secant_iterations,
         active_count=out.active_count,
@@ -467,7 +485,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
         op_quad=op_quad,
         ledger_residual=ledger_residual,
     )
-    hist.push(out.u_next, out.lambda_next, out.xi_next, opts.dt, opts.k)
+    hist.push(u_next, out.lambda_next, out.xi_next, opts.dt, opts.k)
     return hist, diag
 
 

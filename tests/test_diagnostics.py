@@ -79,6 +79,26 @@ def test_ledger_short_pme_run(variant, k):
     assert ledger.residual_rel() <= 1e-8
 
 
+@pytest.mark.parametrize("model,variant", [
+    (AllenCahnModel(eps2=1e-3, n=16), "multiplier"),
+    (PorousMediumModel(m=3.0, n=16, dim=2), "mass")],
+    ids=["periodic", "dirichlet"])
+def test_ledger_leaves_the_step_diagnostics_unchanged(model, variant):
+    # the step reads norm_u from an attached ledger; it must be the same
+    # bits as the step's own norm, and nothing else may move either
+    opts = StepOptions(k=2, dt=1e-2, variant=variant)
+    fields = ("mass", "min_u", "max_u", "norm_u", "xi", "active_count")
+
+    def rows(ledger):
+        diags = run_simulation(model, opts, 8, ledger=ledger).diagnostics
+        return [tuple(getattr(d, f) for f in fields) for d in diags]
+
+    plain = rows(None)
+    ledgered = rows(EnergyLedger(model.grid, ledger_variant_for(variant, 2)))
+    assert repr(ledgered) == repr(plain)  # repr: -0.0 and nan compare too
+    assert any(row[-1] > 0 for row in plain)  # some step clamps
+
+
 def test_kkt_audit_clean_by_construction():
     g = build_grid((0.0, 1.0), 16, "periodic")
     hist = History.start(g, np.zeros(16))
@@ -187,6 +207,21 @@ def test_run_csv_format(tmp_path):
     assert float(row[5]) == -0.25
     assert row[6] == "2" and row[7] == "3"
     assert row[9] == "4" and row[10] == "1e-12"
+    # by value: a numpy scalar writes as the Python float or int it equals,
+    # never with its type name
+    d = StepDiagnostics(step=1, t=np.float64(0.1), mass=float("nan"),
+                        min_u=-0.0, max_u=np.float64("inf"), norm_u=5e-324,
+                        xi=np.float64(-0.0), secant_iterations=np.int64(2),
+                        active_count=3, solver_iterations=np.int32(4),
+                        solver_residual=np.float64(5e-324), op_quad=0.5,
+                        ledger_residual=np.float32(0.5))
+    write_run_csv(path, [d], initial_row=(
+        np.float64(0.0), 2.5, np.float64(-1e-300), float("-inf"),
+        np.float64(1.5), 0.0, np.int64(0), 0, np.float64("nan"),
+        np.uint8(7), 1e-12))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "0.0,2.5,-1e-300,-inf,1.5,0.0,0,0,nan,7,1e-12"
+    assert lines[2] == "0.1,nan,-0.0,inf,5e-324,-0.0,2,3,0.5,4,5e-324"
 
 
 def test_convergence_csv_format(tmp_path):

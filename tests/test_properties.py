@@ -1,12 +1,14 @@
-"""Property tests of the correction kernel, of the flat edge form and of the
-thin film's band elimination.
+"""Property tests of the correction kernel, of the flat edge form, of the
+thin film's band elimination and of the grid reductions.
 
 Correction instances range over 1D and 2D grids, the three boundary
 conditions, orders k = 1..4, the three corrected variants and a zero or
 positive lower bound; the history levels and the prediction are drawn from a
 seeded generator.  Edge-form instances range over bounded grids down to two
 nodes per axis, every boundary combination and coefficients with zero
-patches or support on one edge column only.
+patches or support on one edge column only.  Reduction instances range
+over 1D and 2D grids of every boundary kind and fields whose magnitudes
+span twelve decades.
 """
 
 import numpy as np
@@ -173,3 +175,32 @@ def test_flat_edge_form_is_the_edge_by_edge_form(inst):
         <= tol * g.norm(v)
     if all(bc == "neumann" for bc in g.bcs):  # [L u, 1] = 0
         assert abs(g.mass(op.apply(u))) <= tol * np.sqrt(g.measure)
+
+
+@st.composite
+def reduction_fields(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    if draw(st.booleans()):
+        bcs = ("periodic",) * dim
+    else:
+        bcs = tuple(draw(st.sampled_from(("dirichlet", "neumann")))
+                    for _ in range(dim))
+    counts = tuple(draw(st.integers(4, 40 if dim == 1 else 12))
+                   for _ in range(dim))
+    g = build_grid(tuple((0.0, 1.0 + ax) for ax in range(dim)), counts, bcs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def field():
+        return (rng.standard_normal(g.shape)
+                * 10.0 ** rng.uniform(-6.0, 6.0, g.shape))
+    return g, field(), field()
+
+
+@PROPERTY
+@given(reduction_fields())
+def test_grid_reductions_are_the_plain_sums_bit_for_bit(inst):
+    g, u, v = inst
+    w = g.weights
+    assert g.inner(u, v).hex() == float(np.sum(w * u * v)).hex()
+    assert g.norm(u).hex() == float(np.sqrt(np.sum(w * u * u))).hex()
+    assert g.mass(u).hex() == float(np.sum(w * u)).hex()

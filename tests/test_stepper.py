@@ -632,3 +632,32 @@ def test_pme2d_step_peak_memory_in_field_sizes():
     assert sum(d.solver_iterations for d in res.diagnostics) > 0
     field_bytes = np.zeros(model.grid.shape).nbytes
     assert peak / field_bytes <= 18.25
+
+
+def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
+    # past start-up a ledgered k = 2 step takes three norms (increment,
+    # multiplier, u^{n+1}, which is also the step's norm_u), one mass, and
+    # forms four level combinations: A_k(u), B_{k-1}(lam) once for the
+    # prediction and the correction, the solve's start and the source's
+    # extrapolated state
+    from collections import Counter
+    from posikit import models, stepper
+    from posikit.diagnostics import EnergyLedger, ledger_variant_for
+    from posikit.grid import Grid
+    from posikit.models import AllenCahnModel
+    model = AllenCahnModel(eps2=1e-3, n=16)
+    opts = StepOptions(k=2, dt=1e-6)
+    hist = History.start(model.grid, model.initial_state())
+    ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
+    step(hist, model, opts, ledger)
+    calls = Counter()
+    for owner, name in ((Grid, "norm"), (Grid, "mass"), (Grid, "inner"),
+                        (stepper, "combine_levels"),
+                        (models, "combine_levels")):
+        def counting(*args, _name=name, _real=getattr(owner, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(owner, name, counting)
+    _, diag = step(hist, model, opts, ledger)
+    assert calls == {"norm": 3, "mass": 1, "combine_levels": 4}
+    assert diag.active_count > 0 and diag.ledger_residual <= 1e-8
