@@ -146,11 +146,15 @@ class History:
                              f"BDF-{tab.k} needs {tab.k}")
         return combine_levels(tab.a_coeffs, self.us)
 
-    def lambda_combo(self, tab: BdfTableau) -> np.ndarray:
+    def lambda_combo(self, tab: BdfTableau) -> np.ndarray | float:
+        """B_{k-1}(lam), for reading only: 0.0 at k = 1 and the newest
+        level itself at k = 2, so holding it through a step costs no field."""
         if not tab.b_coeffs:
-            return np.zeros(self.grid.shape)
+            return 0.0
         if len(self.lams) < len(tab.b_coeffs):
             raise ValueError("not enough multiplier history for extrapolation")
+        if tab.k == 2:  # B_1(lam) = lam^n; 1.0 * lam^n has the same bits
+            return self.lams[0]
         return combine_levels(tab.b_coeffs, self.lams)
 
     def xi_combo(self, tab: BdfTableau) -> float:
@@ -254,7 +258,7 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     g = hist.grid
     u_tilde = g.check_field(u_tilde)
     dt, eps_lb = opts.dt, opts.eps_lb
-    if load is None and opts.variant != VARIANT_CUTOFF:
+    if load is None:
         load = multiplier_load(hist, tab, opts.variant)
     xi, iters = 0.0, 0
     if opts.variant == VARIANT_CUTOFF:
