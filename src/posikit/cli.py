@@ -255,11 +255,13 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
             path = os.path.join(out_dir, f"u_{diag.step:06d}.txt")
             write_snapshot(path, hist.us[0], g, diag.t)
 
-    u0 = model.initial_state()
+    # the t = 0 row is taken first, so that no copy of the initial field
+    # stays alive through the run
+    initial_row = _initial_row(g, model.initial_state())
     result = run_simulation(model, opts, n_steps, ledger=ledger,
                             on_step=on_step)
     write_run_csv(os.path.join(out_dir, "run.csv"), result.diagnostics,
-                  initial_row=_initial_row(g, u0))
+                  initial_row=initial_row)
     write_snapshot(os.path.join(out_dir, "u_final.txt"),
                    result.history.us[0], g, result.history.t)
     return EXIT_OK

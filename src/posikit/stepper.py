@@ -146,23 +146,30 @@ class History:
                              f"BDF-{tab.k} needs {tab.k}")
         return combine_levels(tab.a_coeffs, self.us)
 
-    def lambda_combo(self, tab: BdfTableau) -> np.ndarray | float:
-        """B_{k-1}(lam), for reading only: 0.0 at k = 1 and the newest
-        level itself at k = 2, so holding it through a step costs no field."""
-        if not tab.b_coeffs:
-            return 0.0
-        if len(self.lams) < len(tab.b_coeffs):
-            raise ValueError("not enough multiplier history for extrapolation")
-        if tab.k == 2:  # B_1(lam) = lam^n; 1.0 * lam^n has the same bits
-            return self.lams[0]
-        return combine_levels(tab.b_coeffs, self.lams)
+    def multiplier_load(self, tab: BdfTableau, variant: str) -> tuple:
+        """The extrapolated multipliers a variant's step carries, as the
+        pair (B_{k-1}(lam), B_{k-1}(xi)): the nodal one for ``multiplier``
+        and ``mass``, the scalar one for ``mass`` only, None where absent.
 
-    def xi_combo(self, tab: BdfTableau) -> float:
-        if not tab.b_coeffs:
-            return 0.0
-        if len(self.xis) < len(tab.b_coeffs):
-            raise ValueError("not enough xi history for extrapolation")
-        return float(sum(c * x for c, x in zip(tab.b_coeffs, self.xis)))
+        The nodal load is for reading only: 0.0 at k = 1 and the newest
+        level itself at k = 2 (1.0 * lam^n has the same bits), so holding
+        it through a step costs no field.
+        """
+        b = tab.b_coeffs
+        lam = xi = None
+        if variant in (VARIANT_MULTIPLIER, VARIANT_MASS):
+            if len(self.lams) < len(b):
+                raise ValueError("not enough multiplier history for "
+                                 "extrapolation")
+            if not b:
+                lam = 0.0
+            elif tab.k == 2:
+                lam = self.lams[0]
+            else:
+                lam = combine_levels(b, self.lams)
+        if variant == VARIANT_MASS:
+            xi = float(sum(c * x for c, x in zip(b, self.xis)))
+        return lam, xi
 
     def push(self, u: np.ndarray, lam: np.ndarray, xi: float, dt: float,
              k: int = 4) -> None:
@@ -189,16 +196,6 @@ class CorrectionOutcome:
     active_count: int
 
 
-def multiplier_load(hist: History, tab: BdfTableau, variant: str) -> tuple:
-    """The extrapolated multiplier load a variant carries, as the pair
-    (B_{k-1}(lam), B_{k-1}(xi)): the nodal term for ``multiplier`` and
-    ``mass``, the scalar one for ``mass`` only, None where it is absent."""
-    lam = (hist.lambda_combo(tab)
-           if variant in (VARIANT_MULTIPLIER, VARIANT_MASS) else None)
-    xi = hist.xi_combo(tab) if variant == VARIANT_MASS else None
-    return lam, xi
-
-
 # -- prediction ---------------------------------------------------------------
 
 
@@ -208,8 +205,8 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
             solver_tol: float = DEFAULT_TOL, load: Optional[tuple] = None):
     """BDF-k IMEX prediction; returns (u~, SolverReport).
 
-    The multiplier load of :func:`multiplier_load` enters the right side;
-    a caller that has formed it passes it as ``load``.  Explicit model
+    The multiplier load of :meth:`History.multiplier_load` enters the right
+    side; a caller that has formed it passes it as ``load``.  Explicit model
     sources (already evaluated at the extrapolated state) are passed in via
     ``source``.  The solve starts from the order-k extrapolation of the
     history (u^n at k = 1, 2u^n - u^(n-1) at k = 2), which only the Krylov
@@ -217,7 +214,7 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lam, xi = multiplier_load(hist, tab, variant) if load is None else load
+    lam, xi = hist.multiplier_load(tab, variant) if load is None else load
     rhs = hist.a_combo(tab)
     rhs /= dt
     if lam is not None:
@@ -253,13 +250,14 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     where base >= eps_lb keep (base, 0); the others get
     (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
     branch so active_count counts strict clamps only.  ``load`` is the
-    :func:`multiplier_load` of the step where the caller has formed it.
+    :meth:`History.multiplier_load` of the step where the caller has formed
+    it.
     """
     g = hist.grid
     u_tilde = g.check_field(u_tilde)
     dt, eps_lb = opts.dt, opts.eps_lb
     if load is None:
-        load = multiplier_load(hist, tab, opts.variant)
+        load = hist.multiplier_load(tab, opts.variant)
     xi, iters = 0.0, 0
     if opts.variant == VARIANT_CUTOFF:
         base = u_tilde
@@ -447,7 +445,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     op = model.operator(hist, k_eff)
     source = model.explicit_source(hist, k_eff)
 
-    load = multiplier_load(hist, tab, opts.variant)
+    load = hist.multiplier_load(tab, opts.variant)
     u_tilde, report = predict(hist, tab, op, opts.dt, opts.variant, source,
                               solver_tol=opts.solver_tol, load=load)
     t_next = (hist.nstep + 1) * opts.dt
@@ -469,7 +467,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
                       u_next=u_next, lam_next=out.lambda_next,
                       xi_next=out.xi_next, op_quad=op_quad)
         ledger_residual = ledger.residual_rel()
-        norm_u = ledger.um_norm
+        norm_u = ledger.um_norm  # the ledger's ||u^{n+1}||, same bits
     else:
         norm_u = g.norm(u_next)
 
@@ -515,10 +513,10 @@ def run_simulation(model, opts: StepOptions, n_steps: int,
     an expected outcome).
     """
     g = model.grid
-    u0 = model.initial_state()
-    hist = History.start(g, u0)
+    # only the history holds the initial field, which it soon drops
+    hist = History.start(g, model.initial_state())
     if opts.variant == VARIANT_MASS and opts.target_mass is None:
-        opts = replace(opts, target_mass=g.mass(u0))
+        opts = replace(opts, target_mass=g.mass(hist.us[0]))
     diags = []
     for _ in range(n_steps):
         try:

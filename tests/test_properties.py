@@ -78,7 +78,8 @@ def test_mass_correction_keeps_mass_and_matches_oracle(inst):
     out = correct_positivity(u_tilde, hist, tab, opts)
     target = opts.target_mass
     assert abs(g.mass(out.u_next) - target) <= 1e-10 * target
-    shift_base = hist.lambda_combo(tab) + hist.xi_combo(tab)
+    lam, xi = hist.multiplier_load(tab, "mass")
+    shift_base = lam + xi
     xi_exact = solve_xi_exact(u_tilde, shift_base, opts.dt, tab, target, g,
                               opts.eps_lb)
     assert abs(out.xi_next - xi_exact) <= 1e-12 * max(1.0, abs(xi_exact))
