@@ -244,30 +244,32 @@ RUN_CSV_HEADER = ("t,mass,min_u,max_u,norm_u,xi,secant_iters,active_count,"
                   "ledger_residual,solver_iters,solver_residual")
 
 
-def _run_row(t, mass, min_u, max_u, norm_u, xi, secant_iters, active_count,
-             ledger_residual, solver_iters, solver_residual) -> str:
+# the count columns, written as integers; every other column is a float
+_INT_COLS = frozenset(i for i, name in enumerate(RUN_CSV_HEADER.split(","))
+                      if name in ("secant_iters", "active_count",
+                                  "solver_iters"))
+
+
+def _run_row(row) -> str:
     # by value: numpy scalars write as the Python float or int they equal
-    return (f"{float(t)!r},{float(mass)!r},{float(min_u)!r},"
-            f"{float(max_u)!r},{float(norm_u)!r},{float(xi)!r},"
-            f"{int(secant_iters)},{int(active_count)},"
-            f"{float(ledger_residual)!r},{int(solver_iters)},"
-            f"{float(solver_residual)!r}\n")
+    return ",".join(str(int(v)) if i in _INT_COLS else repr(float(v))
+                    for i, v in enumerate(row)) + "\n"
 
 
 def write_run_csv(path, diags, initial_row=None) -> None:
     """Per-step log; one row per step, optionally preceded by the t = 0 row.
 
-    The count columns (secant_iters, active_count, solver_iters) are
-    written as integers, every other column as the repr of a float.
+    The count columns are written as integers, every other column as the
+    repr of a float.
     """
     with open(path, "w") as fh:
         fh.write(RUN_CSV_HEADER + "\n")
         if initial_row is not None:
-            fh.write(_run_row(*initial_row))
+            fh.write(_run_row(initial_row))
         fh.writelines(
-            _run_row(d.t, d.mass, d.min_u, d.max_u, d.norm_u, d.xi,
-                     d.secant_iterations, d.active_count, d.ledger_residual,
-                     d.solver_iterations, d.solver_residual) for d in diags)
+            _run_row((d.t, d.mass, d.min_u, d.max_u, d.norm_u, d.xi,
+                      d.secant_iterations, d.active_count, d.ledger_residual,
+                      d.solver_iterations, d.solver_residual)) for d in diags)
 
 
 def write_convergence_csv(path, rows) -> None:

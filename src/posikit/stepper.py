@@ -202,19 +202,18 @@ class CorrectionOutcome:
 def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
             variant: str = VARIANT_MULTIPLIER,
             source: Optional[np.ndarray] = None,
-            solver_tol: float = DEFAULT_TOL, load: Optional[tuple] = None):
+            solver_tol: float = DEFAULT_TOL):
     """BDF-k IMEX prediction; returns (u~, SolverReport).
 
     The multiplier load of :meth:`History.multiplier_load` enters the right
-    side; a caller that has formed it passes it as ``load``.  Explicit model
-    sources (already evaluated at the extrapolated state) are passed in via
+    side.  Explicit model sources (already evaluated at the extrapolated state) are passed in via
     ``source``.  The solve starts from the order-k extrapolation of the
     history (u^n at k = 1, 2u^n - u^(n-1) at k = 2), which only the Krylov
     paths read.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lam, xi = hist.multiplier_load(tab, variant) if load is None else load
+    lam, xi = hist.multiplier_load(tab, variant)
     rhs = hist.a_combo(tab)
     rhs /= dt
     if lam is not None:
@@ -238,8 +237,7 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
 
 
 def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
-                       opts: StepOptions,
-                       load: Optional[tuple] = None) -> CorrectionOutcome:
+                       opts: StepOptions) -> CorrectionOutcome:
     """Pointwise correction enforcing u >= eps_lb, for every corrected variant.
 
     The variants differ only in the shift s added to the prediction: 0 for
@@ -249,15 +247,12 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     :func:`solve_xi_exact` where the secant fails.  With base = u~ + s, nodes
     where base >= eps_lb keep (base, 0); the others get
     (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
-    branch so active_count counts strict clamps only.  ``load`` is the
-    :meth:`History.multiplier_load` of the step where the caller has formed
-    it.
+    branch so active_count counts strict clamps only.
     """
     g = hist.grid
     u_tilde = g.check_field(u_tilde)
     dt, eps_lb = opts.dt, opts.eps_lb
-    if load is None:
-        load = hist.multiplier_load(tab, opts.variant)
+    lam_load, xi_load = hist.multiplier_load(tab, opts.variant)
     xi, iters = 0.0, 0
     if opts.variant == VARIANT_CUTOFF:
         base = u_tilde
@@ -265,7 +260,7 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
         if opts.target_mass is None:
             raise ValueError("mass variant needs target_mass")
         target = opts.target_mass
-        shift_base = load[0] + load[1]
+        shift_base = lam_load + xi_load
         tol = opts.secant_tol * max(1.0, abs(target))
 
         def F(x: float) -> float:
@@ -283,7 +278,7 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
                 raise SecantError(str(err), iters) from err
         base = u_tilde + (dt / tab.alpha) * (xi - shift_base)
     else:
-        base = u_tilde - (dt / tab.alpha) * load[0]
+        base = u_tilde - (dt / tab.alpha) * lam_load
     inactive = base >= eps_lb
     u = np.where(inactive, base, eps_lb)
     lam = np.where(inactive, 0.0, (tab.alpha / dt) * (eps_lb - base))
@@ -445,9 +440,8 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     op = model.operator(hist, k_eff)
     source = model.explicit_source(hist, k_eff)
 
-    load = hist.multiplier_load(tab, opts.variant)
     u_tilde, report = predict(hist, tab, op, opts.dt, opts.variant, source,
-                              solver_tol=opts.solver_tol, load=load)
+                              solver_tol=opts.solver_tol)
     t_next = (hist.nstep + 1) * opts.dt
     # checked before the correction, whose clamp would turn NaN into eps_lb
     if not np.isfinite(u_tilde).all():
@@ -457,7 +451,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     if opts.variant == VARIANT_NONE:
         out = CorrectionOutcome(u_tilde, np.zeros(g.shape), 0.0, 0, 0)
     else:
-        out = correct_positivity(u_tilde, hist, tab, opts, load=load)
+        out = correct_positivity(u_tilde, hist, tab, opts)
 
     u_next = out.u_next
     op_quad = ledger_residual = float("nan")

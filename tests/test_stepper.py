@@ -638,9 +638,9 @@ def test_pme2d_step_peak_memory_in_field_sizes():
 def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
     # past start-up a ledgered k = 2 step takes three norms (increment,
     # multiplier, u^{n+1}, which is also the step's norm_u) and one mass,
-    # forms B_{k-1}(lam) once for the prediction and the correction, and
-    # combines levels three times: A_k(u), the solve's start and the
-    # source's extrapolated state
+    # and combines levels three times: A_k(u), the solve's start and the
+    # source's extrapolated state; B_1(lam) is the newest multiplier level
+    # itself, which no combination forms
     from collections import Counter
     from posikit import models, stepper
     from posikit.diagnostics import EnergyLedger, ledger_variant_for
@@ -653,7 +653,6 @@ def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
     step(hist, model, opts, ledger)
     calls = Counter()
     for owner, name in ((Grid, "norm"), (Grid, "mass"), (Grid, "inner"),
-                        (History, "multiplier_load"),
                         (stepper, "combine_levels"),
                         (models, "combine_levels")):
         def counting(*args, _name=name, _real=getattr(owner, name), **kw):
@@ -661,6 +660,5 @@ def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
             return _real(*args, **kw)
         monkeypatch.setattr(owner, name, counting)
     _, diag = step(hist, model, opts, ledger)
-    assert calls == {"norm": 3, "mass": 1, "multiplier_load": 1,
-                     "combine_levels": 3}
+    assert calls == {"norm": 3, "mass": 1, "combine_levels": 3}
     assert diag.active_count > 0 and diag.ledger_residual <= 1e-8
