@@ -112,6 +112,15 @@ class Grid:
         """Inner product of ``u`` against the constant-one field."""
         return float((self.weights * self.check_field(u)).sum())
 
+    def zero_excluded(self, a: np.ndarray) -> np.ndarray:
+        """Set the excluded nodes (the Dirichlet end rows) of ``a`` to 0 in
+        place, by slice assignment, and return ``a``."""
+        for ax, bc in enumerate(self.bcs):
+            if bc == DIRICHLET:
+                ends = a.swapaxes(0, ax)
+                ends[0] = ends[-1] = 0
+        return a
+
 
 def _axis_nodes(a: float, b: float, n: int, bc: str):
     h = (b - a) / n

@@ -38,11 +38,18 @@ def extrapolate_star(un: np.ndarray, unm1: np.ndarray) -> np.ndarray:
     unm1 = np.asarray(unm1, dtype=float)
     if np.any(un < 0) or np.any(unm1 < 0):
         raise ValueError("extrapolation requires nonnegative history")
-    linear = 2.0 * un - unm1
-    denom = 2.0 / np.maximum(un, _STAR_FLOOR) - 1.0 / np.maximum(unm1, _STAR_FLOOR)
-    harmonic = 1.0 / denom
-    star = np.where(un >= unm1, linear, harmonic)
-    return np.where(un <= _STAR_FLOOR, 0.0, star)
+    return _star(un, unm1)
+
+
+def _star(un: np.ndarray, unm1: np.ndarray) -> np.ndarray:
+    """:func:`extrapolate_star` on levels known to be nonnegative, its
+    branches written into the fresh harmonic array."""
+    star = 2.0 / np.maximum(un, _STAR_FLOOR)
+    star -= 1.0 / np.maximum(unm1, _STAR_FLOOR)
+    np.divide(1.0, star, out=star)
+    np.copyto(star, 2.0 * un - unm1, where=un >= unm1)
+    np.copyto(star, 0.0, where=un <= _STAR_FLOOR)
+    return star
 
 
 def _clamped_star(hist: History, k: int) -> np.ndarray:
@@ -52,11 +59,12 @@ def _clamped_star(hist: History, k: int) -> np.ndarray:
     history (on a periodic Fourier grid, whose divergence form is not
     monotone); the lagged coefficient must stay nonnegative for the operator
     to be well posed, so history levels are floored before extrapolating.
-    For corrected variants the floor is a no-op.
+    For corrected variants the floor is a no-op.  The floored levels need
+    no negativity scan, so the kernel is called directly.
     """
     u0 = np.maximum(hist.us[0], 0.0)
     if k >= 2 and len(hist.us) >= 2:
-        return extrapolate_star(u0, np.maximum(hist.us[1], 0.0))
+        return _star(u0, np.maximum(hist.us[1], 0.0))
     return u0
 
 

@@ -52,7 +52,9 @@ Every shifted system ``(sigma I + L) u = b`` goes through
   and converges faster on white-noise coefficients.
 
 On fully periodic grids the report keeps the solution's spectrum, from which
-``Operator.quad`` forms ``<L u, u>`` by Parseval, with no transform back.
+``Operator.quad`` forms ``<L u, u>`` by Parseval, with no transform back; the
+1D elimination keeps the ``L u`` of its residual check, which ``quad`` reads
+instead of applying L again.
 
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
@@ -87,11 +89,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverReport:
+    """A solve's iterations, relative true residual and convergence, and,
+    out of ``repr`` and equality, what ``Operator.quad`` reuses: the
+    result's real-FFT ``spectrum`` on fully periodic grids and L times the
+    result (``applied``) from the 1D elimination's residual check."""
+
     iterations: int
     residual: float
     converged: bool
-    # real-FFT spectrum of the returned field on fully periodic grids
     spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    applied: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # -- transform layout and symbols ---------------------------------------------
@@ -311,11 +318,7 @@ def _edge_sum(ce: tuple, g: Grid, edge_values, lower) -> np.ndarray:
         net = net.reshape(g.shape)
         net /= _edge_scale(g, ax)
         out = net if out is None else np.add(out, net, out=out)
-    for ax, bc in enumerate(g.bcs):  # set: a bool mask multiply casts
-        if bc == DIRICHLET:
-            ends = out.swapaxes(0, ax)
-            ends[0] = ends[-1] = 0.0
-    return out
+    return g.zero_excluded(out)
 
 
 def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -408,13 +411,16 @@ class Operator:
             return _irfft(g, self.apply_spectrum(_rfft(g, g.check_field(u))))
         return _edge_apply(self.edge_coeffs, g.check_field(u), g)
 
-    def quad(self, u: np.ndarray, U: np.ndarray | None = None) -> float:
+    def quad(self, u: np.ndarray, U: np.ndarray | None = None,
+             Lu: np.ndarray | None = None) -> float:
         """The bilinear form <L u, u> in the grid inner product; on fully
         periodic grids the Parseval sum over the spectrum ``U`` of u, which
-        a solve's ``SolverReport.spectrum`` holds (else one transform)."""
+        a solve's ``SolverReport.spectrum`` holds (else one transform), on
+        bounded ones the inner product of ``Lu`` = L u, which a 1D solve's
+        ``SolverReport.applied`` holds (else one apply)."""
         g = self.grid
         if not g.fully_periodic:
-            return g.inner(self.apply(u), u)
+            return g.inner(self.apply(u) if Lu is None else Lu, u)
         if U is None:
             U = _rfft(g, g.check_field(u))
         return _wdot(_parseval_weights(g), self.apply_spectrum(U).view(float),
@@ -569,13 +575,14 @@ def _tridiagonal_solve(sigma: float, op: Operator, rhs: np.ndarray,
             b[0], b[-1] = float(x0[0]), float(x0[-1])
     x = np.array(_thomas(lo, di, up, b))
     # the true residual on the active rows, as the Krylov solves judge it
-    # (absolute where rhs vanishes on them)
-    r = rhs - op.apply(x)
+    # (absolute where rhs vanishes on them); L x stays on the report
+    ax = op.apply(x)
+    r = rhs - ax
     r -= sigma * x
     w = g.weights
     bnorm = np.sqrt(_wdot(w, rhs, rhs))
     relres = float(np.sqrt(_wdot(w, r, r)) / (bnorm or 1.0))
-    return x, SolverReport(0, relres, relres <= tol)
+    return x, SolverReport(0, relres, relres <= tol, applied=ax)
 
 
 # -- finite-difference preconditioner of the 1D thin film ---------------------

@@ -209,7 +209,8 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     side.  Explicit model sources (already evaluated at the extrapolated state) are passed in via
     ``source``.  The solve starts from the order-k extrapolation of the
     history (u^n at k = 1, 2u^n - u^(n-1) at k = 2), which only the Krylov
-    paths read.
+    paths read; it is formed only for an operator with a coefficient
+    field, since the transform pass of one without ignores it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -223,7 +224,8 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     if source is not None:
         rhs += source
     sigma = tab.alpha / dt
-    x0 = combine_levels(extrapolation_coeffs(tab.k), hist.us)
+    x0 = (None if op.coeff is None
+          else combine_levels(extrapolation_coeffs(tab.k), hist.us))
     u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol, x0=x0)
     if not report.converged:
         raise SolverError(
@@ -247,7 +249,9 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     :func:`solve_xi_exact` where the secant fails.  With base = u~ + s, nodes
     where base >= eps_lb keep (base, 0); the others get
     (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
-    branch so active_count counts strict clamps only.
+    branch so active_count counts strict clamps only.  The kernel takes
+    u = max(eps_lb, base) and lam = max((alpha/dt)(eps_lb - base), 0), which
+    land ties, signed zeros included, bit for bit as that select does.
     """
     g = hist.grid
     u_tilde = g.check_field(u_tilde)
@@ -279,16 +283,18 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
         base = u_tilde + (dt / tab.alpha) * (xi - shift_base)
     else:
         base = u_tilde - (dt / tab.alpha) * lam_load
-    inactive = base >= eps_lb
-    u = np.where(inactive, base, eps_lb)
-    lam = np.where(inactive, 0.0, (tab.alpha / dt) * (eps_lb - base))
-    if g.all_active:
-        active_count = inactive.size - int(np.count_nonzero(inactive))
-    else:
-        u = np.where(g.active, u, 0.0)
-        lam = np.where(g.active, lam, 0.0)
-        active_count = int(np.count_nonzero(~inactive & g.active))
-    return CorrectionOutcome(u, lam, float(xi), iters, active_count)
+    # on a tie, ±0 included, np.maximum returns its second operand
+    # (test_numpy_maximum_returns_its_second_operand_on_zero_ties)
+    u = np.maximum(eps_lb, base)
+    lam = np.subtract(eps_lb, base)
+    lam *= tab.alpha / dt
+    np.maximum(lam, 0.0, out=lam)
+    clamped = base < eps_lb
+    if not g.all_active:
+        for a in (u, lam, clamped):
+            g.zero_excluded(a)
+    return CorrectionOutcome(u, lam, float(xi), iters,
+                             int(np.count_nonzero(clamped)))
 
 
 def residual_F(xi: float, u_tilde: np.ndarray, shift_base: np.ndarray,
@@ -300,10 +306,13 @@ def residual_F(xi: float, u_tilde: np.ndarray, shift_base: np.ndarray,
     the per-node shift is eta = (dt/alpha)(xi - shift_base).  F is continuous,
     piecewise linear and nondecreasing in xi.
     """
-    eta = (dt / tab.alpha) * (xi - shift_base)
-    vals = u_tilde + eta
-    return float(np.sum(g.weights * np.where(vals > eps_lb, vals, eps_lb))
-                 - target_mass)
+    vals = xi - shift_base  # eta, then u~ + eta, in one temporary
+    vals *= dt / tab.alpha
+    vals += u_tilde
+    # bitwise the sum of w * where(vals > eps_lb, vals, eps_lb)
+    np.maximum(vals, eps_lb, out=vals)
+    vals *= g.weights
+    return float(vals.sum() - target_mass)
 
 
 def solve_xi_secant(F: Callable[[float], float], xi0: float, xi1: float,
@@ -408,6 +417,8 @@ class StepOptions:
         for name in ("dt", "solver_tol", "secant_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.eps_lb < math.inf:
+            raise ValueError("eps_lb must be finite and nonnegative")
 
 
 @dataclass
@@ -456,7 +467,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     u_next = out.u_next
     op_quad = ledger_residual = float("nan")
     if ledger is not None:
-        op_quad = op.quad(u_tilde, report.spectrum)
+        op_quad = op.quad(u_tilde, report.spectrum, report.applied)
         ledger.update(dt=opts.dt, u_prev=hist.us[0], u_tilde=u_tilde,
                       u_next=u_next, lam_next=out.lambda_next,
                       xi_next=out.xi_next, op_quad=op_quad)

@@ -242,6 +242,7 @@ PME16_CFG = "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3"
     (PME16_CFG.replace("m = 2", "m = inf"), "'m': 'inf' is not a finite"),
     (PME16_CFG + "\nC = nan", "'C': 'nan' is not a finite"),
     (PME16_CFG + "\neps_lb = nan", "'eps_lb': 'nan' is not a finite"),
+    (PME16_CFG + "\neps_lb = -1", "eps_lb must be finite and nonnegative"),
     (PME16_CFG + "\nsecant_tol = inf", "'secant_tol': 'inf' is not a finite"),
     # porous-medium values without a start: m = 1 has no Barenblatt
     # profile (was exit 3), C <= 0 starts from zero (was exit 0)

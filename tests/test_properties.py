@@ -4,7 +4,8 @@ thin film's band elimination and of the grid reductions.
 Correction instances range over 1D and 2D grids, the three boundary
 conditions, orders k = 1..4, the three corrected variants and a zero or
 positive lower bound; the history levels and the prediction are drawn from a
-seeded generator.  Edge-form instances range over bounded grids down to two
+seeded generator, with nodes planted on the bound (and on -0.0 and +0.0 at
+a zero bound) where the kernels are checked against their select forms.  Edge-form instances range over bounded grids down to two
 nodes per axis, every boundary combination and coefficients with zero
 patches or support on one edge column only.  Reduction instances range
 over 1D and 2D grids of every boundary kind and fields whose magnitudes
@@ -17,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from posikit import operators as ops
 from posikit.diagnostics import kkt_audit
 from posikit.grid import Grid, _axis_nodes, build_grid
+from posikit.models import _STAR_FLOOR, _star
 from posikit.stepper import (History, StepOptions, bdf_tableau,
-                             correct_positivity, solve_xi_exact)
+                             correct_positivity, residual_F, solve_xi_exact)
 
 from test_operators import edge_form_dense
 
@@ -30,13 +32,14 @@ PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
 
 
 @st.composite
-def instances(draw, variants=CORRECTED, orders=(1, 2, 3, 4)):
+def instances(draw, variants=CORRECTED, orders=(1, 2, 3, 4),
+              eps_lbs=(0.0, 1e-2)):
     dim = draw(st.sampled_from((1, 2)))
     bc = draw(st.sampled_from(("periodic", "dirichlet", "neumann")))
     n = draw(st.integers(4, 10 if dim == 2 else 40))
     k = draw(st.sampled_from(orders))
     variant = draw(st.sampled_from(variants))
-    eps_lb = draw(st.sampled_from((0.0, 1e-2)))
+    eps_lb = draw(st.sampled_from(eps_lbs))
     dt = draw(st.floats(0.05, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -205,3 +208,94 @@ def test_grid_reductions_are_the_plain_sums_bit_for_bit(inst):
     assert g.inner(u, v).hex() == float(np.sum(w * u * v)).hex()
     assert g.norm(u).hex() == float(np.sqrt(np.sum(w * u * u))).hex()
     assert g.mass(u).hex() == float(np.sum(w * u)).hex()
+
+
+@st.composite
+def tie_instances(draw):
+    """Correction instances with nodes of the prediction planted on the
+    bound: exact ties wherever the shift is 0 (cut-off, a zero multiplier
+    level), and signed zeros at eps_lb = 0."""
+    hist, tab, u_tilde, opts = draw(instances(orders=(1, 2),
+                                              eps_lbs=(0.0, 1e-4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = rng.integers(0, 3, u_tilde.shape)
+    u_tilde = np.where(plant == 1, opts.eps_lb, u_tilde)
+    if opts.eps_lb == 0.0:
+        u_tilde = np.where(plant == 2, -0.0, u_tilde)
+    return hist, tab, u_tilde, opts
+
+
+def _select_correction(base, eps_lb, r, g):
+    """The correction as the selects its docstring states."""
+    inactive = base >= eps_lb
+    u = np.where(inactive, base, eps_lb)
+    lam = np.where(inactive, 0.0, r * (eps_lb - base))
+    u = np.where(g.active, u, 0.0)
+    lam = np.where(g.active, lam, 0.0)
+    return u, lam, int(np.count_nonzero(~inactive & g.active))
+
+
+@PROPERTY
+@given(tie_instances())
+def test_correction_kernel_is_the_select_form_bit_for_bit(inst):
+    hist, tab, u_tilde, opts = inst
+    g, dt = hist.grid, opts.dt
+    out = correct_positivity(u_tilde, hist, tab, opts)
+    lam_load, xi_load = hist.multiplier_load(tab, opts.variant)
+    if opts.variant == "cutoff":
+        base = u_tilde
+    elif opts.variant == "mass":
+        base = u_tilde + (dt / tab.alpha) * (out.xi_next - (lam_load + xi_load))
+    else:
+        base = u_tilde - (dt / tab.alpha) * lam_load
+    u, lam, count = _select_correction(base, opts.eps_lb, tab.alpha / dt, g)
+    assert out.u_next.tobytes() == u.tobytes()
+    assert out.lambda_next.tobytes() == lam.tobytes()
+    assert out.active_count == count
+
+
+@PROPERTY
+@given(tie_instances(), st.sampled_from((0.0, -1.0, 0.5)))
+def test_mass_residual_is_the_select_sum_bit_for_bit(inst, xi_scale):
+    hist, tab, u_tilde, opts = inst
+    g, dt, eps_lb = hist.grid, opts.dt, opts.eps_lb
+    lam_load, xi_load = hist.multiplier_load(tab, "mass")
+    shift_base = lam_load + xi_load
+    xi, target = xi_scale * dt, 1.5
+    v = u_tilde + (dt / tab.alpha) * (xi - shift_base)
+    expect = float(np.sum(g.weights * np.where(v > eps_lb, v, eps_lb))
+                   - target)
+    got = residual_F(xi, u_tilde, shift_base, dt, tab, target, g, eps_lb)
+    assert got.hex() == expect.hex()
+
+
+@st.composite
+def star_levels(draw):
+    """Two floored history levels mixing zeros, values at and below the
+    extrapolation floor, equal and halved pairs and values of order one."""
+    shape = draw(st.sampled_from(((37,), (9, 11))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, 1e-16, 0.5 * _STAR_FLOOR, _STAR_FLOOR,
+                     2.0 * _STAR_FLOOR, 1e-3, 0.25, 1.0])
+    un = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                  rng.random(shape))
+    kind = rng.integers(0, 4, shape)
+    unm1 = np.where(kind == 0, un,
+                    np.where(kind == 1, 0.5 * un,
+                             np.where(kind == 2, rng.choice(pool, shape),
+                                      2.0 * rng.random(shape))))
+    return np.maximum(un, 0.0), np.maximum(unm1, 0.0)
+
+
+@PROPERTY
+@given(star_levels())
+def test_star_kernel_is_the_select_form_bit_for_bit(levels):
+    un, unm1 = levels
+    with np.errstate(divide="ignore"):
+        linear = 2.0 * un - unm1
+        harmonic = 1.0 / (2.0 / np.maximum(un, _STAR_FLOOR)
+                          - 1.0 / np.maximum(unm1, _STAR_FLOOR))
+        expect = np.where(un <= _STAR_FLOOR, 0.0,
+                          np.where(un >= unm1, linear, harmonic))
+        got = _star(un, unm1)
+    assert got.tobytes() == expect.tobytes()

@@ -532,7 +532,10 @@ def test_mass_options_reused_across_models_keep_own_mass():
 
 @pytest.mark.parametrize("field,value", [
     ("dt", 0.0), ("dt", float("nan")), ("solver_tol", 0.0),
-    ("solver_tol", -1.0), ("secant_tol", 0.0)])
+    ("solver_tol", -1.0), ("secant_tol", 0.0),
+    # a negative floor ran; a nan or inf one clamped the first step to
+    # itself and failed the second as a solver error
+    ("eps_lb", -1.0), ("eps_lb", float("nan")), ("eps_lb", float("inf"))])
 def test_step_options_reject_unusable_tolerances_and_limits(field, value):
     kwargs = dict(k=1, dt=0.01)
     kwargs[field] = value
@@ -638,9 +641,9 @@ def test_pme2d_step_peak_memory_in_field_sizes():
 def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
     # past start-up a ledgered k = 2 step takes three norms (increment,
     # multiplier, u^{n+1}, which is also the step's norm_u) and one mass,
-    # and combines levels three times: A_k(u), the solve's start and the
-    # source's extrapolated state; B_1(lam) is the newest multiplier level
-    # itself, which no combination forms
+    # and combines levels twice: A_k(u) and the source's extrapolated
+    # state; the transform solve reads no start, so none is formed, and
+    # B_1(lam) is the newest multiplier level itself
     from collections import Counter
     from posikit import models, stepper
     from posikit.diagnostics import EnergyLedger, ledger_variant_for
@@ -660,5 +663,42 @@ def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
             return _real(*args, **kw)
         monkeypatch.setattr(owner, name, counting)
     _, diag = step(hist, model, opts, ledger)
-    assert calls == {"norm": 3, "mass": 1, "combine_levels": 3}
+    assert calls == {"norm": 3, "mass": 1, "combine_levels": 2}
     assert diag.active_count > 0 and diag.ledger_residual <= 1e-8
+
+
+def test_ledger_pme1d_mass_step_applies_the_operator_once(monkeypatch):
+    # past start-up: the elimination's residual check applies L to u~,
+    # and the ledger's <L u~, u~> reads that apply off the solve's report
+    from posikit.diagnostics import EnergyLedger, ledger_variant_for
+    from posikit.models import PorousMediumModel
+    model = PorousMediumModel(m=5.0, n=64, dim=1)
+    opts = StepOptions(k=2, dt=1e-3, variant="mass",
+                       target_mass=model.grid.mass(model.initial_state()))
+    hist = History.start(model.grid, model.initial_state())
+    ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
+    step(hist, model, opts, ledger)
+    calls = []
+    real = Operator.apply
+    monkeypatch.setattr(Operator, "apply",
+                        lambda self, u: calls.append(1) or real(self, u))
+    _, diag = step(hist, model, opts, ledger)
+    assert len(calls) == 1
+    assert diag.ledger_residual <= 1e-8
+
+
+def test_numpy_maximum_returns_its_second_operand_on_zero_ties():
+    # correct_positivity and residual_F stand in for selects through
+    # np.maximum with these operand orders; they stay bitwise only while
+    # a tie of zeros returns the second operand, sign included, at every
+    # length (vector bodies and scalar tails alike)
+    rng = np.random.default_rng(0)
+    msg = ("np.maximum no longer returns its second operand on a tie of "
+           "zeros; the correction kernels would flip signed zeros")
+    for n in list(range(1, 70)) + [257, 4225, 16641]:
+        z = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        inplace = z.copy()
+        np.maximum(inplace, 0.0, out=inplace)
+        assert (np.signbit(np.maximum(0.0, z)) == np.signbit(z)).all(), msg
+        assert not np.signbit(np.maximum(z, 0.0)).any(), msg
+        assert not np.signbit(inplace).any(), msg
