@@ -33,7 +33,12 @@ LEDGER_SECOND_MASS = "second-order-mass"
 
 
 def ledger_variant_for(variant: str, k: int) -> Optional[str]:
-    """Map a (step variant, order) pair to the energy statement it satisfies."""
+    """Map a (step variant, order) pair to the energy statement it satisfies.
+
+    The mass statements hold only when the PDE conserves mass: flux through
+    a Dirichlet end drains mass, the mass variant puts it back with xi > 0,
+    and the ledger flags the run (residual of order 1, not 1e-8).
+    """
     if k == 1 and variant in (VARIANT_MULTIPLIER, VARIANT_CUTOFF):
         return LEDGER_FIRST
     if k == 1 and variant == VARIANT_MASS:

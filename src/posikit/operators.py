@@ -56,6 +56,15 @@ On fully periodic grids the report keeps the solution's spectrum, from which
 1D elimination keeps the ``L u`` of its residual check, which ``quad`` reads
 instead of applying L again.
 
+``scipy.fft`` (2D real FFTs, DST-I/DCT-I; 1D periodic grids use
+``numpy.fft``) is imported on first use, and an :class:`Operator` whose solve
+transforms with it imports it when built: every operator on a 2D periodic
+grid and the Laplacian on a bounded one, so Allen-Cahn and pnp pay for it
+while the model is built.  A porous-medium or 1D thin-film run never loads
+it; the constant-coefficient fallback of
+:func:`solve_operator`, :func:`solve_conservative_poisson` and 2D periodic
+:func:`transport_div_form` load it on use.
+
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
 """
@@ -66,9 +75,16 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import DIRICHLET, PERIODIC, Grid
+
+# Freeing an mmapped block raises glibc's M_MMAP_THRESHOLD to its size and
+# M_TRIM_THRESHOLD to twice that (mallopt(3)), so field-sized temporaries (a
+# 129 x 129 field is 130 KiB, above the 128 KiB default) come from the heap
+# instead of a fresh mmap each: a pme2d-mass solve takes 0.7k minor faults
+# with this 2 MiB block (never touched), 62k without (glibc 2.36).  Not a
+# malloc tunable: setting any one turns the dynamic threshold off.
+np.empty(1 << 18)
 
 LAPLACIAN = "laplacian"
 DIV_COEFF_GRAD = "div-coeff-grad"
@@ -184,17 +200,25 @@ def _denom(g: Grid, sigma: float, cbar: float, kind: str) -> np.ndarray:
     return sigma + cbar * _symbol(g, kind)
 
 
+@lru_cache(maxsize=None)
+def _scipy_fft():
+    """The ``scipy.fft`` module, imported on first use; callers look their
+    function up on it at call time."""
+    import scipy.fft
+    return scipy.fft
+
+
 def _rfft(g: Grid, v: np.ndarray) -> np.ndarray:
     """Real FFT over every axis of a fully periodic grid."""
     if g.dim == 1:
         return np.fft.rfft(v)
-    return sfft.rfft2(v)
+    return _scipy_fft().rfft2(v)
 
 
 def _irfft(g: Grid, v: np.ndarray) -> np.ndarray:
     if g.dim == 1:
         return np.fft.irfft(v, g.counts[0])
-    return sfft.irfft2(v, g.counts)
+    return _scipy_fft().irfft2(v, g.counts)
 
 
 @lru_cache(maxsize=None)
@@ -221,6 +245,7 @@ def _parseval_weights(g: Grid) -> np.ndarray:
 def _forward(g: Grid, v: np.ndarray) -> np.ndarray:
     if g.fully_periodic:
         return _rfft(g, v)
+    sfft = _scipy_fft()
     for ax, bc in enumerate(g.bcs):
         if bc == DIRICHLET:
             v = sfft.dst(v, type=1, axis=ax)
@@ -232,6 +257,7 @@ def _forward(g: Grid, v: np.ndarray) -> np.ndarray:
 def _backward(g: Grid, v: np.ndarray) -> np.ndarray:
     if g.fully_periodic:
         return _irfft(g, v)
+    sfft = _scipy_fft()
     for ax in reversed(range(g.dim)):  # the inverse of _forward's order
         if g.bcs[ax] == DIRICHLET:
             v = sfft.idst(v, type=1, axis=ax)
@@ -371,6 +397,14 @@ class Operator:
     grid: Grid
     kind: str
     coeff: np.ndarray | None = None
+
+    def __post_init__(self):
+        # the solves that transform with scipy.fft (2D periodic grids, the
+        # bounded Laplacian) import it while the model is built, not inside
+        # the first step
+        g = self.grid
+        if g.dim > 1 if g.fully_periodic else self.kind == LAPLACIAN:
+            _scipy_fft()
 
     @classmethod
     def laplacian(cls, g: Grid) -> "Operator":

@@ -452,36 +452,79 @@ variant = mass
 """
 
 
+def fresh_python(script):
+    """The stdout of ``script`` run in a fresh interpreter on this posikit."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("text,factors", [
     (PME_CFG.replace("T = 0.02", "T = 3e-3"), False),
-    (THINFILM_TOUCHDOWN_CFG, True)], ids=["pme", "thinfilm"])
+    (PME2D_CFG.replace("T = 0.02", "T = 3e-3"), False),
+    (THINFILM_TOUCHDOWN_CFG, True)], ids=["pme", "pme2d", "thinfilm"])
 def test_1d_pme_solve_loads_no_scipy_linalg_or_sparse(tmp_path, text,
                                                       factors):
-    # each adds resident memory to a 1D run (scipy.linalg about 5 MiB) that
-    # neither the exact 1D elimination nor the thin film's band elimination
-    # has any use for
+    # each adds resident memory to a run (scipy.fft about 21 MiB, scipy.linalg
+    # about 5 MiB) that neither the edge form's elimination or CG nor the
+    # thin film's 1D real FFTs and band elimination have any use for
     cfg = write_config(tmp_path, text)
     out = tmp_path / "o"
-    script = (
+    modules, built = fresh_python(
         "import sys\n"
         "from posikit import operators\n"
         "from posikit.cli import main\n"
         "built, real = [], operators._band_factor\n"
         "operators._band_factor = lambda *a: built.append(1) or real(*a)\n"
         f"code = main(['solve', '--config', {cfg!r}, '--out', {str(out)!r}])\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.fft', 'scipy.linalg', 'scipy.sparse'))))\n"
         "print(len(built))\n"
-        "sys.exit(code)\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    modules, built = proc.stdout.splitlines()
+        "assert code == 0\n").splitlines()
     assert modules == "[]"
     assert (int(built) > 0) == factors
     assert (out / "run.csv").exists()
+
+
+def test_importing_posikit_loads_no_scipy():
+    out = fresh_python("import sys, posikit\n"
+                       "print([m for m in sys.modules if m[:6] == 'scipy'])\n")
+    assert out.split() == ["[]"]
+
+
+@pytest.mark.parametrize("model", ["AllenCahnModel", "PnpModel"])
+def test_building_a_transform_model_loads_scipy_fft(model):
+    # their operators solve through scipy.fft: the import is set-up
+    out = fresh_python("import sys, posikit\n"
+                       "print('scipy.fft' in sys.modules)\n"
+                       f"posikit.{model}()\n"
+                       "print('scipy.fft' in sys.modules)\n")
+    assert out.split() == ["False", "True"]
+
+
+def test_constant_coefficient_bounded_solve_loads_scipy_fft_on_use():
+    # the rare transform paths import scipy.fft on first use, with the bits
+    # of a process that has it already (this one)
+    build = (
+        "import numpy as np\n"
+        "from posikit import Operator, build_grid, solve_operator\n"
+        "g = build_grid(((0.0, 1.0), (0.0, 2.0)), (12, 10),\n"
+        "               ('dirichlet', 'neumann'))\n"
+        "op = Operator.div_coeff_grad(g, np.ones(g.shape))\n"
+        "rhs = np.random.default_rng(5).standard_normal(g.shape) * g.active\n")
+    solve = "u, _ = solve_operator(2.0, op, rhs)\n"
+    loaded = "print('scipy.fft' in __import__('sys').modules)\n"
+    out = fresh_python(build + loaded + solve + loaded
+                       + "print(u.tobytes().hex())\n")
+    before, after, bits = out.split()
+    assert (before, after) == ("False", "True")
+    assert "scipy.fft" in sys.modules
+    scope = {}
+    exec(build + solve, scope)
+    assert scope["u"].tobytes().hex() == bits
 
 
 # -- the two-species model runs through `solve` only --------------------------------

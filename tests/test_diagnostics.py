@@ -79,6 +79,33 @@ def test_ledger_short_pme_run(variant, k):
     assert ledger.residual_rel() <= 1e-8
 
 
+class FluxModel(HeatModel):
+    """-div((1 + x) grad u) on [0, 1], 40 intervals, from 1 + cos(pi x) / 2
+    on the active nodes; on a Dirichlet grid flux leaves through the ends."""
+
+    def __init__(self, bcs):
+        g = build_grid((0.0, 1.0), 40, bcs)
+        (x,) = g.coords()
+        super().__init__(g, (1.0 + 0.5 * np.cos(np.pi * x)) * g.active)
+        self._op = Operator.div_coeff_grad(g, 1.0 + x)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mass_ledger_holds_only_where_the_pde_conserves_mass(k):
+    # the mass statements assume a mass-conserving PDE: through a Dirichlet
+    # end the flux drains mass, the mass variant pulls it back with xi > 0,
+    # and the ledger is right to flag the run
+    def worst(bcs):
+        model = FluxModel(bcs)
+        ledger = EnergyLedger(model.grid, ledger_variant_for("mass", k))
+        opts = StepOptions(k=k, dt=0.05, variant="mass")
+        diags = run_simulation(model, opts, 6, ledger=ledger).diagnostics
+        return max(d.ledger_residual for d in diags)
+
+    assert worst("dirichlet") > 1.0
+    assert worst("neumann") <= 1e-13
+
+
 @pytest.mark.parametrize("model,variant", [
     (AllenCahnModel(eps2=1e-3, n=16), "multiplier"),
     (PorousMediumModel(m=3.0, n=16, dim=2), "mass")],
