@@ -34,8 +34,8 @@ from .grid import write_snapshot
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, run_pnp)
 from .operators import SolverError
-from .stepper import (BlowUpError, SecantError, StepOptions, VARIANTS,
-                      run_simulation)
+from .stepper import (BlowUpError, SecantError, StepOptions, VARIANT_MASS,
+                      VARIANTS, run_simulation)
 
 ENV_OUT = "POSIKIT_OUT"
 
@@ -212,6 +212,14 @@ def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
                     secant_tol=cfg.get_float("secant_tol", 1e-12))
 
 
+def _check_floor(g, opts: StepOptions, mass: float) -> None:
+    """Reject a mass variant whose floor holds more than the initial mass."""
+    floor = opts.eps_lb * float(g.weights.sum())
+    if opts.variant == VARIANT_MASS and mass < floor - 1e-12 * max(1.0, mass):
+        raise ConfigError(f"key 'eps_lb': the floor holds a mass of "
+                          f"{floor:g}, above the initial mass {mass:g}")
+
+
 def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
     out = flag_out or os.environ.get(ENV_OUT) or cfg.get("out") or "out"
     os.makedirs(out, exist_ok=True)
@@ -258,6 +266,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     # the t = 0 row is taken first, so that no copy of the initial field
     # stays alive through the run
     initial_row = _initial_row(g, model.initial_state())
+    _check_floor(g, opts, initial_row[1])
     result = run_simulation(model, opts, n_steps, ledger=ledger,
                             on_step=on_step)
     write_run_csv(os.path.join(out_dir, "run.csv"), result.diagnostics,
@@ -313,9 +322,11 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     variants_raw = cfg.get("variants", "multiplier,cutoff,mass,none")
     variants = [v.strip() for v in variants_raw.split(",") if v.strip()]
-    for v in variants:
-        _check_variant(cfg, v, "variants")
     g = model.grid
+    initial_row = _initial_row(g, model.initial_state())
+    for v in variants:  # all checked before the first run
+        _check_variant(cfg, v, "variants")
+        _check_floor(g, build_options(cfg, model, variant=v), initial_row[1])
     per_variant = {}
     summary = []
     n_steps = None
@@ -327,7 +338,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
         diags = result.diagnostics
         per_variant[v] = diags
         write_run_csv(os.path.join(out_dir, f"run_{v}.csv"), diags,
-                      initial_row=_initial_row(g, model.initial_state()))
+                      initial_row=initial_row)
         min_min = min((d.min_u for d in diags), default=float("nan"))
         first_neg = next((d.t for d in diags if d.min_u < 0), None)
         err = result.failure

@@ -29,41 +29,32 @@ in transform space.  All kinds annihilate constants in the adjoint sense:
 against the all-ones extension vanishes on Dirichlet grids.
 
 Every shifted system ``(sigma I + L) u = b`` goes through
-:func:`solve_operator`:
-
-* constant coefficients -- one exact transform pass;
-* the edge form on a 1D (Dirichlet or Neumann) grid -- one exact
-  tridiagonal elimination, with no transform and no iteration;
-* the edge form on a 2D grid -- conjugate gradients preconditioned by the
-  exact diagonal of ``sigma I + L``, with no transform at all;
-* the periodic second-order kind -- conjugate gradients, and the
-  fourth-order kind -- BiCGStab, both iterating on the real-FFT spectrum
-  with Parseval-weighted inner products and the mean-coefficient transform
-  solve as preconditioner (a division): only the operator applies
-  transform (4 real transforms per BiCGStab iteration in 1D, 2 per CG one).
-  A 1D fourth-order solve whose coefficient contrast reaches
-  ``_FD_CONTRAST`` (50) and which has not converged after ``_FD_SWITCH``
-  (2) iterations goes on from its iterate preconditioned by the exact band
-  solve of its second-order finite-difference counterpart, factored once
-  per solve (finite-difference preconditioning of a spectral operator,
-  Orszag 1980): 8 transforms per iteration.  That one sees the contrast of
-  a thin film past touchdown, which no constant coefficient can; the
-  spectral one goes first, because it ends smooth solves within the switch
-  and converges faster on white-noise coefficients.
+:func:`solve_operator`, whose docstring gives its paths: one exact transform
+pass for constant coefficients; for the edge form one tridiagonal
+elimination in 1D and diagonally preconditioned CG in 2D, neither with a
+transform; on periodic grids CG (second order) or BiCGStab (fourth order) on
+the real-FFT spectrum, preconditioned by the mean-coefficient transform
+solve and, in a 1D thin film past touchdown, then by the band solve of its
+finite-difference counterpart (Orszag 1980), which sees a contrast no
+constant coefficient can.  The spectral one goes first: it ends smooth
+solves within the switch and converges faster on white-noise coefficients.
 
 On fully periodic grids the report keeps the solution's spectrum, from which
 ``Operator.quad`` forms ``<L u, u>`` by Parseval, with no transform back; the
 1D elimination keeps the ``L u`` of its residual check, which ``quad`` reads
 instead of applying L again.
 
-``scipy.fft`` (2D real FFTs, DST-I/DCT-I; 1D periodic grids use
-``numpy.fft``) is imported on first use, and an :class:`Operator` whose solve
-transforms with it imports it when built: every operator on a 2D periodic
-grid and the Laplacian on a bounded one, so Allen-Cahn and pnp pay for it
-while the model is built.  A porous-medium or 1D thin-film run never loads
-it; the constant-coefficient fallback of
-:func:`solve_operator`, :func:`solve_conservative_poisson` and 2D periodic
-:func:`transport_div_form` load it on use.
+Each transform is one call of the compiled kernel in which its public
+function ends, on the arguments that function passes, so it gives the public
+bits (the ``*_kernels_match_the_public_functions`` tests check):
+scipy's ``pypocketfft`` for 2D real FFTs (``r2c``, ``c2r``) and DST-I/DCT-I
+(``dst``, ``dct``), numpy's ``_pocketfft_umath`` gufuncs for 1D real FFTs,
+which load no scipy.  On these small grids the public wrappers' dispatch and
+shape checks cost more than the FFT itself.  Loading scipy's kernel imports
+the ``scipy.fft`` package.  An :class:`Operator` whose solve uses it (on a
+2D periodic grid, the bounded Laplacian) loads it when built, so Allen-Cahn
+and pnp pay for it in set-up and porous-medium and 1D thin-film runs never
+do; the constant-coefficient fallbacks load it on use.
 
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
@@ -166,13 +157,6 @@ def _axis_symbol_laplacian(g: Grid, ax: int) -> np.ndarray:
     return _along((2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2, ax, g.dim)
 
 
-def _axis_symbol_div(g: Grid, ax: int) -> np.ndarray:
-    """Per-axis symbol of the c == 1 divergence form in the solve basis."""
-    if g.fully_periodic:
-        return _ik(g, ax).imag ** 2
-    return _axis_symbol_laplacian(g, ax)
-
-
 @lru_cache(maxsize=None)
 def _symbol(g: Grid, kind: str) -> np.ndarray:
     """Transform-space symbol of the unit-coefficient operator of ``kind``."""
@@ -180,17 +164,11 @@ def _symbol(g: Grid, kind: str) -> np.ndarray:
     if kind == LAPLACIAN:
         out = lap
     else:
-        out = sum(_axis_symbol_div(g, ax) for ax in range(g.dim))
+        # the c == 1 divergence form, periodic: the antisymmetric derivative
+        out = sum(_ik(g, ax).imag ** 2 if g.fully_periodic
+                  else _axis_symbol_laplacian(g, ax) for ax in range(g.dim))
         if kind == DIV_COEFF_GRAD_LAPLACIAN:
             out = out * lap
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _laplacian_multiplier(g: Grid) -> np.ndarray:
-    """Fourier multiplier of Delta on a fully periodic grid."""
-    out = -_symbol(g, LAPLACIAN)
     out.setflags(write=False)
     return out
 
@@ -201,24 +179,45 @@ def _denom(g: Grid, sigma: float, cbar: float, kind: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scipy_fft():
-    """The ``scipy.fft`` module, imported on first use; callers look their
-    function up on it at call time."""
-    import scipy.fft
-    return scipy.fft
+def _pocketfft():
+    """scipy's compiled pocketfft, in which ``scipy.fft``'s rfft2, irfft2,
+    dst and dct end; loading it imports the ``scipy.fft`` package."""
+    from scipy.fft._pocketfft import pypocketfft
+    return pypocketfft
+
+
+def _cast(v: np.ndarray, real: bool) -> np.ndarray:
+    """``v`` as the public wrappers cast what is not float64 (``real``) or
+    complex128: integers and bools to float64, float16 to float32, other
+    floats to native byte order, and real input to a complex kernel + 0j."""
+    t = v.dtype
+    if t == (float if real else complex):
+        return v
+    if real and t.kind == "c":
+        raise TypeError("a real transform takes no complex input")
+    t = (np.float32 if t == np.float16 else t.newbyteorder("=")) \
+        if t.kind in "fc" else float
+    v = np.asarray(v, t)
+    return v if v.dtype.kind == "c" or real else v + 0j
 
 
 def _rfft(g: Grid, v: np.ndarray) -> np.ndarray:
     """Real FFT over every axis of a fully periodic grid."""
-    if g.dim == 1:
-        return np.fft.rfft(v)
-    return _scipy_fft().rfft2(v)
+    v = _cast(v, True)
+    if g.dim > 1:
+        return _pocketfft().r2c(v, (0, 1), True, 0, None, 1)
+    n, k = g.counts[0], np.fft._pocketfft_umath
+    out = np.empty(n // 2 + 1, v.dtype.char.upper())
+    return (k.rfft_n_odd if n % 2 else k.rfft_n_even)(v, 1, out=out)
 
 
 def _irfft(g: Grid, v: np.ndarray) -> np.ndarray:
-    if g.dim == 1:
-        return np.fft.irfft(v, g.counts[0])
-    return _scipy_fft().irfft2(v, g.counts)
+    v, n = _cast(v, False), g.counts[-1]
+    if g.dim > 1:
+        return _pocketfft().c2r(v, (0, 1), n, False, 2, None, 1)
+    t = v.dtype.char.lower()
+    fct = 1 / n if t == "d" else np.reciprocal(n, dtype=t)
+    return np.fft._pocketfft_umath.irfft(v, fct, out=np.empty(n, t))
 
 
 @lru_cache(maxsize=None)
@@ -243,26 +242,21 @@ def _parseval_weights(g: Grid) -> np.ndarray:
 
 
 def _forward(g: Grid, v: np.ndarray) -> np.ndarray:
-    if g.fully_periodic:
-        return _rfft(g, v)
-    sfft = _scipy_fft()
-    for ax, bc in enumerate(g.bcs):
-        if bc == DIRICHLET:
-            v = sfft.dst(v, type=1, axis=ax)
-        else:
-            v = sfft.dct(v, type=1, axis=ax)
-    return v
+    return _rfft(g, v) if g.fully_periodic else _r2r(g, v, range(g.dim), 0)
 
 
-def _backward(g: Grid, v: np.ndarray) -> np.ndarray:
-    if g.fully_periodic:
-        return _irfft(g, v)
-    sfft = _scipy_fft()
-    for ax in reversed(range(g.dim)):  # the inverse of _forward's order
-        if g.bcs[ax] == DIRICHLET:
-            v = sfft.idst(v, type=1, axis=ax)
-        else:
-            v = sfft.idct(v, type=1, axis=ax)
+def _backward(g: Grid, v: np.ndarray) -> np.ndarray:  # axes in reverse
+    return (_irfft(g, v) if g.fully_periodic
+            else _r2r(g, v, reversed(range(g.dim)), 2))
+
+
+def _r2r(g: Grid, v: np.ndarray, axes, inorm: int) -> np.ndarray:
+    """DST-I on the Dirichlet and DCT-I on the Neumann ``axes``, in turn;
+    ``inorm`` 2 divides each by its logical length (the inverses)."""
+    k, v = _pocketfft(), _cast(v, True)
+    for ax in axes:
+        v = (k.dst if g.bcs[ax] == DIRICHLET else k.dct)(v, 1, (ax,), inorm,
+                                                          None, 1, None)
     return v
 
 
@@ -295,12 +289,6 @@ def _div_grad_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
         term = ik * _rfft(g, c * _irfft(g, ik * U))
         acc = term if acc is None else acc + term
     return acc
-
-
-def _fourth_order_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
-    """Transform of +div(c grad (Delta v)) for the periodic v with transform
-    U; Delta v stays in transform space."""
-    return _div_grad_spectrum(c, _laplacian_multiplier(g) * U, g)
 
 
 def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
@@ -399,12 +387,12 @@ class Operator:
     coeff: np.ndarray | None = None
 
     def __post_init__(self):
-        # the solves that transform with scipy.fft (2D periodic grids, the
-        # bounded Laplacian) import it while the model is built, not inside
-        # the first step
+        # the solves that transform with scipy's pocketfft (2D periodic
+        # grids, the bounded Laplacian) load it while the model is built, not
+        # inside the first step
         g = self.grid
         if g.dim > 1 if g.fully_periodic else self.kind == LAPLACIAN:
-            _scipy_fft()
+            _pocketfft()
 
     @classmethod
     def laplacian(cls, g: Grid) -> "Operator":
@@ -432,12 +420,15 @@ class Operator:
 
     def apply_spectrum(self, V: np.ndarray) -> np.ndarray:
         """Real-FFT spectrum of L v from the spectrum ``V`` of v on a fully
-        periodic grid (2 * dim transforms, none for the Laplacian)."""
+        periodic grid (2 * dim transforms, none for the Laplacian); the
+        fourth-order kind, -div(c grad(-Delta v)), keeps -Delta v in
+        transform space."""
+        g = self.grid
         if self.kind == LAPLACIAN:
-            return _symbol(self.grid, LAPLACIAN) * V
-        if self.kind == DIV_COEFF_GRAD:
-            return -_div_grad_spectrum(self.coeff, V, self.grid)
-        return _fourth_order_spectrum(self.coeff, V, self.grid)
+            return _symbol(g, LAPLACIAN) * V
+        if self.kind == DIV_COEFF_GRAD_LAPLACIAN:
+            V = _symbol(g, LAPLACIAN) * V
+        return -_div_grad_spectrum(self.coeff, V, g)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid

@@ -140,12 +140,6 @@ class History:
     def start(cls, g: Grid, u0: np.ndarray) -> "History":
         return cls(grid=g, us=[g.check_field(np.asarray(u0, dtype=float))])
 
-    def a_combo(self, tab: BdfTableau) -> np.ndarray:
-        if len(self.us) < tab.k:
-            raise ValueError(f"history holds {len(self.us)} levels, "
-                             f"BDF-{tab.k} needs {tab.k}")
-        return combine_levels(tab.a_coeffs, self.us)
-
     def multiplier_load(self, tab: BdfTableau, variant: str) -> tuple:
         """The extrapolated multipliers a variant's step carries, as the
         pair (B_{k-1}(lam), B_{k-1}(xi)): the nodal one for ``multiplier``
@@ -215,7 +209,10 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     lam, xi = hist.multiplier_load(tab, variant)
-    rhs = hist.a_combo(tab)
+    if len(hist.us) < tab.k:
+        raise ValueError(f"history holds {len(hist.us)} levels, "
+                         f"BDF-{tab.k} needs {tab.k}")
+    rhs = combine_levels(tab.a_coeffs, hist.us)
     rhs /= dt
     if lam is not None:
         rhs += lam

@@ -260,6 +260,24 @@ def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_mass_variant_below_its_floor_exits_2(tmp_path, capsys, command):
+    # eps_lb = 5 holds a mass of 10 on [-1, 1), above the initial mass 1.6
+    # that the mass variant conserves: the first step's correction could not
+    # meet both, and ended the run with exit 3
+    cfg = write_config(tmp_path, LUB_CFG.replace("nx = 32", "nx = 64")
+                       + "\neps_lb = 5\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'eps_lb'" in err
+    assert "10" in err and "1.6" in err
+    assert not any(out.iterdir())
+    # a floor below the initial mass runs
+    ok = write_config(tmp_path, LUB_CFG + "\neps_lb = 0.5\n", "ok.cfg")
+    assert main([command, "--config", ok, "--out", str(tmp_path / "p")]) == 0
+
+
 def test_horizon_not_multiple_of_dt_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, PME_CFG.replace("T = 0.02", "T = 0.01")
                        .replace("dt = 1e-3", "dt = 3e-3"))
@@ -351,10 +369,10 @@ variants = multiplier,none
         assert row[col["steps"]] == "0"
 
 
-def test_compare_records_an_infeasible_mass_target(tmp_path):
-    # the floor mass eps_lb * 10 exceeds the initial mass: the mass residual
-    # has no root, so the mass run fails at its first step with the secant's
-    # error, and the multiplier run is unaffected
+def test_compare_rejects_an_infeasible_mass_target(tmp_path, capsys):
+    # the floor mass eps_lb * 10 exceeds the initial mass, so the mass
+    # residual has no root: rejected before any variant runs (the mass run
+    # used to fail at its first step, recorded as a SecantError)
     cfg = write_config(tmp_path, """
 model = pme
 m = 2
@@ -362,14 +380,12 @@ nx = 32
 dt = 1e-3
 T = 2e-3
 eps_lb = 0.5
-variants = mass,multiplier
+variants = multiplier,mass
 """)
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
-    lines = (out / "summary.csv").read_text().splitlines()
-    assert lines[1] == "mass,0,nan,,,SecantError,nan"
-    assert lines[2].split(",")[:2] == ["multiplier", "2"]
-    assert lines[2].split(",")[5] == ""
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert "'eps_lb'" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 # -- solver columns of the per-step logs -----------------------------------------
@@ -470,10 +486,11 @@ def test_1d_pme_solve_loads_no_scipy_linalg_or_sparse(tmp_path, text,
                                                       factors):
     # each adds resident memory to a run (scipy.fft about 21 MiB, scipy.linalg
     # about 5 MiB) that neither the edge form's elimination or CG nor the
-    # thin film's 1D real FFTs and band elimination have any use for
+    # thin film's 1D real FFTs and band elimination have any use for; of
+    # these runs only the thin film transforms, with numpy.fft's gufuncs
     cfg = write_config(tmp_path, text)
     out = tmp_path / "o"
-    modules, built = fresh_python(
+    modules, built, numpy_fft = fresh_python(
         "import sys\n"
         "from posikit import operators\n"
         "from posikit.cli import main\n"
@@ -483,15 +500,18 @@ def test_1d_pme_solve_loads_no_scipy_linalg_or_sparse(tmp_path, text,
         "print(sorted(m for m in sys.modules if m.startswith(\n"
         "    ('scipy.fft', 'scipy.linalg', 'scipy.sparse'))))\n"
         "print(len(built))\n"
+        "print('numpy.fft' in sys.modules)\n"
         "assert code == 0\n").splitlines()
     assert modules == "[]"
     assert (int(built) > 0) == factors
+    assert numpy_fft == str(factors)
     assert (out / "run.csv").exists()
 
 
 def test_importing_posikit_loads_no_scipy():
     out = fresh_python("import sys, posikit\n"
-                       "print([m for m in sys.modules if m[:6] == 'scipy'])\n")
+                       "print([m for m in sys.modules\n"
+                       "       if m[:6] == 'scipy' or m[:9] == 'numpy.fft'])\n")
     assert out.split() == ["[]"]
 
 

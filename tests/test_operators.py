@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
 from posikit import operators as ops
 from posikit.grid import build_grid
@@ -616,19 +617,25 @@ def test_1d_solve_judges_its_residual_against_tol(bcs):
     assert exact.converged and exact.residual == rep.residual
 
 
-def count_bounded_transforms(monkeypatch):
-    """Count the DST/DCT calls of :mod:`posikit.operators`, by name; it
-    looks them up on ``scipy.fft`` at call time."""
-    calls = []
-    for name in ("dst", "dct", "idst", "idct"):
-        real = getattr(scipy.fft, name)
+def count_calls(monkeypatch, calls, owner, names, record):
+    """Patch the kernels ``names`` of ``owner`` (posikit looks them up on it
+    at call time) to append ``record(name, args)`` to ``calls``."""
+    for name in names:
+        real = getattr(owner, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append(record(_name, args))
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_bounded_transforms(monkeypatch):
+    """Count the DST-I/DCT-I kernel calls of :mod:`posikit.operators`, by
+    name: an inverse is the kernel at normalization code 2."""
+    return count_calls(monkeypatch, [], pypocketfft, ("dst", "dct"),
+                       lambda name, args: "i" * (args[3] == 2) + name)
 
 
 @pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
@@ -745,19 +752,12 @@ def test_periodic_second_order_solve_matches_dense(extents, counts, with_x0):
 
 
 def count_periodic_transforms(monkeypatch):
-    """Count the real FFT calls of the periodic transforms (1D and 2D)."""
-    calls = []
-    for owner, names in ((np.fft, ("rfft", "irfft")),
-                         (scipy.fft, ("rfft2", "irfft2"))):
-        for name in names:
-            real = getattr(owner, name)
-
-            def counting(*args, _real=real, **kwargs):
-                calls.append(1)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counting)
-    return calls
+    """Count the real FFT kernel calls of the periodic transforms: numpy's
+    1D gufuncs and scipy's 2D pocketfft."""
+    calls, one = [], lambda name, args: 1
+    count_calls(monkeypatch, calls, np.fft._pocketfft_umath,
+                ("rfft_n_even", "rfft_n_odd", "irfft"), one)
+    return count_calls(monkeypatch, calls, pypocketfft, ("r2c", "c2r"), one)
 
 
 def periodic_solve_transforms(monkeypatch, g, op, maxit):
@@ -1033,3 +1033,109 @@ def test_ledger_allen_cahn_step_takes_two_transforms(monkeypatch):
     _, diag = step(hist, model, opts, ledger)
     assert len(calls) == 2
     assert diag.op_quad > 0.0 and diag.ledger_residual <= 1e-8
+
+
+# -- the transform kernels against the public functions -------------------------
+#
+# Each transform calls the compiled kernel in which the public numpy.fft or
+# scipy.fft function ends, on the arguments that function passes.  These pin
+# the bits against drift in those private modules.
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def real_inputs(rng, shape):
+    """Real fields as the transforms may get them: plain, strided, and in
+    the dtypes the public wrappers cast."""
+    v = rng.standard_normal(shape)
+    wide = rng.standard_normal(tuple(2 * n for n in shape))
+    return {"plain": v, "strided": wide[(slice(None, None, 2),) * len(shape)],
+            "int": (10.0 * v).astype(int), "float32": v.astype(np.float32),
+            "float16": v.astype(np.float16), "swapped": v.astype(">f8")}
+
+
+@pytest.mark.parametrize("counts", [64, 33, (32, 32), (12, 13), (15, 16)],
+                         ids=["64", "33", "32x32", "12x13", "15x16"])
+def test_real_fft_kernels_match_the_public_functions(counts):
+    axis = (0.0, 2 * np.pi)
+    g = build_grid(axis if np.isscalar(counts) else (axis, axis), counts,
+                   "periodic")
+    if g.dim == 1:
+        forward, inverse = np.fft.rfft, lambda V: np.fft.irfft(V, g.counts[0])
+    else:
+        forward, inverse = scipy.fft.rfft2, lambda V: scipy.fft.irfft2(
+            V, g.counts)
+    rng = np.random.default_rng(71)
+    for name, v in real_inputs(rng, g.shape).items():
+        assert same_bits(ops._rfft(g, v), forward(v)), name
+    V = forward(rng.standard_normal(g.shape))
+    # the Krylov paths hand over the complex view of a float iterate
+    R = rng.standard_normal(V.shape[:-1] + (2 * V.shape[-1],))
+    wide = forward(rng.standard_normal(tuple(2 * n for n in g.shape)))
+    strided = wide[(slice(None, None, 2),) * g.dim][..., :V.shape[-1]]
+    spectra = {"plain": V, "float-view": R.view(complex), "strided": strided,
+               "complex64": V.astype(np.complex64), "real": V.real}
+    for name, S in spectra.items():
+        assert same_bits(ops._irfft(g, S), inverse(S)), name
+
+
+@pytest.mark.parametrize("bcs", [("dirichlet", "neumann"),
+                                 ("neumann", "dirichlet")],
+                         ids=["dirichlet-x-neumann", "neumann-x-dirichlet"])
+def test_r2r_kernels_match_the_public_functions(bcs):
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (12, 15), bcs)
+    public = {"dirichlet": (scipy.fft.dst, scipy.fft.idst),
+              "neumann": (scipy.fft.dct, scipy.fft.idct)}
+    rng = np.random.default_rng(72)
+    for name, v in real_inputs(rng, g.shape).items():
+        for ax, bc in enumerate(bcs):
+            forward, inverse = public[bc]
+            assert same_bits(ops._r2r(g, v, (ax,), 0),
+                             forward(v, type=1, axis=ax)), (name, ax)
+            assert same_bits(ops._r2r(g, v, (ax,), 2),
+                             inverse(v, type=1, axis=ax)), (name, ax)
+        both = public[bcs[1]][0](public[bcs[0]][0](v, type=1, axis=0),
+                                 type=1, axis=1)
+        assert same_bits(ops._forward(g, v), both), name
+        back = public[bcs[0]][1](public[bcs[1]][1](v, type=1, axis=1),
+                                 type=1, axis=0)
+        assert same_bits(ops._backward(g, v), back), name
+
+
+def test_real_transforms_refuse_complex_input():
+    g = build_grid((0.0, 1.0), 16, "dirichlet")
+    with pytest.raises(TypeError, match="complex"):
+        ops._forward(g, np.ones(g.shape, complex))
+
+
+def refuse_public_transforms(monkeypatch):
+    """Patch every public transform of numpy.fft and scipy.fft (all but the
+    frequency helpers) to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public transform was called")
+
+    for owner in (np.fft, scipy.fft):
+        for name in owner.__all__:
+            if not name.endswith("freq"):
+                monkeypatch.setattr(owner, name, refuse)
+
+
+def test_steps_and_solves_call_no_public_transform(monkeypatch):
+    from posikit.models import AllenCahnModel, PnpModel, run_pnp
+    from posikit.stepper import History, StepOptions, step
+    model = AllenCahnModel(eps2=1e-3, n=16)
+    hist = History.start(model.grid, model.initial_state())
+    system = post_touchdown_system()
+    refuse_public_transforms(monkeypatch)
+    with pytest.raises(AssertionError, match="public transform"):
+        np.fft.rfft(np.ones(8))
+    for _ in range(2):
+        step(hist, model, StepOptions(k=2, dt=1e-6))
+    _, rep = solve_operator(system[0], system[1], system[2], x0=system[3])
+    assert rep.converged and rep.iterations > ops._FD_SWITCH
+    run_p, run_n, _ = run_pnp(PnpModel(n=8), StepOptions(k=2, dt=1e-3,
+                                                         variant="mass"), 2)
+    assert len(run_p.diagnostics) == len(run_n.diagnostics) == 2
