@@ -294,6 +294,9 @@ def _single_field(cfg: RunConfig, command: str) -> None:
 def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     _single_field(cfg, "convergence")
     model = build_model(cfg)
+    if not hasattr(model, "eps_lb"):  # the runs step at the model's floor
+        _unused(cfg, "eps_lb", f"by convergence with model '{cfg.model}', "
+                "which keeps no floor")
     variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
     _check_variant(cfg, variant)
     dts = [_finite("dts", s) for s in cfg.get("dts", "").split(",")
@@ -307,9 +310,12 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     k = cfg.get_int("k", 2)
     horizon = cfg.get_float("T", 0.01)
     runs = [(k, dt, variant) for dt in dts] + [(ref.k, ref.dt, ref.variant)]
+    eps_lb = getattr(model, "eps_lb", 0.0)
+    mass = model.grid.mass(model.initial_state())
     for run_k, dt, run_variant in runs:  # all checked before the first run
-        _checked("step options", StepOptions, k=run_k, dt=dt,
-                 variant=run_variant)
+        opts = _checked("step options", StepOptions, k=run_k, dt=dt,
+                        variant=run_variant, eps_lb=eps_lb)
+        _check_floor(model.grid, opts, mass)
         _checked("key 'T'", horizon_steps, horizon, dt)
     rows = convergence_study(model, k, dts, ref, variant=variant,
                              horizon=horizon)
@@ -322,6 +328,8 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg)
     variants_raw = cfg.get("variants", "multiplier,cutoff,mass,none")
     variants = [v.strip() for v in variants_raw.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError("key 'variants': names no variant")
     g = model.grid
     initial_row = _initial_row(g, model.initial_state())
     for v in variants:  # all checked before the first run

@@ -187,9 +187,12 @@ def horizon_steps(horizon: float, dt: float) -> int:
 
 def run_to_horizon(model, k: int, dt: float, variant: str, horizon: float,
                    solver_tol: float = 1e-10) -> np.ndarray:
-    """Run the model to the horizon and return the final field."""
+    """Run the model to the horizon, at its own floor ``eps_lb`` if it
+    keeps one, and return the final field."""
     n_steps = horizon_steps(horizon, dt)
-    opts = StepOptions(k=k, dt=dt, variant=variant, solver_tol=solver_tol)
+    opts = StepOptions(k=k, dt=dt, variant=variant,
+                       eps_lb=getattr(model, "eps_lb", 0.0),
+                       solver_tol=solver_tol)
     result = run_simulation(model, opts, n_steps)
     return result.history.us[0]
 

@@ -21,8 +21,8 @@ import numpy as np
 from .grid import DIRICHLET, NEUMANN, PERIODIC, build_grid
 from .operators import (Operator, solve_conservative_poisson,
                         transport_div_form)
-from .stepper import (VARIANT_MASS, History, RunResult, StepOptions,
-                      combine_levels, extrapolation_coeffs, step)
+from .stepper import (EXTRAPOLATION_COEFFS, VARIANT_MASS, History,
+                      RunResult, StepOptions, combine_levels, step)
 
 _STAR_FLOOR = 1e-14
 
@@ -100,7 +100,7 @@ class AllenCahnModel:
         return self._op
 
     def explicit_source(self, hist: History, k: int) -> np.ndarray:
-        star = combine_levels(extrapolation_coeffs(min(k, len(hist.us))),
+        star = combine_levels(EXTRAPOLATION_COEFFS[min(k, len(hist.us))],
                               hist.us)
         # -(1/eps2) * star * (star - 1) * (star - 1/2), the products taken
         # in that order, in place
@@ -229,8 +229,8 @@ class PnpSpecies:
         return self.laplacian
 
     def explicit_source(self, hist: History, k: int) -> np.ndarray:
-        coeffs = extrapolation_coeffs(2 if k >= 2 and len(self.phis) >= 2
-                                      else 1)
+        coeffs = EXTRAPOLATION_COEFFS[2 if k >= 2 and len(self.phis) >= 2
+                                      else 1]
         c_star = combine_levels(coeffs, hist.us)
         phi_star = combine_levels(coeffs, self.phis)
         return self.sign * transport_div_form(c_star, phi_star, hist.grid)

@@ -27,12 +27,11 @@ A prediction that is not finite ends the step with :class:`BlowUpError`
 before any correction.  The energy term ``<L u~, u~>`` is computed only for
 an attached ledger, on periodic grids from the prediction solve's spectrum.
 
-Start-up for k >= 2 cascades through the lower orders (step n runs at order
-min(k, n+1)), which is also what the stability ledgers in
-:mod:`posikit.diagnostics` assume.  The prediction solve starts from the
-order-k extrapolation of the history; only the Krylov solves read the start,
-and they still solve to the tolerance.  The history keeps only the levels
-order k reads: k solution levels and max(k-1, 1) multiplier levels.
+The order k is 1 or 2, the orders whose stability the ledgers in
+:mod:`posikit.diagnostics` check.  At k = 2 the first step runs at order 1.
+The prediction solve starts from the order-k extrapolation of the history;
+only the Krylov solves read the start, and they still solve to the
+tolerance.  The history keeps k solution levels and one multiplier level.
 
 A stepper's :class:`History` is owned by a single run; concurrent runs use
 separate instances.
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,26 +88,19 @@ class BdfTableau:
     b_coeffs: tuple[float, ...]
 
 
-@lru_cache(maxsize=None)
-def extrapolation_coeffs(k: int) -> tuple[float, ...]:
-    """Weights (-1)^j C(k, j+1), j = 0..k-1, of the order-k extrapolation
-    from the k newest levels (newest first); empty for k = 0."""
-    return tuple(float((-1) ** j * math.comb(k, j + 1)) for j in range(k))
-
+# weights of the order-j extrapolation from the j newest levels (newest
+# first), indexed by j: none, u^n, 2u^n - u^(n-1)
+EXTRAPOLATION_COEFFS = ((), (1.0,), (2.0, -1.0))
 
 _TABLEAUX = {
-    1: BdfTableau(1, 1.0, (1.0,), extrapolation_coeffs(0)),
-    2: BdfTableau(2, 3.0 / 2.0, (2.0, -1.0 / 2.0), extrapolation_coeffs(1)),
-    3: BdfTableau(3, 11.0 / 6.0, (3.0, -3.0 / 2.0, 1.0 / 3.0),
-                  extrapolation_coeffs(2)),
-    4: BdfTableau(4, 25.0 / 12.0, (4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0),
-                  extrapolation_coeffs(3)),
+    1: BdfTableau(1, 1.0, (1.0,), EXTRAPOLATION_COEFFS[0]),
+    2: BdfTableau(2, 3.0 / 2.0, (2.0, -1.0 / 2.0), EXTRAPOLATION_COEFFS[1]),
 }
 
 
 def bdf_tableau(k: int) -> BdfTableau:
     if k not in _TABLEAUX:
-        raise ValueError(f"BDF order must be in 1..4, got {k}")
+        raise ValueError(f"BDF order must be 1 or 2, got {k}")
     return _TABLEAUX[k]
 
 
@@ -126,8 +117,8 @@ def combine_levels(coeffs, levels) -> np.ndarray:
 
 @dataclass
 class History:
-    """The most recent solution/multiplier levels (newest first), as deep as
-    the order stepping them reads: see :meth:`push`."""
+    """The k newest solution levels (newest first) and the newest nodal
+    and scalar multipliers: see :meth:`push`."""
 
     grid: Grid
     us: list = field(default_factory=list)
@@ -147,7 +138,8 @@ class History:
 
         The nodal load is for reading only: 0.0 at k = 1 and the newest
         level itself at k = 2 (1.0 * lam^n has the same bits), so holding
-        it through a step costs no field.
+        it through a step costs no field.  The scalar load stays a sum,
+        whose 0 + x writes -0.0 as 0.0.
         """
         b = tab.b_coeffs
         lam = xi = None
@@ -155,28 +147,21 @@ class History:
             if len(self.lams) < len(b):
                 raise ValueError("not enough multiplier history for "
                                  "extrapolation")
-            if not b:
-                lam = 0.0
-            elif tab.k == 2:
-                lam = self.lams[0]
-            else:
-                lam = combine_levels(b, self.lams)
+            lam = self.lams[0] if b else 0.0
         if variant == VARIANT_MASS:
             xi = float(sum(c * x for c, x in zip(b, self.xis)))
         return lam, xi
 
     def push(self, u: np.ndarray, lam: np.ndarray, xi: float, dt: float,
-             k: int = 4) -> None:
+             k: int = 2) -> None:
         """Prepend a step's levels, keeping what BDF-k reads: k solution
-        levels and max(k - 1, 1) multiplier levels (the newest is kept at
-        k = 1 for the caller to read)."""
+        levels and one multiplier level (read by the caller at k = 1)."""
         self.us.insert(0, u)
         self.lams.insert(0, lam)
         self.xis.insert(0, float(xi))
-        keep = max(k - 1, 1)
         del self.us[k:]
-        del self.lams[keep:]
-        del self.xis[keep:]
+        del self.lams[1:]
+        del self.xis[1:]
         self.nstep += 1
         self.t = self.nstep * dt  # not a running sum, which drifts
 
@@ -199,12 +184,12 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
             solver_tol: float = DEFAULT_TOL):
     """BDF-k IMEX prediction; returns (u~, SolverReport).
 
-    The multiplier load of :meth:`History.multiplier_load` enters the right
-    side.  Explicit model sources (already evaluated at the extrapolated state) are passed in via
-    ``source``.  The solve starts from the order-k extrapolation of the
-    history (u^n at k = 1, 2u^n - u^(n-1) at k = 2), which only the Krylov
-    paths read; it is formed only for an operator with a coefficient
-    field, since the transform pass of one without ignores it.
+    The multiplier load of :meth:`History.multiplier_load` and the explicit
+    model ``source`` (evaluated at the extrapolated state) enter the right
+    side.  The solve starts from u^n at k = 1 and 2u^n - u^(n-1) at k = 2,
+    which only the Krylov paths read; it is formed only for an operator
+    with a coefficient field, since the transform pass of one without
+    ignores it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -222,7 +207,7 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
         rhs += source
     sigma = tab.alpha / dt
     x0 = (None if op.coeff is None
-          else combine_levels(extrapolation_coeffs(tab.k), hist.us))
+          else combine_levels(EXTRAPOLATION_COEFFS[tab.k], hist.us))
     u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol, x0=x0)
     if not report.converged:
         raise SolverError(

@@ -210,12 +210,12 @@ def test_criterion_07_cutoff_equivalence():
 def test_criterion_08_secant_matches_exact_oracle():
     rng = np.random.default_rng(7)
     g = build_grid((0.0, 2.0), 16, "neumann")
-    tabs = [bdf_tableau(k) for k in (1, 2, 3, 4)]
+    tabs = [bdf_tableau(k) for k in (1, 2)]
     worst = 0.0
     for _ in range(1000):
         ut = rng.standard_normal(17) * rng.uniform(0.2, 3.0)
         sb = rng.standard_normal(17) * rng.uniform(0.0, 2.0)
-        tab = tabs[rng.integers(0, 4)]
+        tab = tabs[rng.integers(0, 2)]
         dt = float(rng.uniform(0.05, 1.0))
         eps = float(rng.choice([0.0, 1e-2]))
         target = eps * g.measure + float(rng.uniform(0.05, 3.0))

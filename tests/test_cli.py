@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from posikit import cli
+from posikit import cli, diagnostics
 from posikit.cli import main, parse_config, reference_spec
 from posikit.diagnostics import ReferenceSpec
 from posikit.grid import read_snapshot
@@ -218,6 +218,7 @@ PME16_CFG = "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3"
 @pytest.mark.parametrize("text,word", [
     ("model = pme\nnx = 32\nny = abc\ndt = 1e-3\nT = 3e-3", "ny"),
     ("model = pme\nnx = 32\nk = 7\ndt = 1e-3\nT = 3e-3", "BDF order"),
+    ("model = pme\nnx = 32\nk = 3\ndt = 1e-3\nT = 3e-3", "BDF order"),
     ("model = pme\nnx = 32\ndt = -1e-3\nT = 3e-3", "dt"),
     ("model = allen_cahn\nnx = 8\neps2 = -1\ndt = 1e-4\nT = 1e-3",
      "allen_cahn"),
@@ -260,22 +261,37 @@ def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command", ["solve", "compare"])
-def test_mass_variant_below_its_floor_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["solve", "compare", "convergence"])
+def test_mass_variant_below_its_floor_exits_2(tmp_path, capsys, monkeypatch,
+                                              command):
     # eps_lb = 5 holds a mass of 10 on [-1, 1), above the initial mass 1.6
     # that the mass variant conserves: the first step's correction could not
-    # meet both, and ended the run with exit 3
+    # meet both, and ended the run with exit 3 (convergence stepped every
+    # run at floor 0 and exited 0)
+    study = ("\ndts = 2e-7,1e-7\nref_dt = 5e-8" if command == "convergence"
+             else "")
     cfg = write_config(tmp_path, LUB_CFG.replace("nx = 32", "nx = 64")
-                       + "\neps_lb = 5\n")
+                       + "\neps_lb = 5" + study + "\n")
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'eps_lb'" in err
     assert "10" in err and "1.6" in err
     assert not any(out.iterdir())
-    # a floor below the initial mass runs
-    ok = write_config(tmp_path, LUB_CFG + "\neps_lb = 0.5\n", "ok.cfg")
+    # a floor below the initial mass runs, and a study steps at that floor
+    floors = []
+    real = diagnostics.run_simulation
+
+    def spy(model, opts, *args, **kwargs):
+        floors.append(opts.eps_lb)
+        return real(model, opts, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "run_simulation", spy)
+    ok = write_config(tmp_path, LUB_CFG + "\neps_lb = 0.5" + study + "\n",
+                      "ok.cfg")
     assert main([command, "--config", ok, "--out", str(tmp_path / "p")]) == 0
+    if command == "convergence":
+        assert floors == [0.5] * 3
 
 
 def test_horizon_not_multiple_of_dt_exits_2(tmp_path, capsys):
@@ -327,8 +343,11 @@ ref_dt = 2e-5
     ("dts = 2e-4,1e-4", "dts = 2e-4,nan", "'dts': 'nan' is not a finite"),
     ("dts = 2e-4,1e-4", "dts = 1e-4,1e-4", "'dts': step sizes must be"),
     ("ref_dt = 2e-5", "ref_dt = 1e-4", "'ref_dt': reference dt 0.0001"),
+    ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_k = 3", "BDF order"),
+    # the study runs step at the model's own floor; Allen-Cahn keeps none
+    ("ref_dt = 2e-5", "ref_dt = 2e-5\neps_lb = 1e-3", "'eps_lb': not used"),
 ], ids=["k", "T", "dts", "ref_variant", "dts-inf", "dts-nan", "dts-equal",
-        "ref_dt"])
+        "ref_dt", "ref_k", "eps_lb"])
 def test_convergence_config_mistakes_exit_2_before_any_run(
         tmp_path, capsys, monkeypatch, old, new, word):
     def no_run(*args, **kwargs):
@@ -385,6 +404,16 @@ variants = multiplier,mass
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
     assert "'eps_lb'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("variants", ["", ","])
+def test_compare_rejects_an_empty_variant_list(tmp_path, capsys, variants):
+    # an empty list ran nothing and ended in a TypeError traceback (exit 1)
+    cfg = write_config(tmp_path, LUB_CFG + f"\nvariants = {variants}\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert "'variants'" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

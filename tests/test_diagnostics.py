@@ -192,8 +192,7 @@ def test_convergence_orders_against_exact_solution(k, expected):
 def test_allen_cahn_temporal_order_k1_k2(k, variant):
     # the explicit reaction is extrapolated at order k, and the clamps of
     # the multiplier variant engage (the uncorrected minimum reaches -6.6e-4)
-    # without costing order; k >= 3 reads about 2 here, because the ramp
-    # start-up's first step is BDF1
+    # without costing order
     model = AllenCahnModel(eps2=0.05, n=16)
     horizon = 0.02
     dts = [horizon / 10, horizon / 20, horizon / 40, horizon / 80]

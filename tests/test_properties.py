@@ -2,7 +2,7 @@
 thin film's band elimination and of the grid reductions.
 
 Correction instances range over 1D and 2D grids, the three boundary
-conditions, orders k = 1..4, the three corrected variants and a zero or
+conditions, orders k = 1 and 2, the three corrected variants and a zero or
 positive lower bound; the history levels and the prediction are drawn from a
 seeded generator, with nodes planted on the bound (and on -0.0 and +0.0 at
 a zero bound) where the kernels are checked against their select forms.  Edge-form instances range over bounded grids down to two
@@ -32,7 +32,7 @@ PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
 
 
 @st.composite
-def instances(draw, variants=CORRECTED, orders=(1, 2, 3, 4),
+def instances(draw, variants=CORRECTED, orders=(1, 2),
               eps_lbs=(0.0, 1e-2)):
     dim = draw(st.sampled_from((1, 2)))
     bc = draw(st.sampled_from(("periodic", "dirichlet", "neumann")))
@@ -215,8 +215,7 @@ def tie_instances(draw):
     """Correction instances with nodes of the prediction planted on the
     bound: exact ties wherever the shift is 0 (cut-off, a zero multiplier
     level), and signed zeros at eps_lb = 0."""
-    hist, tab, u_tilde, opts = draw(instances(orders=(1, 2),
-                                              eps_lbs=(0.0, 1e-4)))
+    hist, tab, u_tilde, opts = draw(instances(eps_lbs=(0.0, 1e-4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     plant = rng.integers(0, 3, u_tilde.shape)
     u_tilde = np.where(plant == 1, opts.eps_lb, u_tilde)

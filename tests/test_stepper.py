@@ -1,12 +1,14 @@
+import math
 import numpy as np
 import pytest
 
 from posikit.grid import build_grid
 from posikit.operators import Operator
-from posikit.stepper import (VARIANTS, BlowUpError, History, SecantError,
-                             StepOptions, bdf_tableau, correct_positivity,
-                             extrapolation_coeffs, predict, residual_F, run_simulation,
-                             solve_xi_exact, solve_xi_secant, step)
+from posikit.stepper import (EXTRAPOLATION_COEFFS, VARIANTS, BlowUpError,
+                             History, SecantError, StepOptions, bdf_tableau,
+                             correct_positivity, predict, residual_F,
+                             run_simulation, solve_xi_exact, solve_xi_secant,
+                             step)
 
 from test_operators import dense_matrix
 
@@ -70,41 +72,26 @@ def test_tableau_k2():
     assert t.b_coeffs == (1.0,)
 
 
-def test_tableau_k3():
-    t = bdf_tableau(3)
-    assert t.alpha == pytest.approx(11.0 / 6.0, abs=0.0)
-    assert t.b_coeffs == (2.0, -1.0)
-
-
-def test_tableau_k4():
-    t = bdf_tableau(4)
-    assert t.alpha == pytest.approx(25.0 / 12.0, abs=0.0)
-    assert t.a_coeffs == (4.0, -3.0, 4.0 / 3.0, -0.25)
-    assert t.b_coeffs == (3.0, -3.0, 1.0)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
 def test_tableau_consistency_sums(k):
     t = bdf_tableau(k)
     assert sum(t.a_coeffs) == pytest.approx(t.alpha, rel=1e-15)
     assert sum(t.b_coeffs) == (1.0 if k >= 2 else 0.0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
 def test_extrapolation_coeffs_are_exact_on_polynomials(k):
     # order k: the k newest levels of a degree k - 1 polynomial, newest
     # first, extrapolate to its next value exactly (whole-number weights)
-    w = extrapolation_coeffs(k)
+    w = EXTRAPOLATION_COEFFS[k]
     assert len(w) == k and all(float(c).is_integer() for c in w)
     for deg in range(k):
         levels = [float((-j) ** deg) for j in range(k)]  # t = 0, -1, ...
         assert sum(c * v for c, v in zip(w, levels)) == 1.0  # t = 1
-    assert extrapolation_coeffs(4) == (4.0, -6.0, 4.0, -1.0)
-    if k >= 2:
-        assert bdf_tableau(k).b_coeffs == extrapolation_coeffs(k - 1)
+    assert bdf_tableau(k).b_coeffs == EXTRAPOLATION_COEFFS[k - 1]
 
 
-@pytest.mark.parametrize("k", [0, 5, -1])
+@pytest.mark.parametrize("k", [0, 3, 4, 5, -1])
 def test_tableau_rejects_out_of_range(k):
     with pytest.raises(ValueError):
         bdf_tableau(k)
@@ -123,7 +110,7 @@ def test_predict_scalar_surrogate():
     assert np.abs(u_tilde - 0.5 * u0).max() < 1e-13
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
 def test_predict_constant_steady_state(k):
     g = build_grid((0.0, 1.0), 8, "periodic")
     u0 = np.full(8, 2.0)
@@ -278,7 +265,7 @@ def test_residual_F_monotone_random():
     for _ in range(20):
         ut = rng.standard_normal(16)
         sb = rng.standard_normal(16)
-        tab = bdf_tableau(rng.integers(1, 5))
+        tab = bdf_tableau(rng.integers(1, 3))
         xs = np.sort(rng.standard_normal(8))
         vals = [residual_F(x, ut, sb, 0.1, tab, 1.0, g) for x in xs]
         assert all(b - a >= -1e-14 for a, b in zip(vals, vals[1:]))
@@ -341,11 +328,11 @@ def test_xi_exact_floor_boundary_and_error():
 def test_secant_vs_exact_random_instances():
     rng = np.random.default_rng(4)
     g = build_grid((0.0, 2.0), 16, "neumann")
-    tabs = [bdf_tableau(k) for k in (1, 2, 3, 4)]
+    tabs = [bdf_tableau(k) for k in (1, 2)]
     for _ in range(200):
         ut = rng.standard_normal(17) * rng.uniform(0.2, 3.0)
         sb = rng.standard_normal(17) * rng.uniform(0.0, 2.0)
-        tab = tabs[rng.integers(0, 4)]
+        tab = tabs[rng.integers(0, 2)]
         dt = rng.uniform(0.05, 1.0)
         eps = float(rng.choice([0.0, 1e-2]))
         floor = eps * g.measure
@@ -543,14 +530,21 @@ def test_step_options_reject_unusable_tolerances_and_limits(field, value):
         StepOptions(**kwargs)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_step_options_reject_orders_above_two(k):
+    # the start-up's BDF1 step caps any order at 2, so 3 and 4 are refused
+    with pytest.raises(ValueError, match="BDF order must be 1 or 2"):
+        StepOptions(k=k, dt=0.01)
+
+
 # -- starting iterate and history depth ------------------------------------------
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
 def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k):
     # the x0 handed to the solver is bitwise the extrapolation the step's
     # order reads: u^n at k = 1 and at the first step, 2u^n - u^(n-1) from
-    # the second step on at k >= 2 (and the order-3 weights at k = 3)
+    # the second step on at k = 2
     from posikit import stepper as stepper_mod
     from posikit.models import PorousMediumModel
     starts = []
@@ -568,14 +562,8 @@ def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k):
     assert sum(d.solver_iterations for d in res.diagnostics) > 0
     assert len(starts) == 6
     for n, x0 in enumerate(starts):
-        order = min(k, n + 1)
         u = levels[n::-1]  # u^n first
-        if order == 1:
-            expect = u[0]
-        elif order == 2:
-            expect = 2.0 * u[0] - u[1]
-        else:
-            expect = 3.0 * u[0] - 3.0 * u[1] + u[2]
+        expect = u[0] if min(k, n + 1) == 1 else 2.0 * u[0] - u[1]
         assert np.array_equal(x0, expect), (k, n)
 
 
@@ -598,7 +586,33 @@ def test_pme2d_step_leaves_every_history_level_alone(k):
     assert iters > 0 and len(hist.us) == k
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_history_push_defaults_to_order_two():
+    g = build_grid((0.0, 1.0), 4, "periodic")
+    hist = History.start(g, np.zeros(4))
+    for n in range(3):
+        hist.push(np.full(4, float(n + 1)), np.full(4, float(n)), n, 0.1)
+    assert [u[0] for u in hist.us] == [3.0, 2.0]
+    assert len(hist.lams) == 1 and hist.lams[0][0] == 2.0
+    assert hist.xis == [2.0] and hist.nstep == 3
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_multiplier_load_reads_the_newest_level_without_a_copy(k):
+    # nodal load: 0.0 at k = 1, the newest level itself at k = 2; the
+    # scalar load is a sum, so a -0.0 multiplier loads as +0.0
+    g = build_grid((0.0, 1.0), 4, "periodic")
+    hist = History.start(g, np.ones(4))
+    hist.push(np.ones(4), np.full(4, 0.25), -0.0, 0.1, k=k)
+    lam, xi = hist.multiplier_load(bdf_tableau(k), "mass")
+    if k == 1:
+        assert lam == 0.0
+    else:
+        assert lam is hist.lams[0]
+    assert xi == 0.0 and math.copysign(1.0, xi) == 1.0
+    assert hist.multiplier_load(bdf_tableau(k), "multiplier")[1] is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
 def test_history_keeps_only_the_levels_order_k_reads(k):
     from posikit.models import PorousMediumModel
     model = PorousMediumModel(m=2.0, n=32, dim=1)
@@ -607,12 +621,12 @@ def test_history_keeps_only_the_levels_order_k_reads(k):
     def record(hist, diag):
         depths.append((len(hist.us), len(hist.lams), len(hist.xis)))
         assert len(hist.us) <= k
-        assert len(hist.lams) <= max(k - 1, 1)
-        assert len(hist.xis) <= max(k - 1, 1)
+        assert len(hist.lams) <= 1
+        assert len(hist.xis) <= 1
 
     run_simulation(model, StepOptions(k=k, dt=1e-3, variant="mass"), 6,
                    on_step=record)
-    assert depths[-1] == (k, max(k - 1, 1), max(k - 1, 1))
+    assert depths[-1] == (k, 1, 1)
 
 
 def test_pme2d_step_peak_memory_in_field_sizes():
