@@ -1,7 +1,8 @@
 """Batch front end: config parsing, experiment orchestration, CSV emission.
 
 Configs are flat ``key = value`` text files; unknown keys are rejected so a
-typo cannot silently fall back to a default.  Three subcommands:
+typo cannot silently fall back to a default, and so is a key the command
+would ignore.  Three subcommands:
 
 * ``solve``        -- run one configuration, emit ``run.csv`` and field
   snapshots at the configured cadence;
@@ -60,16 +61,20 @@ def _finite(key: str, text: str) -> float:
     return x
 
 
-_COMMON_KEYS = {"model", "nx", "ny", "k", "dt", "T", "variant", "eps_lb",
-                "out", "snapshot_every", "solver_tol", "secant_tol"}
+_COMMON_KEYS = {"model", "nx", "ny", "k", "T", "eps_lb", "out"}
 _MODEL_KEYS = {
     "allen_cahn": {"eps2"},
     "pme": {"m", "C"},
     "pnp": {"eps_debye"},
     "lubrication": {"rho", "reg", "eta"},
 }
-_STUDY_KEYS = {"dts", "ref_dt", "ref_k", "ref_variant"}
-_COMPARE_KEYS = {"variants"}
+# the keys each command reads besides the common and model keys; a study
+# steps at the default tolerances
+_COMMAND_KEYS = {
+    "solve": {"dt", "variant", "snapshot_every", "solver_tol", "secant_tol"},
+    "compare": {"dt", "variants", "solver_tol", "secant_tol"},
+    "convergence": {"variant", "dts", "ref_dt", "ref_k", "ref_variant"},
+}
 
 _VALID_VARIANTS = {
     "allen_cahn": ("multiplier", "cutoff", "none"),
@@ -131,11 +136,19 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("missing required key 'model'")
     if model not in _MODEL_KEYS:
         raise ConfigError(f"key 'model': unknown model '{model}'")
-    allowed = _COMMON_KEYS | _MODEL_KEYS[model] | _STUDY_KEYS | _COMPARE_KEYS
+    allowed = _COMMON_KEYS.union(_MODEL_KEYS[model], *_COMMAND_KEYS.values())
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}'")
     return RunConfig(model=model, raw=raw)
+
+
+def _check_command_keys(cfg: RunConfig, command: str) -> None:
+    """Reject a key that only other commands read."""
+    used = _COMMON_KEYS | _MODEL_KEYS[cfg.model] | _COMMAND_KEYS[command]
+    for key in cfg.raw:
+        if key not in used:
+            raise ConfigError(f"key '{key}': not used by '{command}'")
 
 
 def build_model(cfg: RunConfig):
@@ -401,6 +414,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        _check_command_keys(cfg, args.command)
         out_dir = resolve_out_dir(cfg, args.out)
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)

@@ -20,7 +20,7 @@ Dirichlet and Neumann.  Boundary handling per axis:
 * ``neumann``    -- natural condition; all N+1 nodes active, trapezoidal
   weights (h/2 at the ends, h inside).
 
-Grids are immutable after construction and safe to share between threads.
+Grids are immutable but for ``memo``, and safe to share between threads.
 Field values are plain ``numpy`` arrays shaped like ``grid.shape``; values
 stored at excluded nodes must equal the prescribed boundary value (0 for
 every model in this package).
@@ -47,6 +47,10 @@ class Grid:
     Equality and hashing are by identity: two grids are "the same grid" only
     if they are the same object, which is what operator/field ownership
     checks need.
+
+    ``memo`` is the one mutable part: the operators' read-only arrays of the
+    grid, freed with it.  It is filled idempotently, so concurrent misses
+    only build the same array twice.
     """
 
     extents: tuple[tuple[float, float], ...]
@@ -61,6 +65,7 @@ class Grid:
     shape: tuple[int, ...] = field(init=False)
     fully_periodic: bool = field(init=False)
     all_active: bool = field(init=False)
+    memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         derived = dict(dim=len(self.axes),

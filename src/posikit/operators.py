@@ -22,7 +22,7 @@ kind is the *positive* direction: for the heat part ``L = -laplacian``):
 
 A grid is periodic on every axis or on none (:func:`posikit.grid.build_grid`).
 Periodic grids use real FFTs, Dirichlet/Neumann axes DST-I/DCT-I; the
-unit-coefficient symbol of each kind is cached per grid, so a
+unit-coefficient symbol of each kind is kept in ``Grid.memo``, so a
 constant-coefficient shifted system is the diagonal ``sigma + c * symbol``
 in transform space.  All kinds annihilate constants in the adjoint sense:
 ``[L v, 1] = 0`` on periodic/Neumann grids, and the telescoped edge flux
@@ -63,7 +63,7 @@ functions of their inputs and may run concurrently on distinct fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -111,20 +111,31 @@ class SolverReport:
 # -- transform layout and symbols ---------------------------------------------
 #
 # Periodic grids use real FFTs: the last axis holds only the n//2 + 1
-# nonnegative frequencies, and every multiplier below is cached once per grid
-# on that layout, shaped to broadcast along its axis.  Bounded axes use DST-I
-# (Dirichlet, interior nodes) or DCT-I (Neumann, all nodes).
+# nonnegative frequencies, and every multiplier below is kept once per grid
+# (:func:`_per_grid`) on that layout, shaped to broadcast along its axis.
+# Bounded axes use DST-I (Dirichlet, interior nodes) or DCT-I (Neumann).
+
+
+def _per_grid(fn):
+    """Keep ``fn(g, *args)`` read-only in ``g.memo``, freed with the grid."""
+    @wraps(fn)
+    def memo(g: Grid, *args):
+        out = g.memo.get((fn, args))
+        if out is None:
+            out = fn(g, *args)
+            out.setflags(write=False)
+            g.memo[fn, args] = out
+        return out
+    return memo
 
 
 def _along(a: np.ndarray, ax: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[ax] = a.size
-    out = a.reshape(shape)
-    out.setflags(write=False)
-    return out
+    return a.reshape(shape)
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def _wavenumbers(g: Grid, ax: int) -> np.ndarray:
     """Angular wavenumbers of axis ``ax`` of a periodic grid on the real-FFT
     layout."""
@@ -134,30 +145,26 @@ def _wavenumbers(g: Grid, ax: int) -> np.ndarray:
     return _along(2.0 * np.pi * freq, ax, g.dim)
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def _ik(g: Grid, ax: int) -> np.ndarray:
     """Multiplier of the antisymmetric Fourier derivative (Nyquist dropped)."""
     ik = 1j * _wavenumbers(g, ax)
     n = g.counts[ax]
     if n % 2 == 0:
         ik.reshape(-1)[n // 2] = 0.0  # index n//2 is Nyquist in both layouts
-    ik.setflags(write=False)
     return ik
 
 
-@lru_cache(maxsize=None)
 def _axis_symbol_laplacian(g: Grid, ax: int) -> np.ndarray:
     """Eigenvalues of the per-axis -d2/dx2 in the solve basis."""
     n, h, bc = g.counts[ax], g.spacings[ax], g.bcs[ax]
     if bc == PERIODIC:
-        k2 = _wavenumbers(g, ax) ** 2
-        k2.setflags(write=False)
-        return k2
+        return _wavenumbers(g, ax) ** 2
     j = np.arange(1, n) if bc == DIRICHLET else np.arange(0, n + 1)
     return _along((2.0 - 2.0 * np.cos(np.pi * j / n)) / h**2, ax, g.dim)
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def _symbol(g: Grid, kind: str) -> np.ndarray:
     """Transform-space symbol of the unit-coefficient operator of ``kind``."""
     lap = sum(_axis_symbol_laplacian(g, ax) for ax in range(g.dim))
@@ -169,7 +176,6 @@ def _symbol(g: Grid, kind: str) -> np.ndarray:
                   else _axis_symbol_laplacian(g, ax) for ax in range(g.dim))
         if kind == DIV_COEFF_GRAD_LAPLACIAN:
             out = out * lap
-    out.setflags(write=False)
     return out
 
 
@@ -220,7 +226,7 @@ def _irfft(g: Grid, v: np.ndarray) -> np.ndarray:
     return np.fft._pocketfft_umath.irfft(v, fct, out=np.empty(n, t))
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def _parseval_weights(g: Grid) -> np.ndarray:
     """Weights on the float view of real-FFT spectra of a fully periodic
     grid: ``sum(w * A * B) == g.inner(a, b)`` for the spectra A, B of a, b.
@@ -236,9 +242,7 @@ def _parseval_weights(g: Grid) -> np.ndarray:
     m[0] = 1.0
     if n % 2 == 0:
         m[-1] = 1.0
-    w = np.repeat(m * (np.prod(g.spacings) / np.prod(g.counts)), 2)
-    w.setflags(write=False)
-    return w
+    return np.repeat(m * (np.prod(g.spacings) / np.prod(g.counts)), 2)
 
 
 def _forward(g: Grid, v: np.ndarray) -> np.ndarray:
@@ -307,7 +311,7 @@ def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def _edge_scale(g: Grid, ax: int) -> np.ndarray:
     """h times the node weight along ``ax``, shaped to broadcast; the
     transverse weights cancel.  Excluded Dirichlet ends carry weight 1 (the

@@ -90,6 +90,44 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+# a config each command accepts; with solver_tol = 1e-30 added, the 2D study
+# is one that `convergence` used to run, dropping the tolerance (exit 0)
+COMMAND_CFGS = {
+    "solve": "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3",
+    "compare": "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3\n"
+               "variants = multiplier,mass",
+    "convergence": "model = pme\nm = 2\nnx = 16\nny = 16\nT = 4e-3\n"
+                   "dts = 2e-3,1e-3\nref_dt = 5e-4",
+}
+
+
+@pytest.mark.parametrize("command,line", [
+    ("solve", "variants = bogus"), ("solve", "dts = 2e-3,1e-3"),
+    ("solve", "ref_dt = 5e-4"), ("solve", "ref_k = 1"),
+    ("solve", "ref_variant = mass"),
+    ("compare", "variant = mass"), ("compare", "snapshot_every = 1"),
+    ("compare", "dts = 2e-3,1e-3"),
+    ("convergence", "dt = 1e-3"), ("convergence", "snapshot_every = 1"),
+    ("convergence", "variants = mass"), ("convergence", "solver_tol = 1e-30"),
+    ("convergence", "secant_tol = 1e-12"),
+])
+def test_key_the_command_would_ignore_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, command, line):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the config was checked")
+
+    for runner in ("run_simulation", "run_pnp", "convergence_study"):
+        monkeypatch.setattr(cli, runner, no_run)
+    cfg = write_config(tmp_path, COMMAND_CFGS[command] + f"\n{line}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"key '{key}': not used by '{command}'" in capsys.readouterr().err
+    assert not out.exists()
+    ok = write_config(tmp_path, COMMAND_CFGS[command] + "\n", "ok.cfg")
+    cli._check_command_keys(parse_config(ok), command)
+
+
 def test_missing_required_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "model = pme\nnx = 32\nT = 1e-3\n")
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -268,10 +306,11 @@ def test_mass_variant_below_its_floor_exits_2(tmp_path, capsys, monkeypatch,
     # that the mass variant conserves: the first step's correction could not
     # meet both, and ended the run with exit 3 (convergence stepped every
     # run at floor 0 and exited 0)
-    study = ("\ndts = 2e-7,1e-7\nref_dt = 5e-8" if command == "convergence"
-             else "")
-    cfg = write_config(tmp_path, LUB_CFG.replace("nx = 32", "nx = 64")
-                       + "\neps_lb = 5" + study + "\n")
+    base = LUB_CFG
+    if command == "convergence":  # a study takes step sizes, not one dt
+        base = base.replace("dt = 1e-7", "dts = 2e-7,1e-7\nref_dt = 5e-8")
+    cfg = write_config(tmp_path, base.replace("nx = 32", "nx = 64")
+                       + "\neps_lb = 5\n")
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -287,8 +326,7 @@ def test_mass_variant_below_its_floor_exits_2(tmp_path, capsys, monkeypatch,
         return real(model, opts, *args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "run_simulation", spy)
-    ok = write_config(tmp_path, LUB_CFG + "\neps_lb = 0.5" + study + "\n",
-                      "ok.cfg")
+    ok = write_config(tmp_path, base + "\neps_lb = 0.5\n", "ok.cfg")
     assert main([command, "--config", ok, "--out", str(tmp_path / "p")]) == 0
     if command == "convergence":
         assert floors == [0.5] * 3
@@ -473,7 +511,8 @@ T = 3e-3
 
 def test_compare_run_logs_carry_solver_columns(tmp_path):
     cfg = write_config(tmp_path, PME2D_CFG.replace("T = 0.02", "T = 2e-3")
-                       + "variants = multiplier,none\n")
+                       .replace("variant = multiplier",
+                                "variants = multiplier,none"))
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
     for v in ("multiplier", "none"):
@@ -578,14 +617,9 @@ def test_constant_coefficient_bounded_solve_loads_scipy_fft_on_use():
 
 # -- the two-species model runs through `solve` only --------------------------------
 
-PNP_STUDY_CFG = """
-model = pnp
-nx = 8
-dt = 1e-3
-T = 2e-3
-dts = 1e-3,5e-4
-ref_dt = 1e-4
-"""
+# the step keys each study command reads
+PNP_STUDY_KEYS = {"convergence": "dts = 1e-3,5e-4\nref_dt = 1e-4",
+                  "compare": "dt = 1e-3"}
 
 
 @pytest.mark.parametrize("command,runner", [
@@ -596,7 +630,8 @@ def test_pnp_rejected_by_study_commands(tmp_path, capsys, monkeypatch,
         raise AssertionError("a run started before the model was checked")
 
     monkeypatch.setattr(cli, runner, no_run)
-    cfg = write_config(tmp_path, PNP_STUDY_CFG)
+    cfg = write_config(tmp_path, "model = pnp\nnx = 8\nT = 2e-3\n"
+                       + PNP_STUDY_KEYS[command] + "\n")
     out = tmp_path / command
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -756,6 +791,9 @@ def test_shipped_configs_build_without_a_solve():
     assert paths
     for path in paths:
         cfg = parse_config(path)
+        command = ("convergence" if "dts" in cfg.raw
+                   else "compare" if "variants" in cfg.raw else "solve")
+        cli._check_command_keys(cfg, command)
         model = cli.build_model(cfg)
         if "dts" in cfg.raw:
             assert isinstance(reference_spec(cfg), ReferenceSpec)

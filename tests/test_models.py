@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -269,3 +273,49 @@ def test_lubrication_floor_run_keeps_bound_and_mass():
     for d in res.diagnostics:
         assert d.min_u >= 1e-2
         assert d.mass == pytest.approx(m0, rel=1e-12)
+
+
+# -- no state outlives a run ----------------------------------------------------
+
+LEAK_CASES = {
+    "allen_cahn": (lambda: AllenCahnModel(n=16), StepOptions(k=2, dt=1e-6)),
+    "pme1d": (lambda: PorousMediumModel(n=16),
+              StepOptions(k=2, dt=1e-3, variant="mass")),
+    "pme2d": (lambda: PorousMediumModel(n=8, dim=2),
+              StepOptions(k=2, dt=1e-3, variant="mass")),
+    "thin_film": (lambda: LubricationModel(n=32),
+                  StepOptions(k=2, dt=1e-5, variant="mass", eps_lb=1e-2)),
+    "pnp": (lambda: PnpModel(n=8), StepOptions(k=2, dt=1e-3, variant="mass")),
+}
+LEAK_RUNS = 10
+
+
+@pytest.mark.parametrize("case", LEAK_CASES)
+def test_fresh_runs_leave_no_state_behind(case):
+    # a grid's operator arrays live in its memo, so a dropped run frees its
+    # grid and everything built for it; the first run pays the one-time
+    # allocations (lazy imports, numpy's own caches) before the count starts
+    make, opts = LEAK_CASES[case]
+
+    def fresh_run():
+        model = make()
+        if isinstance(model, PnpModel):
+            run_pnp(model, opts, 3)
+        else:
+            run_simulation(model, opts, 3)
+        g = model.grid
+        assert g.memo and not any(a.flags.writeable for a in g.memo.values())
+        return weakref.ref(g)
+
+    fresh_run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grids = [fresh_run() for _ in range(LEAK_RUNS)]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [ref() for ref in grids] == [None] * LEAK_RUNS
+    assert grown <= 1024 * LEAK_RUNS, f"{grown / LEAK_RUNS:.0f} B per run"

@@ -1,8 +1,13 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft
 
+import posikit
 from posikit import operators as ops
 from posikit.grid import build_grid
 from posikit.operators import (DIV_COEFF_GRAD, Operator, SolverReport,
@@ -331,16 +336,35 @@ def test_fused_fourth_order_matches_composed_form(extents, counts):
 
 
 def test_symbols_built_once_per_grid():
+    # the first solve builds the symbol into the grid's memo, the second finds
+    # that very array there: a second build would add or replace an entry
     g = build_grid(((0.0, 1.0), (0.0, 2.0)), (9, 8), ("dirichlet", "neumann"))
     rhs = np.random.default_rng(33).standard_normal(g.shape) * g.active
-    before = _symbol.cache_info()
-    results = [_diag_solve(g, rhs, _denom(g, 2.0, 0.5, DIV_COEFF_GRAD))
-               for _ in range(2)]
-    after = _symbol.cache_info()
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 1
+    assert g.memo == {}
+    results, stored = [], []
+    for _ in range(2):
+        denom = _denom(g, 2.0, 0.5, DIV_COEFF_GRAD)
+        results.append(_diag_solve(g, rhs, denom))
+        (symbol,) = g.memo.values()
+        stored.append(symbol)
+    assert stored[1] is stored[0] and _symbol(g, DIV_COEFF_GRAD) is stored[0]
     assert np.array_equal(results[0], results[1])
     assert not _symbol(g, DIV_COEFF_GRAD).flags.writeable
+
+
+def test_pocketfft_loader_is_the_only_process_wide_cache():
+    # every per-grid array lives in its grid's memo; only the module that
+    # holds scipy's transform kernels is cached for the whole process
+    cached = set()
+    for info in pkgutil.iter_modules(posikit.__path__, "posikit."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            for member in [obj, *(vars(obj).values() if inspect.isclass(obj)
+                                  else ())]:
+                if (hasattr(member, "cache_info")
+                        and member.__module__ == module.__name__):
+                    cached.add(f"{module.__name__}.{member.__qualname__}")
+    assert cached == {"posikit.operators._pocketfft"}
 
 
 # -- Neumann diagonalization and gauge --------------------------------------------
