@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -185,14 +185,13 @@ def horizon_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def run_to_horizon(model, k: int, dt: float, variant: str, horizon: float,
-                   solver_tol: float = 1e-10) -> np.ndarray:
+def run_to_horizon(model, k: int, dt: float, variant: str,
+                   horizon: float) -> np.ndarray:
     """Run the model to the horizon, at its own floor ``eps_lb`` if it
     keeps one, and return the final field."""
     n_steps = horizon_steps(horizon, dt)
     opts = StepOptions(k=k, dt=dt, variant=variant,
-                       eps_lb=getattr(model, "eps_lb", 0.0),
-                       solver_tol=solver_tol)
+                       eps_lb=getattr(model, "eps_lb", 0.0))
     result = run_simulation(model, opts, n_steps)
     return result.history.us[0]
 
@@ -217,15 +216,13 @@ def check_study_steps(dts, ref_dt: Optional[float] = None) -> None:
 
 def convergence_study(model, k: int, dts, reference,
                       variant: str = VARIANT_MULTIPLIER,
-                      horizon: float = 0.01,
-                      error_norm: Optional[Callable] = None
-                      ) -> list[ConvergenceRow]:
+                      horizon: float = 0.01) -> list[ConvergenceRow]:
     """Temporal convergence table against a fine reference solution.
 
     ``reference`` is either a :class:`ReferenceSpec` (the reference trajectory
     is computed once at its settings) or a precomputed final-state array.
-    Errors default to the max-norm over active nodes; the step sizes must
-    pass :func:`check_study_steps`.
+    Errors are the max-norm over active nodes; the step sizes must pass
+    :func:`check_study_steps`.
     """
     dts = list(dts)
     if isinstance(reference, ReferenceSpec):
@@ -236,12 +233,10 @@ def convergence_study(model, k: int, dts, reference,
         check_study_steps(dts)
         u_ref = np.asarray(reference)
     act = model.grid.active
-    if error_norm is None:
-        error_norm = lambda du: float(np.abs(du[act]).max())
     errors = []
     for dt in dts:
         u = run_to_horizon(model, k, dt, variant, horizon)
-        errors.append(error_norm(u - u_ref))
+        errors.append(float(np.abs((u - u_ref)[act]).max()))
     orders = fit_orders(dts, errors)
     return [ConvergenceRow(dt, e, o) for dt, e, o in zip(dts, errors, orders)]
 

@@ -13,7 +13,7 @@ to share between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,8 +84,8 @@ class AllenCahnModel:
     n: int = 32
 
     def __post_init__(self):
-        if self.eps2 <= 0:
-            raise ValueError("interface parameter must be positive")
+        if not 0 < self.eps2 < np.inf:
+            raise ValueError("interface parameter must be finite and positive")
         self.grid = build_grid(((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
                                (self.n, self.n), PERIODIC)
         self._op = Operator.laplacian(self.grid)
@@ -149,10 +149,10 @@ class PorousMediumModel:
     def __post_init__(self):
         # the Barenblatt start needs m > 1; an amplitude C <= 0 starts from
         # the zero state
-        if not self.m > 1:
-            raise ValueError("exponent m must be greater than 1")
-        if not self.C > 0:
-            raise ValueError("amplitude C must be positive")
+        if not 1 < self.m < np.inf:
+            raise ValueError("exponent m must be greater than 1 and finite")
+        if not 0 < self.C < np.inf:
+            raise ValueError("amplitude C must be positive and finite")
         extents = ((-5.0, 5.0),) * self.dim
         self.grid = build_grid(extents, (self.n,) * self.dim, DIRICHLET)
 
@@ -189,8 +189,8 @@ class PnpModel:
     n: int = 64
 
     def __post_init__(self):
-        if self.eps_debye <= 0:
-            raise ValueError("Debye ratio must be positive")
+        if not 0 < self.eps_debye < np.inf:
+            raise ValueError("Debye ratio must be finite and positive")
         self.grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)),
                                (self.n, self.n), NEUMANN)
         self.laplacian = Operator.laplacian(self.grid)
@@ -236,18 +236,18 @@ class PnpSpecies:
         return self.sign * transport_div_form(c_star, phi_star, hist.grid)
 
 
-def pnp_step(hists, phis: list, model: PnpModel, opts) -> tuple:
+def pnp_step(hists, phis: list, model: PnpModel, opts: StepOptions) -> tuple:
     """Advance both species and the potential by one step.
 
-    Each species takes one :func:`posikit.stepper.step` with its (p, n)
-    entry of ``hists`` and ``opts``; both see the potential levels ``phis``
-    from before the step, to which the new potential is then prepended.
-    Returns the (p, n) step diagnostics.
+    Each species takes one :func:`posikit.stepper.step` under ``opts`` from
+    its (p, n) entry of ``hists``, which holds its mass target; both see the
+    potential levels ``phis`` from before the step, to which the new
+    potential is then prepended.  Returns the (p, n) step diagnostics.
     """
     diags = []
-    for hist, sign, species_opts in zip(hists, (-1.0, 1.0), opts):
+    for hist, sign in zip(hists, (-1.0, 1.0)):
         species = PnpSpecies(model.laplacian, phis, sign)
-        diags.append(step(hist, species, species_opts)[1])
+        diags.append(step(hist, species, opts)[1])
     phis.insert(0, model.potential(hists[0].us[0], hists[1].us[0]))
     del phis[2:]
     return tuple(diags)
@@ -255,16 +255,18 @@ def pnp_step(hists, phis: list, model: PnpModel, opts) -> tuple:
 
 def run_pnp(model: PnpModel, opts: StepOptions, n_steps: int):
     """Run both species (mass variant, lower bound 0, own initial mass) and
-    the potential; returns the p and n run results and the potential levels."""
+    the potential; returns the p and n run results and the potential levels.
+    Options that select another variant or floor raise ValueError."""
+    if opts.variant != VARIANT_MASS or opts.eps_lb != 0.0:
+        raise ValueError("pnp runs the mass variant at eps_lb = 0, got "
+                         f"{opts.variant!r} at eps_lb = {opts.eps_lb!r}")
     g = model.grid
     # only the histories hold the initial fields, which they soon drop
     hists = tuple(History.start(g, u0) for u0 in model.initial_state())
     phis = [model.potential(hists[0].us[0], hists[1].us[0])]
-    per_species = tuple(replace(opts, variant=VARIANT_MASS, eps_lb=0.0,
-                                target_mass=g.mass(h.us[0])) for h in hists)
     runs = tuple(RunResult(h, []) for h in hists)
     for _ in range(n_steps):
-        for run, diag in zip(runs, pnp_step(hists, phis, model, per_species)):
+        for run, diag in zip(runs, pnp_step(hists, phis, model, opts)):
             run.diagnostics.append(diag)
     return runs[0], runs[1], phis
 
@@ -306,14 +308,17 @@ class LubricationModel:
     dim: int = 1
 
     def __post_init__(self):
+        if not np.isfinite(self.rho):
+            raise ValueError("mobility exponent rho must be finite")
         if self.mode == MODE_FLOOR:
-            if self.eps_lb <= 0:
-                raise ValueError("floor mode needs a positive lower bound")
+            if not 0 < self.eps_lb < np.inf:
+                raise ValueError("floor mode needs a finite positive lower "
+                                 "bound")
             if self.eta != 0:
                 raise ValueError("floor mode does not take eta")
         elif self.mode == MODE_REG_ETA:
-            if self.eta <= 0:
-                raise ValueError("reg_eta mode needs a positive eta")
+            if not 0 < self.eta < np.inf:
+                raise ValueError("reg_eta mode needs a finite positive eta")
             self.eps_lb = 0.0
         else:
             raise ValueError(f"unknown regularization mode {self.mode!r}")

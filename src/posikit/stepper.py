@@ -31,16 +31,17 @@ The order k is 1 or 2, the orders whose stability the ledgers in
 :mod:`posikit.diagnostics` check.  At k = 2 the first step runs at order 1.
 The prediction solve starts from the order-k extrapolation of the history;
 only the Krylov solves read the start, and they still solve to the
-tolerance.  The history keeps k solution levels and one multiplier level.
+tolerance.
 
-A stepper's :class:`History` is owned by a single run; concurrent runs use
-separate instances.
+:class:`StepOptions` and :class:`BdfTableau` describe the scheme, so one
+options object can drive any number of runs; all a run accumulates lives on
+its :class:`History`, which is owned by that run alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,13 +80,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class BdfTableau:
-    """Order k, shift alpha_k, history weights of A_k, extrapolation weights
-    of B_{k-1} (empty for k = 1)."""
+    """Order k, shift alpha_k and the history weights of A_k."""
 
     k: int
     alpha: float
     a_coeffs: tuple[float, ...]
-    b_coeffs: tuple[float, ...]
 
 
 # weights of the order-j extrapolation from the j newest levels (newest
@@ -93,8 +92,8 @@ class BdfTableau:
 EXTRAPOLATION_COEFFS = ((), (1.0,), (2.0, -1.0))
 
 _TABLEAUX = {
-    1: BdfTableau(1, 1.0, (1.0,), EXTRAPOLATION_COEFFS[0]),
-    2: BdfTableau(2, 3.0 / 2.0, (2.0, -1.0 / 2.0), EXTRAPOLATION_COEFFS[1]),
+    1: BdfTableau(1, 1.0, (1.0,)),
+    2: BdfTableau(2, 3.0 / 2.0, (2.0, -1.0 / 2.0)),
 }
 
 
@@ -117,51 +116,51 @@ def combine_levels(coeffs, levels) -> np.ndarray:
 
 @dataclass
 class History:
-    """The k newest solution levels (newest first) and the newest nodal
-    and scalar multipliers: see :meth:`push`."""
+    """All one run accumulates: the k newest solution levels (newest first),
+    the newest multipliers ``lam`` (None before any step) and ``xi``, and
+    ``target_mass``, the initial mass that the mass variant holds to."""
 
     grid: Grid
     us: list = field(default_factory=list)
-    lams: list = field(default_factory=list)
-    xis: list = field(default_factory=list)
+    lam: Optional[np.ndarray] = None
+    xi: float = 0.0
+    target_mass: Optional[float] = None
     t: float = 0.0
     nstep: int = 0
 
     @classmethod
     def start(cls, g: Grid, u0: np.ndarray) -> "History":
-        return cls(grid=g, us=[g.check_field(np.asarray(u0, dtype=float))])
+        u0 = g.check_field(np.asarray(u0, dtype=float))
+        return cls(grid=g, us=[u0], target_mass=g.mass(u0))
 
     def multiplier_load(self, tab: BdfTableau, variant: str) -> tuple:
         """The extrapolated multipliers a variant's step carries, as the
         pair (B_{k-1}(lam), B_{k-1}(xi)): the nodal one for ``multiplier``
         and ``mass``, the scalar one for ``mass`` only, None where absent.
 
-        The nodal load is for reading only: 0.0 at k = 1 and the newest
-        level itself at k = 2 (1.0 * lam^n has the same bits), so holding
-        it through a step costs no field.  The scalar load stays a sum,
-        whose 0 + x writes -0.0 as 0.0.
+        B_{k-1} is 0 at k = 1 and the newest level at k = 2.  The nodal
+        load is for reading only: the level itself, so holding it through a
+        step costs no field.  The scalar load is 0.0 + xi, which writes
+        -0.0 as 0.0.
         """
-        b = tab.b_coeffs
+        newest = tab.k == 2
         lam = xi = None
         if variant in (VARIANT_MULTIPLIER, VARIANT_MASS):
-            if len(self.lams) < len(b):
+            if newest and self.lam is None:
                 raise ValueError("not enough multiplier history for "
                                  "extrapolation")
-            lam = self.lams[0] if b else 0.0
+            lam = self.lam if newest else 0.0
         if variant == VARIANT_MASS:
-            xi = float(sum(c * x for c, x in zip(b, self.xis)))
+            xi = 0.0 + self.xi if newest else 0.0
         return lam, xi
 
     def push(self, u: np.ndarray, lam: np.ndarray, xi: float, dt: float,
              k: int = 2) -> None:
         """Prepend a step's levels, keeping what BDF-k reads: k solution
-        levels and one multiplier level (read by the caller at k = 1)."""
+        levels and the newest multipliers (read by the caller at k = 1)."""
         self.us.insert(0, u)
-        self.lams.insert(0, lam)
-        self.xis.insert(0, float(xi))
         del self.us[k:]
-        del self.lams[1:]
-        del self.xis[1:]
+        self.lam, self.xi = lam, float(xi)
         self.nstep += 1
         self.t = self.nstep * dt  # not a running sum, which drifts
 
@@ -243,9 +242,9 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     if opts.variant == VARIANT_CUTOFF:
         base = u_tilde
     elif opts.variant == VARIANT_MASS:
-        if opts.target_mass is None:
-            raise ValueError("mass variant needs target_mass")
-        target = opts.target_mass
+        target = hist.target_mass
+        if target is None:
+            raise ValueError("mass variant needs the history's target_mass")
         shift_base = lam_load + xi_load
         tol = opts.secant_tol * max(1.0, abs(target))
 
@@ -388,7 +387,6 @@ class StepOptions:
     dt: float
     variant: str = VARIANT_MULTIPLIER
     eps_lb: float = 0.0
-    target_mass: Optional[float] = None
     solver_tol: float = DEFAULT_TOL
     secant_tol: float = DEFAULT_SECANT_TOL
 
@@ -397,8 +395,8 @@ class StepOptions:
             raise ValueError(f"unknown variant {self.variant!r}")
         bdf_tableau(self.k)
         for name in ("dt", "solver_tol", "secant_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0 <= self.eps_lb < math.inf:
             raise ValueError("eps_lb must be finite and nonnegative")
 
@@ -482,7 +480,6 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
 class RunResult:
     history: History
     diagnostics: list
-    ledger: object = None
     failure: Optional[Exception] = None  # what ended the run early
 
 
@@ -491,19 +488,15 @@ def run_simulation(model, opts: StepOptions, n_steps: int,
                    stop_on_failure: bool = True) -> RunResult:
     """Drive ``n_steps`` steps of ``model`` from its initial state.
 
-    For the mass variant the target mass defaults to the mass of the initial
-    state; ``opts`` itself is left unchanged, so one options object can drive
-    runs of several models.  ``on_step(hist, diag)`` is invoked after every
-    step.  With ``stop_on_failure=False`` a numerical failure ends the run
-    early and its exception is recorded on the result as ``failure``
+    The run's :class:`History` holds its state, the mass variant's target
+    (the initial mass) included.  ``on_step(hist, diag)`` is invoked after
+    every step.  With ``stop_on_failure=False`` a numerical failure ends the
+    run early and its exception is recorded on the result as ``failure``
     instead of raising (used by the baseline comparison, where blow-up is
     an expected outcome).
     """
-    g = model.grid
     # only the history holds the initial field, which it soon drops
-    hist = History.start(g, model.initial_state())
-    if opts.variant == VARIANT_MASS and opts.target_mass is None:
-        opts = replace(opts, target_mass=g.mass(hist.us[0]))
+    hist = History.start(model.grid, model.initial_state())
     diags = []
     for _ in range(n_steps):
         try:
@@ -511,8 +504,8 @@ def run_simulation(model, opts: StepOptions, n_steps: int,
         except (SolverError, SecantError, BlowUpError) as exc:
             if stop_on_failure:
                 raise
-            return RunResult(hist, diags, ledger, failure=exc)
+            return RunResult(hist, diags, failure=exc)
         diags.append(diag)
         if on_step is not None:
             on_step(hist, diag)
-    return RunResult(hist, diags, ledger)
+    return RunResult(hist, diags)

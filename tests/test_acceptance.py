@@ -257,7 +257,7 @@ def test_criterion_10_thin_film_floor():
 
     def audit(hist, diag):
         nonlocal complement_ok, touched
-        u, lam = hist.us[0], hist.lams[0]
+        u, lam = hist.us[0], hist.lam
         pos = lam > 0.0
         if not np.array_equal(np.flatnonzero(pos),
                               np.flatnonzero(u == eps)):

@@ -161,7 +161,7 @@ def test_kkt_audit_clean_along_floor_run():
 
     reports = []
     run_simulation(model, opts, 40, on_step=lambda h, d: reports.append(
-        kkt_audit(h.us[0], h.lams[0], 1e-2, model.grid)))
+        kkt_audit(h.us[0], h.lam, 1e-2, model.grid)))
     assert all(r.ok for r in reports)
 
 

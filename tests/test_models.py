@@ -183,8 +183,7 @@ def test_pnp_asymmetric_drift_runs_conservatively():
     phis = [model.potential(p0, n0)]
     assert np.abs(phis[0]).max() > 0.0
 
-    opts = tuple(StepOptions(k=2, dt=1e-3, variant="mass",
-                             target_mass=g.mass(u0)) for u0 in (p0, n0))
+    opts = StepOptions(k=2, dt=1e-3, variant="mass")
     for _ in range(10):
         pnp_step(hists, phis, model, opts)
     assert len(phis) == 2
@@ -273,6 +272,42 @@ def test_lubrication_floor_run_keeps_bound_and_mass():
     for d in res.diagnostics:
         assert d.min_u >= 1e-2
         assert d.mass == pytest.approx(m0, rel=1e-12)
+
+
+@pytest.mark.parametrize("opts", [
+    StepOptions(k=2, dt=1e-3), StepOptions(k=2, dt=1e-3, variant="cutoff"),
+    StepOptions(k=2, dt=1e-3, variant="none"),
+    StepOptions(k=2, dt=1e-3, variant="mass", eps_lb=1e-3)])
+def test_run_pnp_rejects_options_it_cannot_honour(opts):
+    # the species run the mass variant at floor 0; other options are an
+    # error, not something to replace without a word
+    with pytest.raises(ValueError, match="mass variant at eps_lb = 0"):
+        run_pnp(PnpModel(n=8), opts, 1)
+
+
+# -- non-finite parameters ---------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,kwargs,match", [
+    # the CLI rejects these in a config; built in code, each was accepted
+    (AllenCahnModel, dict(eps2=NAN), "interface parameter"),
+    (AllenCahnModel, dict(eps2=INF), "interface parameter"),
+    (PnpModel, dict(eps_debye=NAN), "Debye ratio"),
+    (PnpModel, dict(eps_debye=INF), "Debye ratio"),
+    (LubricationModel, dict(rho=NAN), "rho"),
+    (LubricationModel, dict(eps_lb=NAN), "lower bound"),
+    (LubricationModel, dict(eps_lb=INF), "lower bound"),
+    (LubricationModel, dict(mode="reg_eta", eta=NAN), "eta"),
+    (LubricationModel, dict(mode="reg_eta", eta=INF), "eta"),
+    (PorousMediumModel, dict(m=INF), "exponent m"),
+    (PorousMediumModel, dict(C=INF), "amplitude C"),
+])
+def test_non_finite_model_parameters_fail_at_construction(make, kwargs,
+                                                          match):
+    with pytest.raises(ValueError, match=match):
+        make(n=16, **kwargs)
 
 
 # -- no state outlives a run ----------------------------------------------------

@@ -51,12 +51,11 @@ def instances(draw, variants=CORRECTED, orders=(1, 2),
                   rng.random(g.shape) * rng.integers(0, 2, g.shape) * act,
                   -0.1 * rng.random(), dt)
     u_tilde = rng.standard_normal(g.shape) * rng.uniform(0.2, 3.0) * act
-    target = None
     if variant == "mass":
         floor = eps_lb * float(g.weights.sum())
-        target = floor + rng.uniform(0.05, 3.0)
+        hist.target_mass = floor + rng.uniform(0.05, 3.0)
     opts = StepOptions(k=k, dt=dt, variant=variant, eps_lb=eps_lb,
-                       target_mass=target, secant_tol=1e-13)
+                       secant_tol=1e-13)
     return hist, bdf_tableau(k), u_tilde, opts
 
 
@@ -79,7 +78,7 @@ def test_mass_correction_keeps_mass_and_matches_oracle(inst):
     hist, tab, u_tilde, opts = inst
     g = hist.grid
     out = correct_positivity(u_tilde, hist, tab, opts)
-    target = opts.target_mass
+    target = hist.target_mass
     assert abs(g.mass(out.u_next) - target) <= 1e-10 * target
     lam, xi = hist.multiplier_load(tab, "mass")
     shift_base = lam + xi

@@ -22,10 +22,16 @@ def embed3(a, b, c):
     return np.array([0.0, a, b, c, 0.0])
 
 
-def copts(variant, dt, eps_lb=0.0, target_mass=None):
+def copts(variant, dt, eps_lb=0.0):
     """Options that select one correction of :func:`correct_positivity`."""
-    return StepOptions(k=1, dt=dt, variant=variant, eps_lb=eps_lb,
-                       target_mass=target_mass)
+    return StepOptions(k=1, dt=dt, variant=variant, eps_lb=eps_lb)
+
+
+def mass_history(g, target_mass):
+    """A zero-state history that holds ``target_mass`` as its mass target."""
+    hist = History.start(g, np.zeros(g.shape))
+    hist.target_mass = target_mass
+    return hist
 
 
 class HeatModel:
@@ -62,21 +68,33 @@ class SourcedModel(HeatModel):
 
 def test_tableau_k1():
     t = bdf_tableau(1)
-    assert (t.alpha, t.a_coeffs, t.b_coeffs) == (1.0, (1.0,), ())
+    assert (t.k, t.alpha, t.a_coeffs) == (1, 1.0, (1.0,))
 
 
 def test_tableau_k2():
     t = bdf_tableau(2)
+    assert t.k == 2
     assert t.alpha == 1.5
     assert t.a_coeffs == (2.0, -0.5)
-    assert t.b_coeffs == (1.0,)
+
+
+def pushed_history(k, lam, xi):
+    """A four-node history after one step with multipliers (lam, xi)."""
+    g = build_grid((0.0, 1.0), 4, "periodic")
+    hist = History.start(g, np.ones(4))
+    hist.push(np.ones(4), np.full(4, lam), xi, 0.1, k=k)
+    return hist
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_tableau_consistency_sums(k):
+    # A_k sums to alpha_k; B_{k-1} carries a constant multiplier whole at
+    # k = 2 and drops it at k = 1
     t = bdf_tableau(k)
     assert sum(t.a_coeffs) == pytest.approx(t.alpha, rel=1e-15)
-    assert sum(t.b_coeffs) == (1.0 if k >= 2 else 0.0)
+    lam, xi = pushed_history(k, 1.0, 1.0).multiplier_load(t, "mass")
+    assert np.all(lam == (1.0 if k >= 2 else 0.0))
+    assert xi == (1.0 if k >= 2 else 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -88,7 +106,11 @@ def test_extrapolation_coeffs_are_exact_on_polynomials(k):
     for deg in range(k):
         levels = [float((-j) ** deg) for j in range(k)]  # t = 0, -1, ...
         assert sum(c * v for c, v in zip(w, levels)) == 1.0  # t = 1
-    assert bdf_tableau(k).b_coeffs == EXTRAPOLATION_COEFFS[k - 1]
+    # B_{k-1} is the order k - 1 extrapolation of the multiplier levels
+    hist = pushed_history(k, 0.75, 0.75)
+    lam, xi = hist.multiplier_load(bdf_tableau(k), "mass")
+    expect = sum(c * x for c, x in zip(EXTRAPOLATION_COEFFS[k - 1], [0.75]))
+    assert np.all(lam == expect) and xi == expect
 
 
 @pytest.mark.parametrize("k", [0, 3, 4, 5, -1])
@@ -348,10 +370,9 @@ def test_secant_vs_exact_random_instances():
 
 def test_correct_mass_balanced_is_identity():
     g = three_node_grid()
-    hist = History.start(g, np.zeros(5))
     ut = embed3(0.1, 0.3, 0.4)
-    out = correct_positivity(ut, hist, bdf_tableau(1),
-                             copts("mass", 1.0, target_mass=0.8))
+    out = correct_positivity(ut, mass_history(g, 0.8), bdf_tableau(1),
+                             copts("mass", 1.0))
     assert out.xi_next == 0.0
     assert np.array_equal(out.u_next, ut)
     assert np.all(out.lambda_next == 0.0)
@@ -359,10 +380,9 @@ def test_correct_mass_balanced_is_identity():
 
 def test_correct_mass_three_node_oracle():
     g = three_node_grid()
-    hist = History.start(g, np.zeros(5))
     ut = embed3(-0.5, 0.2, 0.6)
-    out = correct_positivity(ut, hist, bdf_tableau(1),
-                             copts("mass", 1.0, target_mass=0.5))
+    out = correct_positivity(ut, mass_history(g, 0.5), bdf_tableau(1),
+                             copts("mass", 1.0))
     assert np.allclose(out.u_next, embed3(0.0, 0.05, 0.45), atol=1e-13)
     assert g.mass(out.u_next) == pytest.approx(0.5, abs=1e-12)
     # clamped node: lam = (alpha/dt)(0 - u~ - eta) = 0.5 + 0.15
@@ -381,8 +401,9 @@ def test_correct_mass_kkt_and_mass_random():
         ut = rng.standard_normal(32)
         eps = float(rng.choice([0.0, 1e-3]))
         target = eps * g.measure + rng.uniform(0.1, 1.0)
+        hist.target_mass = target
         out = correct_positivity(ut, hist, bdf_tableau(2),
-                                 copts("mass", 0.05, eps, target))
+                                 copts("mass", 0.05, eps))
         assert g.mass(out.u_next) == pytest.approx(target, abs=1e-11)
         assert np.all(out.lambda_next >= 0.0)
         assert np.all(out.u_next >= eps)
@@ -399,8 +420,8 @@ def test_correct_mass_flat_secant_falls_back_to_exact_solve():
         solve_xi_secant(lambda x: residual_F(x, ut, 0.0, 0.01, tab, 1.0, g),
                         0.0, -0.01)
     assert err.value.iterations == 0
-    out = correct_positivity(ut, History.start(g, np.zeros(g.shape)), tab,
-                             copts("mass", 0.01, target_mass=1.0))
+    out = correct_positivity(ut, mass_history(g, 1.0), tab,
+                             copts("mass", 0.01))
     assert out.xi_next == pytest.approx(1100.0, rel=1e-12)
     assert g.mass(out.u_next) == pytest.approx(1.0, abs=1e-12)
     assert out.secant_iterations == 0 and out.active_count == 0
@@ -409,9 +430,27 @@ def test_correct_mass_flat_secant_falls_back_to_exact_solve():
 def test_correct_mass_target_below_floor_raises_secant_error():
     g = three_node_grid()
     with pytest.raises(SecantError, match="floor"):
-        correct_positivity(embed3(0.1, 0.2, 0.3),
-                           History.start(g, np.zeros(5)), bdf_tableau(1),
-                           copts("mass", 1.0, eps_lb=0.05, target_mass=0.1))
+        correct_positivity(embed3(0.1, 0.2, 0.3), mass_history(g, 0.1),
+                           bdf_tableau(1), copts("mass", 1.0, eps_lb=0.05))
+
+
+def test_history_start_records_the_initial_mass_bit_for_bit():
+    from posikit.models import PorousMediumModel
+    for model in (PorousMediumModel(n=16), PorousMediumModel(n=8, dim=2)):
+        u0 = model.initial_state()
+        hist = History.start(model.grid, u0)
+        assert hist.target_mass == model.grid.mass(u0)
+        assert hist.target_mass > 0.0
+
+
+def test_mass_correction_without_a_target_names_target_mass():
+    # a hand-built history holds no target; the mass correction says so
+    # instead of failing on arithmetic with None
+    g = three_node_grid()
+    hist = History(grid=g, us=[np.zeros(5)])
+    with pytest.raises(ValueError, match="target_mass"):
+        correct_positivity(embed3(0.1, 0.2, 0.3), hist, bdf_tableau(1),
+                           copts("mass", 1.0))
 
 
 # -- full steps ------------------------------------------------------------------
@@ -421,10 +460,11 @@ def test_step_zero_data_stays_zero():
     g = build_grid((0.0, 1.0), 8, "periodic")
     model = HeatModel(g, np.zeros(8))
     for variant in ("multiplier", "cutoff", "mass", "none"):
-        opts = StepOptions(k=2, dt=0.01, variant=variant, target_mass=0.0)
+        opts = StepOptions(k=2, dt=0.01, variant=variant)
         res = run_simulation(model, opts, 5)
+        assert res.history.target_mass == 0.0
         assert np.all(res.history.us[0] == 0.0)
-        assert np.all(res.history.lams[0] == 0.0)
+        assert np.all(res.history.lam == 0.0)
         assert all(d.xi == 0.0 for d in res.diagnostics)
 
 
@@ -470,8 +510,8 @@ def test_step_history_invariants_with_active_multiplier():
         hist, diag = step(hist, model, opts)
         fired += diag.active_count
         assert np.all(hist.us[0] >= 0.0)
-        assert np.all(hist.lams[0] >= 0.0)
-        assert np.all(hist.lams[0] * hist.us[0] == 0.0)
+        assert np.all(hist.lam >= 0.0)
+        assert np.all(hist.lam * hist.us[0] == 0.0)
     assert fired > 0  # the constraint actually engaged
 
 
@@ -505,21 +545,30 @@ def test_blowup_detection(variant, k):
 
 
 def test_mass_options_reused_across_models_keep_own_mass():
-    # the default target mass is resolved per run, never written into opts
+    # the target mass lives on each run's history, never on the options
     from posikit.models import PorousMediumModel
     opts = StepOptions(k=2, dt=1e-3, variant="mass")
+    masses = []
     for C in (1.0, 2.0):
         model = PorousMediumModel(m=2.0, n=64, dim=1, C=C)
         m0 = model.grid.mass(model.initial_state())
         res = run_simulation(model, opts, 5)
+        assert res.history.target_mass == m0
         assert abs(res.diagnostics[-1].mass - m0) <= 1e-10 * m0
-        assert opts.target_mass is None
+        assert opts == StepOptions(k=2, dt=1e-3, variant="mass")
+        masses.append(m0)
+    assert masses[0] != masses[1]
 
 
 
 @pytest.mark.parametrize("field,value", [
     ("dt", 0.0), ("dt", float("nan")), ("solver_tol", 0.0),
     ("solver_tol", -1.0), ("secant_tol", 0.0),
+    # an inf dt failed at the first solve ("shift sigma must be positive"),
+    # an inf solver_tol returned every Krylov start after 0 iterations, an
+    # inf secant_tol ended every secant at its first point
+    ("dt", float("inf")), ("solver_tol", float("inf")),
+    ("secant_tol", float("inf")),
     # a negative floor ran; a nan or inf one clamped the first step to
     # itself and failed the second as a solver error
     ("eps_lb", -1.0), ("eps_lb", float("nan")), ("eps_lb", float("inf"))])
@@ -575,11 +624,11 @@ def test_pme2d_step_leaves_every_history_level_alone(k):
     model = PorousMediumModel(m=3.0, n=16, dim=2)
     g = model.grid
     hist = History.start(g, model.initial_state())
-    opts = StepOptions(k=k, dt=1e-3, variant="mass",
-                       target_mass=g.mass(hist.us[0]))
+    opts = StepOptions(k=k, dt=1e-3, variant="mass")
     iters = 0
     for _ in range(5):
-        kept = [(v, v.tobytes()) for v in hist.us + hist.lams]
+        kept = [(v, v.tobytes()) for v in hist.us + [hist.lam]
+                if v is not None]
         hist, diag = step(hist, model, opts)
         iters += diag.solver_iterations
         assert all(v.tobytes() == b for v, b in kept)
@@ -592,8 +641,8 @@ def test_history_push_defaults_to_order_two():
     for n in range(3):
         hist.push(np.full(4, float(n + 1)), np.full(4, float(n)), n, 0.1)
     assert [u[0] for u in hist.us] == [3.0, 2.0]
-    assert len(hist.lams) == 1 and hist.lams[0][0] == 2.0
-    assert hist.xis == [2.0] and hist.nstep == 3
+    assert hist.lam[0] == 2.0
+    assert hist.xi == 2.0 and type(hist.xi) is float and hist.nstep == 3
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -607,7 +656,7 @@ def test_multiplier_load_reads_the_newest_level_without_a_copy(k):
     if k == 1:
         assert lam == 0.0
     else:
-        assert lam is hist.lams[0]
+        assert lam is hist.lam
     assert xi == 0.0 and math.copysign(1.0, xi) == 1.0
     assert hist.multiplier_load(bdf_tableau(k), "multiplier")[1] is None
 
@@ -619,14 +668,15 @@ def test_history_keeps_only_the_levels_order_k_reads(k):
     depths = []
 
     def record(hist, diag):
-        depths.append((len(hist.us), len(hist.lams), len(hist.xis)))
+        # one multiplier level: a field and a float, never a list of them
+        depths.append(len(hist.us))
         assert len(hist.us) <= k
-        assert len(hist.lams) <= 1
-        assert len(hist.xis) <= 1
+        assert hist.lam.shape == model.grid.shape
+        assert type(hist.xi) is float
 
     run_simulation(model, StepOptions(k=k, dt=1e-3, variant="mass"), 6,
                    on_step=record)
-    assert depths[-1] == (k, 1, 1)
+    assert depths[-1] == k
 
 
 def test_pme2d_step_peak_memory_in_field_sizes():
@@ -687,8 +737,7 @@ def test_ledger_pme1d_mass_step_applies_the_operator_once(monkeypatch):
     from posikit.diagnostics import EnergyLedger, ledger_variant_for
     from posikit.models import PorousMediumModel
     model = PorousMediumModel(m=5.0, n=64, dim=1)
-    opts = StepOptions(k=2, dt=1e-3, variant="mass",
-                       target_mass=model.grid.mass(model.initial_state()))
+    opts = StepOptions(k=2, dt=1e-3, variant="mass")
     hist = History.start(model.grid, model.initial_state())
     ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
     step(hist, model, opts, ledger)
