@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,13 +62,21 @@ def _finite(key: str, text: str) -> float:
     return x
 
 
-_COMMON_KEYS = {"model", "nx", "ny", "k", "T", "eps_lb", "out"}
-_MODEL_KEYS = {
-    "allen_cahn": {"eps2"},
-    "pme": {"m", "C"},
-    "pnp": {"eps_debye"},
-    "lubrication": {"rho", "reg", "eta"},
+class _ModelEntry(NamedTuple):
+    cls: type
+    keys: tuple      # the model's own config keys
+    variants: tuple  # the step variants it takes, its default first
+
+
+_MODELS = {
+    "allen_cahn": _ModelEntry(AllenCahnModel, ("eps2",),
+                              ("multiplier", "cutoff", "none")),
+    "pme": _ModelEntry(PorousMediumModel, ("m", "C"), VARIANTS),
+    "pnp": _ModelEntry(PnpModel, ("eps_debye",), ("mass",)),
+    "lubrication": _ModelEntry(LubricationModel, ("rho", "reg", "eta"),
+                               ("mass", "multiplier", "cutoff", "none")),
 }
+_COMMON_KEYS = {"model", "nx", "ny", "k", "T", "eps_lb", "out"}
 # the keys each command reads besides the common and model keys; a study
 # steps at the default tolerances
 _COMMAND_KEYS = {
@@ -75,15 +84,6 @@ _COMMAND_KEYS = {
     "compare": {"dt", "variants", "solver_tol", "secant_tol"},
     "convergence": {"variant", "dts", "ref_dt", "ref_k", "ref_variant"},
 }
-
-_VALID_VARIANTS = {
-    "allen_cahn": ("multiplier", "cutoff", "none"),
-    "pme": VARIANTS,
-    "pnp": ("mass",),
-    "lubrication": ("mass", "multiplier", "cutoff", "none"),
-}
-_DEFAULT_VARIANT = {"allen_cahn": "multiplier", "pme": "multiplier",
-                    "pnp": "mass", "lubrication": "mass"}
 
 
 @dataclass
@@ -134,9 +134,9 @@ def parse_config(path) -> RunConfig:
     model = raw.get("model")
     if model is None:
         raise ConfigError("missing required key 'model'")
-    if model not in _MODEL_KEYS:
+    if model not in _MODELS:
         raise ConfigError(f"key 'model': unknown model '{model}'")
-    allowed = _COMMON_KEYS.union(_MODEL_KEYS[model], *_COMMAND_KEYS.values())
+    allowed = _COMMON_KEYS.union(_MODELS[model].keys, *_COMMAND_KEYS.values())
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}'")
@@ -145,7 +145,7 @@ def parse_config(path) -> RunConfig:
 
 def _check_command_keys(cfg: RunConfig, command: str) -> None:
     """Reject a key that only other commands read."""
-    used = _COMMON_KEYS | _MODEL_KEYS[cfg.model] | _COMMAND_KEYS[command]
+    used = _COMMON_KEYS.union(_MODELS[cfg.model].keys, _COMMAND_KEYS[command])
     for key in cfg.raw:
         if key not in used:
             raise ConfigError(f"key '{key}': not used by '{command}'")
@@ -160,46 +160,55 @@ def build_model(cfg: RunConfig):
         raise ConfigError(f"model '{cfg.model}': {exc}") from exc
 
 
-_DEFAULT_NX = {"allen_cahn": 32, "pme": 128, "pnp": 64, "lubrication": 256}
-
-
 def _unused(cfg: RunConfig, key: str, why: str) -> None:
     if key in cfg.raw:
         raise ConfigError(f"key '{key}': not used {why}")
 
 
 def _build_model(cfg: RunConfig):
-    n = cfg.get_int("nx", _DEFAULT_NX[cfg.model])
+    """The config's model; a key left unset keeps the model's default,
+    except ``eta``, which is 1e-8 under ``reg = reg_eta``."""
+    kwargs = {key: cfg.get_float(key) for key in _MODELS[cfg.model].keys
+              if key != "reg" and key in cfg.raw}
+    if "nx" in cfg.raw:
+        kwargs["n"] = cfg.get_int("nx")
     ny = cfg.get_int("ny") if "ny" in cfg.raw else None
-    if ny is not None and ny != n:
+    if ny is not None and cfg.model in ("pme", "lubrication"):
+        kwargs["dim"] = 2
+    if cfg.model == "lubrication":
+        reg = cfg.get("reg", "floor")
+        if reg == "floor":
+            _unused(cfg, "eta", "with reg = floor")
+        elif reg == "reg_eta":
+            kwargs.setdefault("eta", 1e-8)
+            if not kwargs["eta"] > 0:
+                raise ConfigError("key 'eta': reg = reg_eta needs eta > 0")
+        else:
+            raise ConfigError(f"key 'reg': unknown regularization '{reg}'")
+    model = _MODELS[cfg.model].cls(**kwargs)
+    if ny is not None and ny != model.n:
         raise ConfigError(f"key 'ny': {cfg.model} uses equal per-axis counts")
-    if cfg.model == "allen_cahn":
-        return AllenCahnModel(eps2=cfg.get_float("eps2", 0.001), n=n)
-    if cfg.model == "pme":
-        dim = 2 if ny is not None else 1
-        return PorousMediumModel(m=cfg.get_float("m", 2.0), n=n, dim=dim,
-                                 C=cfg.get_float("C", 1.0))
+    return model
+
+
+def _floor(cfg: RunConfig) -> float:
+    """The lower bound every run of ``cfg`` steps above: the ``eps_lb`` key
+    if set, else 1e-2 for a thin film with ``reg = floor``, else 0."""
     if cfg.model == "pnp":
         _unused(cfg, "eps_lb", "by pnp, whose species solves keep no floor")
-        return PnpModel(eps_debye=cfg.get_float("eps_debye", 0.1), n=n)
-    # lubrication
-    reg = cfg.get("reg", "floor")
-    if reg not in ("floor", "reg_eta"):
-        raise ConfigError(f"key 'reg': unknown regularization '{reg}'")
-    dim = 2 if ny is not None else 1
-    kwargs = dict(rho=cfg.get_float("rho", 0.5), mode=reg, n=n, dim=dim)
-    if reg == "floor":
-        _unused(cfg, "eta", "with reg = floor")
-        kwargs["eps_lb"] = cfg.get_float("eps_lb", 1e-2)
-    else:
+    if cfg.model != "lubrication":
+        return cfg.get_float("eps_lb", 0.0)
+    if cfg.get("reg", "floor") != "floor":
         _unused(cfg, "eps_lb", "with reg = reg_eta, which keeps no floor")
-        kwargs["eta"] = cfg.get_float("eta", 1e-8)
-        kwargs["eps_lb"] = 0.0
-    return LubricationModel(**kwargs)
+        return 0.0
+    eps_lb = cfg.get_float("eps_lb", 1e-2)
+    if not eps_lb > 0:
+        raise ConfigError("key 'eps_lb': reg = floor needs eps_lb > 0")
+    return eps_lb
 
 
 def _check_variant(cfg: RunConfig, variant: str, key="variant") -> None:
-    if variant not in _VALID_VARIANTS[cfg.model]:
+    if variant not in _MODELS[cfg.model].variants:
         raise ConfigError(f"key '{key}': '{variant}' is not valid for "
                           f"model '{cfg.model}'")
 
@@ -213,16 +222,17 @@ def _checked(what: str, rule, *args, **kwargs):
 
 
 def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
+    """Step options of ``cfg``, for ``variant`` if given; a tolerance left
+    unset keeps the :class:`StepOptions` default.  Nothing is read from
+    ``model``: the floor is the config's (:func:`_floor`)."""
     if variant is None:
-        variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
+        variant = cfg.get("variant", _MODELS[cfg.model].variants[0])
     _check_variant(cfg, variant)
-    eps_lb = getattr(model, "eps_lb", 0.0)
-    if cfg.model != "lubrication":
-        eps_lb = cfg.get_float("eps_lb", 0.0)
+    tols = {key: cfg.get_float(key) for key in ("solver_tol", "secant_tol")
+            if key in cfg.raw}
     return _checked("step options", StepOptions, k=cfg.get_int("k", 2),
-                    dt=cfg.get_float("dt"), variant=variant, eps_lb=eps_lb,
-                    solver_tol=cfg.get_float("solver_tol", 1e-10),
-                    secant_tol=cfg.get_float("secant_tol", 1e-12))
+                    dt=cfg.get_float("dt"), variant=variant,
+                    eps_lb=_floor(cfg), **tols)
 
 
 def _check_floor(g, opts: StepOptions, mass: float) -> None:
@@ -307,10 +317,7 @@ def _single_field(cfg: RunConfig, command: str) -> None:
 def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     _single_field(cfg, "convergence")
     model = build_model(cfg)
-    if not hasattr(model, "eps_lb"):  # the runs step at the model's floor
-        _unused(cfg, "eps_lb", f"by convergence with model '{cfg.model}', "
-                "which keeps no floor")
-    variant = cfg.get("variant", _DEFAULT_VARIANT[cfg.model])
+    variant = cfg.get("variant", _MODELS[cfg.model].variants[0])
     _check_variant(cfg, variant)
     dts = [_finite("dts", s) for s in cfg.get("dts", "").split(",")
            if s.strip()]
@@ -323,7 +330,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     k = cfg.get_int("k", 2)
     horizon = cfg.get_float("T", 0.01)
     runs = [(k, dt, variant) for dt in dts] + [(ref.k, ref.dt, ref.variant)]
-    eps_lb = getattr(model, "eps_lb", 0.0)
+    eps_lb = _floor(cfg)
     mass = model.grid.mass(model.initial_state())
     for run_k, dt, run_variant in runs:  # all checked before the first run
         opts = _checked("step options", StepOptions, k=run_k, dt=dt,
@@ -331,7 +338,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
         _check_floor(model.grid, opts, mass)
         _checked("key 'T'", horizon_steps, horizon, dt)
     rows = convergence_study(model, k, dts, ref, variant=variant,
-                             horizon=horizon)
+                             horizon=horizon, eps_lb=eps_lb)
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return EXIT_OK
 
@@ -345,16 +352,18 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("key 'variants': names no variant")
     g = model.grid
     initial_row = _initial_row(g, model.initial_state())
+    options = {}
     for v in variants:  # all checked before the first run
+        if v in options:
+            raise ConfigError(f"key 'variants': names '{v}' twice")
         _check_variant(cfg, v, "variants")
-        _check_floor(g, build_options(cfg, model, variant=v), initial_row[1])
+        opts = options[v] = build_options(cfg, model, variant=v)
+        _check_floor(g, opts, initial_row[1])
+    # every variant steps at the one dt
+    n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"), opts.dt)
     per_variant = {}
     summary = []
-    n_steps = None
-    for v in variants:
-        opts = build_options(cfg, model, variant=v)
-        n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"),
-                           opts.dt)
+    for v, opts in options.items():
         result = run_simulation(model, opts, n_steps, stop_on_failure=False)
         diags = result.diagnostics
         per_variant[v] = diags

@@ -185,13 +185,12 @@ def horizon_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def run_to_horizon(model, k: int, dt: float, variant: str,
-                   horizon: float) -> np.ndarray:
-    """Run the model to the horizon, at its own floor ``eps_lb`` if it
-    keeps one, and return the final field."""
+def run_to_horizon(model, k: int, dt: float, variant: str, horizon: float,
+                   eps_lb: float = 0.0) -> np.ndarray:
+    """Run the model to the horizon above the floor ``eps_lb`` and return
+    the final field."""
     n_steps = horizon_steps(horizon, dt)
-    opts = StepOptions(k=k, dt=dt, variant=variant,
-                       eps_lb=getattr(model, "eps_lb", 0.0))
+    opts = StepOptions(k=k, dt=dt, variant=variant, eps_lb=eps_lb)
     result = run_simulation(model, opts, n_steps)
     return result.history.us[0]
 
@@ -216,26 +215,27 @@ def check_study_steps(dts, ref_dt: Optional[float] = None) -> None:
 
 def convergence_study(model, k: int, dts, reference,
                       variant: str = VARIANT_MULTIPLIER,
-                      horizon: float = 0.01) -> list[ConvergenceRow]:
+                      horizon: float = 0.01,
+                      eps_lb: float = 0.0) -> list[ConvergenceRow]:
     """Temporal convergence table against a fine reference solution.
 
     ``reference`` is either a :class:`ReferenceSpec` (the reference trajectory
     is computed once at its settings) or a precomputed final-state array.
-    Errors are the max-norm over active nodes; the step sizes must pass
-    :func:`check_study_steps`.
+    Every run steps above the floor ``eps_lb``.  Errors are the max-norm over
+    active nodes; the step sizes must pass :func:`check_study_steps`.
     """
     dts = list(dts)
     if isinstance(reference, ReferenceSpec):
         check_study_steps(dts, reference.dt)
         u_ref = run_to_horizon(model, reference.k, reference.dt,
-                               reference.variant, horizon)
+                               reference.variant, horizon, eps_lb)
     else:
         check_study_steps(dts)
         u_ref = np.asarray(reference)
     act = model.grid.active
     errors = []
     for dt in dts:
-        u = run_to_horizon(model, k, dt, variant, horizon)
+        u = run_to_horizon(model, k, dt, variant, horizon, eps_lb)
         errors.append(float(np.abs((u - u_ref)[act]).max()))
     orders = fit_orders(dts, errors)
     return [ConvergenceRow(dt, e, o) for dt, e, o in zip(dts, errors, orders)]

@@ -153,6 +153,8 @@ class PorousMediumModel:
             raise ValueError("exponent m must be greater than 1 and finite")
         if not 0 < self.C < np.inf:
             raise ValueError("amplitude C must be positive and finite")
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim!r}")
         extents = ((-5.0, 5.0),) * self.dim
         self.grid = build_grid(extents, (self.n,) * self.dim, DIRICHLET)
 
@@ -273,10 +275,6 @@ def run_pnp(model: PnpModel, opts: StepOptions, n_steps: int):
 
 # -- thin-film (fourth-order) flow ----------------------------------------------
 
-MODE_FLOOR = "floor"
-MODE_REG_ETA = "reg_eta"
-
-
 def lubrication_f_eta(u: np.ndarray, rho: float, eta: float) -> np.ndarray:
     """Mobility regularization u^4 f(u) / (eta f(u) + u^4) with f(u) = u^rho.
 
@@ -294,15 +292,12 @@ def lubrication_f_eta(u: np.ndarray, rho: float, eta: float) -> np.ndarray:
 class LubricationModel:
     """u_t + div(f(u) grad Delta u) = 0 with f(u) = u^rho, periodic domain.
 
-    Exactly one regularization is active: either the mobility is replaced by
-    its eta-regularized form (mode ``reg_eta``, lower bound 0), or the
-    solution is kept above a positive floor eps_lb by the multiplier (mode
-    ``floor``, plain mobility).
+    With eta > 0 the mobility is its eta-regularized form
+    :func:`lubrication_f_eta`; with eta = 0 it is plain u^rho.  A positive
+    lower bound is the correction's to keep (``StepOptions.eps_lb``).
     """
 
     rho: float = 0.5
-    mode: str = MODE_FLOOR
-    eps_lb: float = 1e-2
     eta: float = 0.0
     n: int = 256
     dim: int = 1
@@ -310,18 +305,10 @@ class LubricationModel:
     def __post_init__(self):
         if not np.isfinite(self.rho):
             raise ValueError("mobility exponent rho must be finite")
-        if self.mode == MODE_FLOOR:
-            if not 0 < self.eps_lb < np.inf:
-                raise ValueError("floor mode needs a finite positive lower "
-                                 "bound")
-            if self.eta != 0:
-                raise ValueError("floor mode does not take eta")
-        elif self.mode == MODE_REG_ETA:
-            if not 0 < self.eta < np.inf:
-                raise ValueError("reg_eta mode needs a finite positive eta")
-            self.eps_lb = 0.0
-        else:
-            raise ValueError(f"unknown regularization mode {self.mode!r}")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be finite and nonnegative")
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim!r}")
         if self.dim == 1:
             self.grid = build_grid((-1.0, 1.0), self.n, PERIODIC)
         else:
@@ -337,7 +324,7 @@ class LubricationModel:
                         (X - 0.5) ** 2 * (Y - 0.5) ** 2, 0.0)
 
     def mobility(self, star: np.ndarray) -> np.ndarray:
-        if self.mode == MODE_REG_ETA:
+        if self.eta > 0:
             return lubrication_f_eta(star, self.rho, self.eta)
         return star**self.rho
 

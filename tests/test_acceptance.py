@@ -250,7 +250,7 @@ def test_criterion_09_electrodiffusion_sanity():
 def test_criterion_10_thin_film_floor():
     checks = []
     eps = 1e-2
-    model = LubricationModel(rho=0.5, mode="floor", eps_lb=eps, n=256, dim=1)
+    model = LubricationModel(rho=0.5, n=256, dim=1)
     opts = StepOptions(k=2, dt=1e-4, variant="mass", eps_lb=eps)
     complement_ok = True
     touched = 0
@@ -271,10 +271,8 @@ def test_criterion_10_thin_film_floor():
                    f"multiplier positive exactly on clamped nodes "
                    f"(up to {touched} at once)"))
 
-    model_b = LubricationModel(rho=0.5, mode="floor", eps_lb=1e-4, n=256,
-                               dim=1)
     opts_b = StepOptions(k=2, dt=2e-7, variant="mass", eps_lb=1e-4)
-    res_b = run_simulation(model_b, opts_b, 4000)  # passes t = 7.4e-4
+    res_b = run_simulation(model, opts_b, 4000)  # passes t = 7.4e-4
     t_end = res_b.history.t
     min_b = min(d.min_u for d in res_b.diagnostics)
     checks.append((res_b.failure is None and t_end > 7.4e-4 and min_b >= 1e-4,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from posikit import cli, diagnostics
+from posikit import cli, diagnostics, models
 from posikit.cli import main, parse_config, reference_spec
 from posikit.diagnostics import ReferenceSpec
 from posikit.grid import read_snapshot
@@ -268,6 +268,9 @@ PME16_CFG = "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3"
     (LUB_CFG + "\nsnapshot_every = -5", "snapshot_every"),
     (LUB_CFG + "\nreg = floor\neta = 1e-6", "'eta'"),
     (LUB_CFG + "\nreg = reg_eta\neps_lb = 1e-3", "'eps_lb'"),
+    # a thin film needs one regularization: a positive floor, or eta > 0
+    (LUB_CFG + "\nreg = floor\neps_lb = 0", "'eps_lb'"),
+    (LUB_CFG + "\nreg = reg_eta\neta = 0", "'eta'"),
     (PNP_CFG + "\neps_lb = 1e-3", "'eps_lb'"),
     (PNP_CFG + "\nsnapshot_every = 1", "'snapshot_every'"),
     (PNP_CFG + "\nny = 16", "'ny'"),
@@ -382,10 +385,8 @@ ref_dt = 2e-5
     ("dts = 2e-4,1e-4", "dts = 1e-4,1e-4", "'dts': step sizes must be"),
     ("ref_dt = 2e-5", "ref_dt = 1e-4", "'ref_dt': reference dt 0.0001"),
     ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_k = 3", "BDF order"),
-    # the study runs step at the model's own floor; Allen-Cahn keeps none
-    ("ref_dt = 2e-5", "ref_dt = 2e-5\neps_lb = 1e-3", "'eps_lb': not used"),
 ], ids=["k", "T", "dts", "ref_variant", "dts-inf", "dts-nan", "dts-equal",
-        "ref_dt", "ref_k", "eps_lb"])
+        "ref_dt", "ref_k"])
 def test_convergence_config_mistakes_exit_2_before_any_run(
         tmp_path, capsys, monkeypatch, old, new, word):
     def no_run(*args, **kwargs):
@@ -400,6 +401,24 @@ def test_convergence_config_mistakes_exit_2_before_any_run(
     err = capsys.readouterr().err
     assert "config error" in err and word in err
     assert not (out / "convergence.csv").exists()
+
+
+def test_convergence_steps_every_run_at_the_configured_floor(tmp_path,
+                                                              monkeypatch):
+    # the floor comes from the config on every model, as in `solve`
+    runs = []
+    real = diagnostics.run_simulation
+
+    def spy(model, opts, *args, **kwargs):
+        runs.append((opts.dt, opts.eps_lb))
+        return real(model, opts, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "run_simulation", spy)
+    cfg = write_config(tmp_path, CONVERGENCE_CFG + "eps_lb = 1e-3\n")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    assert runs == [(2e-5, 1e-3), (2e-4, 1e-3), (1e-4, 1e-3)]
+    assert (out / "convergence.csv").exists()
 
 
 def test_compare_records_failure_kind(tmp_path):
@@ -445,14 +464,31 @@ variants = multiplier,mass
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("variants", ["", ","])
+@pytest.mark.parametrize("variants", ["", ",", "mass,mass"])
 def test_compare_rejects_an_empty_variant_list(tmp_path, capsys, variants):
-    # an empty list ran nothing and ended in a TypeError traceback (exit 1)
+    # an empty list ran nothing and ended in a TypeError traceback (exit 1);
+    # a variant named twice ran twice and wrote its columns twice (exit 0)
     cfg = write_config(tmp_path, LUB_CFG + f"\nvariants = {variants}\n")
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
     assert "'variants'" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_reg_eta_solve_steps_the_regularized_mobility(tmp_path, monkeypatch):
+    calls = []
+    real = models.lubrication_f_eta
+
+    def spy(u, rho, eta):
+        calls.append(eta)
+        return real(u, rho, eta)
+
+    monkeypatch.setattr(models, "lubrication_f_eta", spy)
+    cfg = write_config(tmp_path, LUB_CFG + "\nreg = reg_eta\neta = 1e-6\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [1e-6] * 10  # one operator per step
+    assert (out / "run.csv").exists()
 
 
 # -- solver columns of the per-step logs -----------------------------------------

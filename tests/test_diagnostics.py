@@ -156,7 +156,7 @@ def test_kkt_audit_shifted_bound():
 def test_kkt_audit_clean_along_floor_run():
     # thin-film run against a positive floor: audit every step
     from posikit.models import LubricationModel
-    model = LubricationModel(rho=0.5, mode="floor", eps_lb=1e-2, n=64)
+    model = LubricationModel(rho=0.5, n=64)
     opts = StepOptions(k=2, dt=1e-4, variant="mass", eps_lb=1e-2)
 
     reports = []

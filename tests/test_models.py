@@ -229,19 +229,18 @@ def test_f_eta_zero_limit():
     assert lubrication_f_eta(np.array([0.0]), 0.5, 1e-12)[0] == 0.0
 
 
-def test_lubrication_mode_validation():
-    with pytest.raises(ValueError, match="positive lower bound"):
-        LubricationModel(mode="floor", eps_lb=0.0, n=16)
-    with pytest.raises(ValueError, match="eta"):
-        LubricationModel(mode="reg_eta", eta=0.0, n=16)
-    with pytest.raises(ValueError, match="unknown regularization"):
-        LubricationModel(mode="both", n=16)
-    m = LubricationModel(mode="reg_eta", eta=1e-8, eps_lb=0.3, n=16)
-    assert m.eps_lb == 0.0  # reg mode forces the bound off
+def test_lubrication_eta_validation():
+    # eta >= 0 picks the mobility: plain u^rho at 0, regularized above it
+    with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+        LubricationModel(eta=-1e-8, n=16)
+    star = np.linspace(0.0, 1.0, 16)
+    assert np.array_equal(LubricationModel(n=16).mobility(star), star**0.5)
+    assert np.array_equal(LubricationModel(eta=1e-2, n=16).mobility(star),
+                          lubrication_f_eta(star, 0.5, 1e-2))
 
 
 def test_lubrication_operator_coefficients():
-    model = LubricationModel(rho=0.5, mode="floor", eps_lb=1e-2, n=16)
+    model = LubricationModel(rho=0.5, n=16)
     g = model.grid
     u = np.full(16, 0.25)
     hist = History.start(g, u)
@@ -249,7 +248,7 @@ def test_lubrication_operator_coefficients():
     assert op.kind == "div-coeff-grad-laplacian"
     assert np.allclose(op.coeff, 0.5)  # sqrt(0.25)
 
-    reg = LubricationModel(rho=1.0, mode="reg_eta", eta=1.0, n=16)
+    reg = LubricationModel(rho=1.0, eta=1.0, n=16)
     hist = History.start(reg.grid, np.ones(16))
     assert np.allclose(reg.operator(hist, 1).coeff, 0.5)
 
@@ -258,14 +257,13 @@ def test_lubrication_initial_states():
     m1 = LubricationModel(n=64, dim=1)
     u0 = m1.initial_state()
     assert u0.min() == pytest.approx(0.05, abs=1e-12)  # at x = 0
-    m2 = LubricationModel(n=16, dim=2, mode="reg_eta", eta=1e-10, eps_lb=0.0,
-                          rho=1.0)
+    m2 = LubricationModel(n=16, dim=2, eta=1e-10, rho=1.0)
     v0 = m2.initial_state()
     assert v0.min() == 0.0 and v0.max() > 0.0
 
 
 def test_lubrication_floor_run_keeps_bound_and_mass():
-    model = LubricationModel(rho=0.5, mode="floor", eps_lb=1e-2, n=64)
+    model = LubricationModel(rho=0.5, n=64)
     opts = StepOptions(k=2, dt=1e-4, variant="mass", eps_lb=1e-2)
     res = run_simulation(model, opts, 50)
     m0 = model.grid.mass(model.initial_state())
@@ -297,10 +295,8 @@ NAN, INF = float("nan"), float("inf")
     (PnpModel, dict(eps_debye=NAN), "Debye ratio"),
     (PnpModel, dict(eps_debye=INF), "Debye ratio"),
     (LubricationModel, dict(rho=NAN), "rho"),
-    (LubricationModel, dict(eps_lb=NAN), "lower bound"),
-    (LubricationModel, dict(eps_lb=INF), "lower bound"),
-    (LubricationModel, dict(mode="reg_eta", eta=NAN), "eta"),
-    (LubricationModel, dict(mode="reg_eta", eta=INF), "eta"),
+    (LubricationModel, dict(eta=NAN), "eta"),
+    (LubricationModel, dict(eta=INF), "eta"),
     (PorousMediumModel, dict(m=INF), "exponent m"),
     (PorousMediumModel, dict(C=INF), "amplitude C"),
 ])
@@ -308,6 +304,15 @@ def test_non_finite_model_parameters_fail_at_construction(make, kwargs,
                                                           match):
     with pytest.raises(ValueError, match=match):
         make(n=16, **kwargs)
+
+
+@pytest.mark.parametrize("make", [LubricationModel, PorousMediumModel])
+@pytest.mark.parametrize("dim", [0, 3])
+def test_models_with_a_dimension_reject_any_but_1_or_2(make, dim):
+    # a thin film of dim 3 built a 2D grid, and a porous medium of dim 0
+    # failed with an IndexError
+    with pytest.raises(ValueError, match=f"dim must be 1 or 2, got {dim}"):
+        make(n=8, dim=dim)
 
 
 # -- no state outlives a run ----------------------------------------------------
