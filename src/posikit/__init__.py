@@ -17,8 +17,8 @@ from .stepper import (BdfTableau, BlowUpError, CorrectionOutcome, History,
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, barenblatt, extrapolate_star,
                      lubrication_f_eta, pme_operator, pnp_step, run_pnp)
-from .diagnostics import (ConvergenceRow, EnergyLedger, KktReport,
-                          ReferenceSpec, convergence_study, kkt_audit,
-                          ledger_variant_for, run_to_horizon)
+from .diagnostics import (DEFAULT_REFERENCE, ConvergenceRow, EnergyLedger,
+                          KktReport, convergence_study, has_energy_statement,
+                          kkt_audit, run_to_horizon)
 
 __version__ = "0.1.0"

@@ -6,12 +6,14 @@ would ignore.  Three subcommands:
 
 * ``solve``        -- run one configuration, emit ``run.csv`` and field
   snapshots at the configured cadence;
-* ``convergence``  -- temporal convergence table against a fine reference;
+* ``convergence``  -- temporal convergence table against a fine reference
+  (a ``ref_*`` key left unset keeps ``diagnostics.DEFAULT_REFERENCE``);
 * ``compare``      -- run several step variants on one model and emit aligned
   per-step metrics (the ``none`` variant is the uncorrected baseline and may
   blow up; a failure's kind, and for a blow-up its time, are recorded, not
   raised).
 
+Every command steps to the horizon ``T``, which each config must set.
 Output directory precedence: ``--out`` flag, then the ``POSIKIT_OUT``
 environment variable, then the config's ``out`` key, then ``./out``.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -24,14 +26,14 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import (EnergyLedger, ReferenceSpec, check_study_steps,
-                          convergence_study, horizon_steps, ledger_variant_for,
-                          write_convergence_csv, write_run_csv)
+from .diagnostics import (DEFAULT_REFERENCE, EnergyLedger, check_study_steps,
+                          convergence_study, has_energy_statement,
+                          horizon_steps, write_convergence_csv, write_run_csv)
 from .grid import write_snapshot
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, run_pnp)
@@ -278,8 +280,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
                        run_p.history.t)
         return EXIT_OK
 
-    lv = ledger_variant_for(opts.variant, opts.k)
-    ledger = EnergyLedger(g, lv) if lv is not None else None
+    ledger = EnergyLedger(g, opts) if has_energy_statement(opts) else None
 
     def on_step(hist, diag):
         if cadence > 0 and diag.step % cadence == 0:
@@ -299,13 +300,15 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def reference_spec(cfg: RunConfig) -> ReferenceSpec:
-    """Reference settings of a convergence study; unset keys keep the
-    :class:`ReferenceSpec` defaults."""
-    default = ReferenceSpec()
-    return ReferenceSpec(k=cfg.get_int("ref_k", default.k),
-                         dt=cfg.get_float("ref_dt", default.dt),
-                         variant=cfg.get("ref_variant", default.variant))
+def reference_options(cfg: RunConfig, eps_lb: float) -> StepOptions:
+    """Options of a convergence study's reference run, above the floor
+    ``eps_lb``; a ``ref_*`` key left unset keeps :data:`DEFAULT_REFERENCE`."""
+    variant = cfg.get("ref_variant", DEFAULT_REFERENCE.variant)
+    _check_variant(cfg, variant, "ref_variant")
+    return _checked("reference options", replace, DEFAULT_REFERENCE,
+                    k=cfg.get_int("ref_k", DEFAULT_REFERENCE.k),
+                    dt=cfg.get_float("ref_dt", DEFAULT_REFERENCE.dt),
+                    variant=variant, eps_lb=eps_lb)
 
 
 def _single_field(cfg: RunConfig, command: str) -> None:
@@ -324,21 +327,18 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     if not dts:
         raise ConfigError("missing required key 'dts'")
     _checked("key 'dts'", check_study_steps, dts)
-    ref = reference_spec(cfg)
-    _check_variant(cfg, ref.variant, "ref_variant")
+    eps_lb = _floor(cfg)
+    ref = reference_options(cfg, eps_lb)
     _checked("key 'ref_dt'", check_study_steps, dts, ref.dt)
     k = cfg.get_int("k", 2)
-    horizon = cfg.get_float("T", 0.01)
-    runs = [(k, dt, variant) for dt in dts] + [(ref.k, ref.dt, ref.variant)]
-    eps_lb = _floor(cfg)
+    horizon = cfg.get_float("T")
+    runs = [_checked("step options", StepOptions, k=k, dt=dt,
+                     variant=variant, eps_lb=eps_lb) for dt in dts]
     mass = model.grid.mass(model.initial_state())
-    for run_k, dt, run_variant in runs:  # all checked before the first run
-        opts = _checked("step options", StepOptions, k=run_k, dt=dt,
-                        variant=run_variant, eps_lb=eps_lb)
+    for opts in runs + [ref]:  # all checked before the first run
         _check_floor(model.grid, opts, mass)
-        _checked("key 'T'", horizon_steps, horizon, dt)
-    rows = convergence_study(model, k, dts, ref, variant=variant,
-                             horizon=horizon, eps_lb=eps_lb)
+        _checked("key 'T'", horizon_steps, horizon, opts.dt)
+    rows = convergence_study(model, runs[0], dts, ref, horizon)
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return EXIT_OK
 

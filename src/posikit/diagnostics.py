@@ -3,21 +3,23 @@
 The first- and second-order step variants satisfy discrete energy statements
 when the operator is conservative and positive semidefinite; this module
 accumulates the corresponding quantities during a run and exposes their
-residual, so stability is checked numerically instead of assumed:
+residual, so stability is checked numerically instead of assumed.  The
+scheme, one :class:`~posikit.stepper.StepOptions`, decides the statement:
 
-* first-order multiplier: the energy balance is an exact identity; residual
-  is its absolute defect.
-* first-order mass variant, and both second-order variants: inequalities;
-  residual is the positive part of (LHS - RHS).
+* first-order multiplier and cut-off: the energy balance is an exact
+  identity; residual is its absolute defect.
+* first-order mass variant, and both second-order variants (multiplier and
+  mass): inequalities; residual is the positive part of (LHS - RHS).
 
 Both second-order forms assume the run started with a first-order step,
-which is what the stepper's start-up cascade produces.
+which is what the stepper's start-up cascade produces.  A convergence
+study takes its scheme the same way, as options whose step it replaces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,41 +28,35 @@ from .grid import Grid
 from .stepper import (StepOptions, VARIANT_CUTOFF, VARIANT_MASS,
                       VARIANT_MULTIPLIER, run_simulation)
 
-LEDGER_FIRST = "first-order"
-LEDGER_FIRST_MASS = "first-order-mass"
-LEDGER_SECOND = "second-order"
-LEDGER_SECOND_MASS = "second-order-mass"
+# the schemes with an energy statement, as (variant, k): the cut-off
+# variant has one only at k = 1, where it steps as the multiplier variant
+_STATEMENTS = frozenset({(VARIANT_MULTIPLIER, 1), (VARIANT_CUTOFF, 1),
+                         (VARIANT_MASS, 1), (VARIANT_MULTIPLIER, 2),
+                         (VARIANT_MASS, 2)})
 
 
-def ledger_variant_for(variant: str, k: int) -> Optional[str]:
-    """Map a (step variant, order) pair to the energy statement it satisfies.
+def has_energy_statement(opts: StepOptions) -> bool:
+    """Whether the scheme ``opts`` has an energy statement for a ledger.
 
     The mass statements hold only when the PDE conserves mass: flux through
     a Dirichlet end drains mass, the mass variant puts it back with xi > 0,
     and the ledger flags the run (residual of order 1, not 1e-8).
     """
-    if k == 1 and variant in (VARIANT_MULTIPLIER, VARIANT_CUTOFF):
-        return LEDGER_FIRST
-    if k == 1 and variant == VARIANT_MASS:
-        return LEDGER_FIRST_MASS
-    if k == 2 and variant == VARIANT_MULTIPLIER:
-        return LEDGER_SECOND
-    if k == 2 and variant == VARIANT_MASS:
-        return LEDGER_SECOND_MASS
-    return None
+    return (opts.variant, opts.k) in _STATEMENTS
 
 
 class EnergyLedger:
-    """Accumulates the energy-balance terms of a single run."""
+    """Energy-balance terms of one run of the scheme ``opts``, from its
+    first step on; :func:`~posikit.stepper.step` rejects any other use."""
 
-    def __init__(self, g: Grid, variant: str):
-        if variant not in (LEDGER_FIRST, LEDGER_FIRST_MASS, LEDGER_SECOND,
-                           LEDGER_SECOND_MASS):
-            raise ValueError(f"unknown ledger variant {variant!r}")
+    def __init__(self, g: Grid, opts: StepOptions):
+        if not has_energy_statement(opts):
+            raise ValueError(f"no energy statement for the {opts.variant!r} "
+                             f"variant at k = {opts.k}")
         self.grid = g
-        self.variant = variant
+        self.opts = opts
+        self.with_xi = opts.variant == VARIANT_MASS
         self.nsteps = 0
-        self.dt = None
         self.u0_norm2 = None
         self.rhs_second = None       # ||2 u^1 - u^0||^2 + 4 ||u^0||^2
         self.sum_increments = 0.0    # sum ||u~^{n+1} - u^n||^2
@@ -70,19 +66,13 @@ class EnergyLedger:
         self.um_norm2 = 0.0
         self.mult_m_norm2 = 0.0
 
-    @property
-    def with_xi(self) -> bool:
-        return self.variant in (LEDGER_FIRST_MASS, LEDGER_SECOND_MASS)
-
-    def update(self, dt: float, u_prev: np.ndarray, u_tilde: np.ndarray,
+    def update(self, u_prev: np.ndarray, u_tilde: np.ndarray,
                u_next: np.ndarray, lam_next: np.ndarray, xi_next: float,
                op_quad: float) -> None:
         g = self.grid
+        dt = self.opts.dt
         if self.nsteps == 0:
-            self.dt = dt
             self.u0_norm2 = g.norm(u_prev) ** 2
-        elif dt != self.dt:
-            raise ValueError("ledger requires a fixed step size")
         mult = lam_next + xi_next if self.with_xi else lam_next
         self.sum_increments += g.norm(u_tilde - u_prev) ** 2
         self.mult_m_norm2 = g.norm(mult) ** 2
@@ -99,15 +89,15 @@ class EnergyLedger:
         """Defect of the energy statement after the steps seen so far."""
         if self.nsteps == 0:
             return 0.0
-        if self.variant in (LEDGER_FIRST, LEDGER_FIRST_MASS):
+        if self.opts.k == 1:
             lhs = (self.um_norm2 + self.sum_increments + self.sum_mult2
                    + 2.0 * self.sum_quad)
             defect = lhs - self.u0_norm2
-            if self.variant == LEDGER_FIRST:
+            if not self.with_xi:
                 return abs(defect)
             return max(defect, 0.0)
         lhs = (4.0 * self.um_norm2
-               + (4.0 / 3.0) * self.dt**2 * self.mult_m_norm2
+               + (4.0 / 3.0) * self.opts.dt**2 * self.mult_m_norm2
                + 4.0 * self.sum_quad)
         return max(lhs - self.rhs_second, 0.0)
 
@@ -157,21 +147,13 @@ class ConvergenceRow:
     order: float  # NaN on the first row
 
 
-@dataclass
-class ReferenceSpec:
-    """Settings of the fine reference trajectory for a convergence study.
-
-    The default reference is the multiplier variant: the cut-off variant
-    carries a first-order error component at clamped nodes (its per-step
-    clamp discards an O(dt) mass without feedback), so a cut-off reference
-    would floor a second-order study near 3e-7 on the stock phase-field
-    setup.  Measured against a same-family reference the expected orders are
-    recovered on the whole step-size range.
-    """
-
-    k: int = 2
-    dt: float = 1e-6
-    variant: str = VARIANT_MULTIPLIER
+# The default reference of a convergence study.  It is the multiplier
+# variant: the cut-off variant carries a first-order error component at
+# clamped nodes (its per-step clamp discards an O(dt) mass without
+# feedback), so a cut-off reference would floor a second-order study near
+# 3e-7 on the stock phase-field setup.  Measured against a same-family
+# reference the expected orders are recovered on the whole step-size range.
+DEFAULT_REFERENCE = StepOptions(k=2, dt=1e-6)
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -185,13 +167,10 @@ def horizon_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def run_to_horizon(model, k: int, dt: float, variant: str, horizon: float,
-                   eps_lb: float = 0.0) -> np.ndarray:
-    """Run the model to the horizon above the floor ``eps_lb`` and return
-    the final field."""
-    n_steps = horizon_steps(horizon, dt)
-    opts = StepOptions(k=k, dt=dt, variant=variant, eps_lb=eps_lb)
-    result = run_simulation(model, opts, n_steps)
+def run_to_horizon(model, opts: StepOptions, horizon: float) -> np.ndarray:
+    """Run the model under ``opts`` to the horizon and return the final
+    field."""
+    result = run_simulation(model, opts, horizon_steps(horizon, opts.dt))
     return result.history.us[0]
 
 
@@ -213,29 +192,29 @@ def check_study_steps(dts, ref_dt: Optional[float] = None) -> None:
         raise ValueError(f"reference dt {ref_dt!r} not below the study steps")
 
 
-def convergence_study(model, k: int, dts, reference,
-                      variant: str = VARIANT_MULTIPLIER,
-                      horizon: float = 0.01,
-                      eps_lb: float = 0.0) -> list[ConvergenceRow]:
-    """Temporal convergence table against a fine reference solution.
+def convergence_study(model, opts: StepOptions, dts, reference,
+                      horizon: float) -> list[ConvergenceRow]:
+    """Temporal convergence table of the scheme ``opts`` against a fine
+    reference solution at ``horizon``.
 
-    ``reference`` is either a :class:`ReferenceSpec` (the reference trajectory
-    is computed once at its settings) or a precomputed final-state array.
-    Every run steps above the floor ``eps_lb``.  Errors are the max-norm over
-    active nodes; the step sizes must pass :func:`check_study_steps`.
+    Each study run is ``opts`` at one of the step sizes ``dts``, which must
+    pass :func:`check_study_steps`; ``opts.dt`` itself is not run.
+    ``reference`` is either the :class:`~posikit.stepper.StepOptions` of the
+    reference run (for example :data:`DEFAULT_REFERENCE`), computed once, or
+    a precomputed final-state array.  Errors are the max-norm over active
+    nodes.
     """
     dts = list(dts)
-    if isinstance(reference, ReferenceSpec):
+    if isinstance(reference, StepOptions):
         check_study_steps(dts, reference.dt)
-        u_ref = run_to_horizon(model, reference.k, reference.dt,
-                               reference.variant, horizon, eps_lb)
+        u_ref = run_to_horizon(model, reference, horizon)
     else:
         check_study_steps(dts)
         u_ref = np.asarray(reference)
     act = model.grid.active
     errors = []
     for dt in dts:
-        u = run_to_horizon(model, k, dt, variant, horizon, eps_lb)
+        u = run_to_horizon(model, replace(opts, dt=dt), horizon)
         errors.append(float(np.abs((u - u_ref)[act]).max()))
     orders = fit_orders(dts, errors)
     return [ConvergenceRow(dt, e, o) for dt, e, o in zip(dts, errors, orders)]

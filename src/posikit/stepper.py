@@ -33,9 +33,10 @@ The prediction solve starts from the order-k extrapolation of the history;
 only the Krylov solves read the start, and they still solve to the
 tolerance.
 
-:class:`StepOptions` and :class:`BdfTableau` describe the scheme, so one
-options object can drive any number of runs; all a run accumulates lives on
-its :class:`History`, which is owned by that run alone.
+:class:`StepOptions` is the scheme that the prediction, correction, ledgers
+and studies all read; it and :class:`BdfTableau` are frozen, so one options
+object can drive any number of runs, and all a run accumulates lives on its
+:class:`History`, which is owned by that run alone.
 """
 
 from __future__ import annotations
@@ -177,11 +178,9 @@ class CorrectionOutcome:
 # -- prediction ---------------------------------------------------------------
 
 
-def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
-            variant: str = VARIANT_MULTIPLIER,
-            source: Optional[np.ndarray] = None,
-            solver_tol: float = DEFAULT_TOL):
-    """BDF-k IMEX prediction; returns (u~, SolverReport).
+def predict(hist: History, tab: BdfTableau, op: Operator, opts: StepOptions,
+            source: Optional[np.ndarray] = None):
+    """BDF-k IMEX prediction under ``opts``; returns (u~, SolverReport).
 
     The multiplier load of :meth:`History.multiplier_load` and the explicit
     model ``source`` (evaluated at the extrapolated state) enter the right
@@ -190,24 +189,23 @@ def predict(hist: History, tab: BdfTableau, op: Operator, dt: float,
     with a coefficient field, since the transform pass of one without
     ignores it.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lam, xi = hist.multiplier_load(tab, variant)
+    lam, xi = hist.multiplier_load(tab, opts.variant)
     if len(hist.us) < tab.k:
         raise ValueError(f"history holds {len(hist.us)} levels, "
                          f"BDF-{tab.k} needs {tab.k}")
     rhs = combine_levels(tab.a_coeffs, hist.us)
-    rhs /= dt
+    rhs /= opts.dt
     if lam is not None:
         rhs += lam
     if xi is not None:
         rhs += xi
     if source is not None:
         rhs += source
-    sigma = tab.alpha / dt
+    sigma = tab.alpha / opts.dt
     x0 = (None if op.coeff is None
           else combine_levels(EXTRAPOLATION_COEFFS[tab.k], hist.us))
-    u_tilde, report = solve_operator(sigma, op, rhs, tol=solver_tol, x0=x0)
+    u_tilde, report = solve_operator(sigma, op, rhs, tol=opts.solver_tol,
+                                     x0=x0)
     if not report.converged:
         raise SolverError(
             f"prediction solve failed: {report.iterations} iterations, "
@@ -381,8 +379,10 @@ def solve_xi_exact(u_tilde: np.ndarray, shift_base: np.ndarray, dt: float,
 # -- stepping -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepOptions:
+    """The scheme; frozen, so all holders of one options object agree."""
+
     k: int
     dt: float
     variant: str = VARIANT_MULTIPLIER
@@ -423,16 +423,21 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
 
     ``model`` supplies the operator handle and explicit source for the step
     (both may depend on the history).  Start-up runs at the highest order the
-    history supports, capped at ``opts.k``.
+    history supports, capped at ``opts.k``.  A ``ledger`` must be built for
+    ``opts`` and have seen every earlier step of the run.
     """
+    if ledger is not None and ledger.opts is not opts and ledger.opts != opts:
+        raise ValueError(f"ledger built for {ledger.opts}, not {opts}")
+    if ledger is not None and ledger.nsteps != hist.nstep:
+        raise ValueError(f"ledger has seen {ledger.nsteps} steps, the run "
+                         f"{hist.nstep}; it must follow one run from step 0")
     k_eff = min(opts.k, len(hist.us))
     tab = bdf_tableau(k_eff)
     g = hist.grid
     op = model.operator(hist, k_eff)
     source = model.explicit_source(hist, k_eff)
 
-    u_tilde, report = predict(hist, tab, op, opts.dt, opts.variant, source,
-                              solver_tol=opts.solver_tol)
+    u_tilde, report = predict(hist, tab, op, opts, source)
     t_next = (hist.nstep + 1) * opts.dt
     # checked before the correction, whose clamp would turn NaN into eps_lb
     if not np.isfinite(u_tilde).all():
@@ -448,9 +453,9 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     op_quad = ledger_residual = float("nan")
     if ledger is not None:
         op_quad = op.quad(u_tilde, report.spectrum, report.applied)
-        ledger.update(dt=opts.dt, u_prev=hist.us[0], u_tilde=u_tilde,
-                      u_next=u_next, lam_next=out.lambda_next,
-                      xi_next=out.xi_next, op_quad=op_quad)
+        ledger.update(u_prev=hist.us[0], u_tilde=u_tilde, u_next=u_next,
+                      lam_next=out.lambda_next, xi_next=out.xi_next,
+                      op_quad=op_quad)
         ledger_residual = ledger.residual_rel()
         norm_u = ledger.um_norm  # the ledger's ||u^{n+1}||, same bits
     else:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from posikit.diagnostics import (EnergyLedger, convergence_study,
-                                 ledger_variant_for, run_to_horizon)
+                                 run_to_horizon)
 from posikit.grid import PERIODIC, build_grid
 from posikit.models import (AllenCahnModel, LubricationModel, PnpModel,
                             PorousMediumModel, run_pnp)
@@ -39,7 +39,7 @@ def allen_cahn_model():
 @pytest.fixture(scope="module")
 def allen_cahn_reference(allen_cahn_model):
     # second-order reference at dt = 1e-6 over [0, 0.01]
-    return run_to_horizon(allen_cahn_model, 2, 1e-6, "multiplier", 0.01)
+    return run_to_horizon(allen_cahn_model, StepOptions(k=2, dt=1e-6), 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +52,9 @@ def pme_m2_run():
 
 def test_criterion_01_accuracy_table(allen_cahn_model, allen_cahn_reference):
     checks = []
-    rows1 = convergence_study(allen_cahn_model, 1, TABLE_DTS,
-                              allen_cahn_reference)
+    rows1 = convergence_study(allen_cahn_model,
+                              StepOptions(k=1, dt=TABLE_DTS[0]), TABLE_DTS,
+                              allen_cahn_reference, 0.01)
     orders1 = [r.order for r in rows1[1:]]
     checks.append((all(abs(o - 1.0) <= 0.15 for o in orders1),
                    "k=1 orders " + ",".join(f"{o:.2f}" for o in orders1)))
@@ -61,8 +62,9 @@ def test_criterion_01_accuracy_table(allen_cahn_model, allen_cahn_reference):
     checks.append((all(0.2 <= q <= 5.0 for q in ratios1),
                    "k=1 error ratios " + ",".join(f"{q:.2f}" for q in ratios1)))
 
-    rows2 = convergence_study(allen_cahn_model, 2, TABLE_DTS,
-                              allen_cahn_reference)
+    rows2 = convergence_study(allen_cahn_model,
+                              StepOptions(k=2, dt=TABLE_DTS[0]), TABLE_DTS,
+                              allen_cahn_reference, 0.01)
     orders2 = [r.order for r in rows2[1:]]
     checks.append((all(o >= 1.8 for o in orders2),
                    "k=2 orders " + ",".join(f"{o:.2f}" for o in orders2)))
@@ -74,8 +76,8 @@ def test_criterion_01_accuracy_table(allen_cahn_model, allen_cahn_reference):
 
 def _ledger_run(variant, k):
     model = PorousMediumModel(m=2.0, n=128, dim=1)
-    ledger = EnergyLedger(model.grid, ledger_variant_for(variant, k))
     opts = StepOptions(k=k, dt=1e-3, variant=variant, solver_tol=1e-13)
+    ledger = EnergyLedger(model.grid, opts)
     run_simulation(model, opts, 200, ledger=ledger)
     return ledger.residual_rel()
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from posikit import cli, diagnostics, models
-from posikit.cli import main, parse_config, reference_spec
-from posikit.diagnostics import ReferenceSpec
+from posikit.cli import main, parse_config, reference_options
+from posikit.diagnostics import DEFAULT_REFERENCE
+from posikit.stepper import StepOptions
 from posikit.grid import read_snapshot
 
 
@@ -360,8 +361,8 @@ def test_run_csv_time_column_is_exact_step_multiple(tmp_path):
 def test_convergence_reference_defaults_follow_reference_spec(tmp_path):
     cfg = parse_config(write_config(tmp_path, "model = allen_cahn\n"
                                     "dts = 2e-4,1e-4\n"))
-    assert reference_spec(cfg) == ReferenceSpec()
-    assert reference_spec(cfg).variant == "multiplier"
+    assert reference_options(cfg, 0.0) == DEFAULT_REFERENCE
+    assert reference_options(cfg, 0.0).variant == "multiplier"
 
 
 CONVERGENCE_CFG = """
@@ -378,6 +379,9 @@ ref_dt = 2e-5
 @pytest.mark.parametrize("old,new,word", [
     ("k = 1", "k = 7", "BDF order"),
     ("T = 1e-3\ndts = 2e-4,1e-4", "T = 0.0105\ndts = 2e-3,1e-3", "'T'"),
+    # `convergence` requires T like `solve` and `compare`; it used to run
+    # to a horizon of 0.01
+    ("T = 1e-3\n", "", "missing required key 'T'"),
     ("dts = 2e-4,1e-4", "dts = 1e-4,2e-4", "decreasing"),
     ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_variant = bogus", "ref_variant"),
     ("dts = 2e-4,1e-4", "dts = inf,1e-4", "'dts': 'inf' is not a finite"),
@@ -385,8 +389,8 @@ ref_dt = 2e-5
     ("dts = 2e-4,1e-4", "dts = 1e-4,1e-4", "'dts': step sizes must be"),
     ("ref_dt = 2e-5", "ref_dt = 1e-4", "'ref_dt': reference dt 0.0001"),
     ("ref_dt = 2e-5", "ref_dt = 2e-5\nref_k = 3", "BDF order"),
-], ids=["k", "T", "dts", "ref_variant", "dts-inf", "dts-nan", "dts-equal",
-        "ref_dt", "ref_k"])
+], ids=["k", "T", "T-missing", "dts", "ref_variant", "dts-inf", "dts-nan",
+        "dts-equal", "ref_dt", "ref_k"])
 def test_convergence_config_mistakes_exit_2_before_any_run(
         tmp_path, capsys, monkeypatch, old, new, word):
     def no_run(*args, **kwargs):
@@ -832,7 +836,8 @@ def test_shipped_configs_build_without_a_solve():
         cli._check_command_keys(cfg, command)
         model = cli.build_model(cfg)
         if "dts" in cfg.raw:
-            assert isinstance(reference_spec(cfg), ReferenceSpec)
+            ref = reference_options(cfg, cli._floor(cfg))
+            assert isinstance(ref, StepOptions)
             continue
         variants = cfg.get("variants")
         for v in variants.split(",") if variants else [None]:

@@ -1,37 +1,57 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from posikit.diagnostics import (ConvergenceRow, EnergyLedger, ReferenceSpec,
-                                 convergence_study, fit_orders, kkt_audit,
-                                 ledger_variant_for, write_convergence_csv,
+from posikit.diagnostics import (DEFAULT_REFERENCE, ConvergenceRow,
+                                 EnergyLedger, convergence_study, fit_orders,
+                                 has_energy_statement, kkt_audit,
+                                 run_to_horizon, write_convergence_csv,
                                  write_run_csv)
 from posikit.grid import build_grid
 from posikit.operators import Operator
 from posikit.stepper import (History, StepOptions, bdf_tableau,
-                             correct_positivity, predict, run_simulation)
+                             correct_positivity, predict, run_simulation,
+                             step)
 from posikit.models import AllenCahnModel, PorousMediumModel
 
 from test_stepper import HeatModel
 
 
 def test_ledger_variant_mapping():
-    assert ledger_variant_for("multiplier", 1) == "first-order"
-    assert ledger_variant_for("cutoff", 1) == "first-order"
-    assert ledger_variant_for("mass", 1) == "first-order-mass"
-    assert ledger_variant_for("multiplier", 2) == "second-order"
-    assert ledger_variant_for("mass", 2) == "second-order-mass"
-    assert ledger_variant_for("none", 1) is None
-    assert ledger_variant_for("multiplier", 3) is None
+    # the scheme decides the statement: an identity for the first-order
+    # multiplier and cut-off steps, inequalities for the mass step and at
+    # k = 2, none for the k = 2 cut-off step or the uncorrected one
+    g = build_grid((0.0, 1.0), 8, "periodic")
+    u0, z = np.ones(8), np.zeros(8)
+    statements = {("multiplier", 1): "identity", ("cutoff", 1): "identity",
+                  ("mass", 1): "inequality", ("multiplier", 2): "inequality",
+                  ("mass", 2): "inequality", ("cutoff", 2): None,
+                  ("none", 1): None, ("none", 2): None}
+    for (variant, k), statement in statements.items():
+        opts = StepOptions(k=k, dt=0.1, variant=variant)
+        assert has_energy_statement(opts) == (statement is not None)
+        if statement is None:
+            with pytest.raises(ValueError, match="no energy statement"):
+                EnergyLedger(g, opts)
+            continue
+        ledger = EnergyLedger(g, opts)
+        assert ledger.with_xi == (variant == "mass")
+        # a step that loses all energy and dissipates none: an identity
+        # flags it, an inequality holds
+        ledger.update(u0, u0, z, z, 0.0, 0.0)
+        assert (ledger.residual() > 0) == (statement == "identity")
+    with pytest.raises(ValueError, match="BDF order"):
+        StepOptions(k=3, dt=0.1)  # no scheme, so no ledger either
 
 
 def test_ledger_zero_trajectory():
     g = build_grid((0.0, 1.0), 8, "periodic")
-    ledger = EnergyLedger(g, "first-order")
+    ledger = EnergyLedger(g, StepOptions(k=1, dt=0.1))
     z = np.zeros(8)
     for _ in range(5):
-        ledger.update(0.1, z, z, z, z, 0.0, 0.0)
+        ledger.update(z, z, z, z, 0.0, 0.0)
     assert ledger.residual() == 0.0
 
 
@@ -44,11 +64,12 @@ def test_ledger_one_step_dense_crosscheck():
     op = Operator.laplacian(g)
     hist = History.start(g, u0)
     tab = bdf_tableau(1)
-    u_tilde, _ = predict(hist, tab, op, dt, solver_tol=1e-14)
-    out = correct_positivity(u_tilde, hist, tab, StepOptions(k=1, dt=dt))
+    opts = StepOptions(k=1, dt=dt, solver_tol=1e-14)
+    u_tilde, _ = predict(hist, tab, op, opts)
+    out = correct_positivity(u_tilde, hist, tab, opts)
 
-    ledger = EnergyLedger(g, "first-order")
-    ledger.update(dt, u0, u_tilde, out.u_next, out.lambda_next, 0.0,
+    ledger = EnergyLedger(g, opts)
+    ledger.update(u0, u_tilde, out.u_next, out.lambda_next, 0.0,
                   op.quad(u_tilde))
     # independent evaluation of the same balance
     lhs = (g.norm(out.u_next) ** 2 + g.norm(u_tilde - u0) ** 2
@@ -60,21 +81,67 @@ def test_ledger_one_step_dense_crosscheck():
 
 
 def test_ledger_requires_fixed_dt():
+    # the ledger steps at its own options' dt: a step at another dt is a
+    # step of another scheme
     g = build_grid((0.0, 1.0), 8, "periodic")
-    ledger = EnergyLedger(g, "first-order")
-    z = np.zeros(8)
-    ledger.update(0.1, z, z, z, z, 0.0, 0.0)
-    with pytest.raises(ValueError, match="fixed step"):
-        ledger.update(0.2, z, z, z, z, 0.0, 0.0)
+    model = HeatModel(g, np.zeros(8))
+    opts = StepOptions(k=1, dt=0.1)
+    ledger = EnergyLedger(g, opts)
+    hist, _ = step(History.start(g, model.initial_state()), model, opts,
+                   ledger)
+    with pytest.raises(ValueError, match="ledger built for"):
+        step(hist, model, replace(opts, dt=0.2), ledger)
+    assert ledger.nsteps == 1
+
+
+# the scheme a PME ledger is built for, and one change to each of its k,
+# variant and dt
+PME_LEDGER_OPTS = StepOptions(k=2, dt=1e-3, variant="mass")
+
+
+@pytest.mark.parametrize("change", [{"k": 1}, {"variant": "multiplier"},
+                                    {"dt": 2e-3}],
+                         ids=["k", "variant", "dt"])
+def test_ledger_rejects_a_run_of_another_scheme(change):
+    # a k = 2 multiplier ledger on a mass run read 0.0 for 50 steps
+    model = PorousMediumModel(m=2.0, n=64, dim=1)
+    ledger = EnergyLedger(model.grid, PME_LEDGER_OPTS)
+    with pytest.raises(ValueError, match="ledger built for"):
+        run_simulation(model, replace(PME_LEDGER_OPTS, **change), 5,
+                       ledger=ledger)
+    assert ledger.nsteps == 0
+    # equal options in another object describe the same scheme
+    run_simulation(model, replace(PME_LEDGER_OPTS), 5, ledger=ledger)
+    assert ledger.nsteps == 5 and ledger.residual_rel() <= 1e-8
+
+
+def test_one_ledger_watches_one_run():
+    # a second run would continue the first run's sums from its own u^0
+    model = PorousMediumModel(m=2.0, n=64, dim=1)
+    ledger = EnergyLedger(model.grid, PME_LEDGER_OPTS)
+    run_simulation(model, PME_LEDGER_OPTS, 20, ledger=ledger)
+    with pytest.raises(ValueError, match="seen 20 steps, the run 0"):
+        run_simulation(model, PME_LEDGER_OPTS, 20, ledger=ledger)
+    assert ledger.nsteps == 20
+
+
+def test_ledger_attached_after_the_first_step_is_rejected():
+    # the sums would start from u^1, not from the run's initial field
+    model = PorousMediumModel(m=2.0, n=64, dim=1)
+    hist = History.start(model.grid, model.initial_state())
+    hist, _ = step(hist, model, PME_LEDGER_OPTS)
+    ledger = EnergyLedger(model.grid, PME_LEDGER_OPTS)
+    with pytest.raises(ValueError, match="seen 0 steps, the run 1"):
+        step(hist, model, PME_LEDGER_OPTS, ledger)
+    assert ledger.nsteps == 0 and hist.nstep == 1
 
 
 @pytest.mark.parametrize("variant,k", [("multiplier", 1), ("mass", 1),
                                        ("multiplier", 2), ("mass", 2)])
 def test_ledger_short_pme_run(variant, k):
     model = PorousMediumModel(m=2.0, n=64, dim=1)
-    lv = ledger_variant_for(variant, k)
-    ledger = EnergyLedger(model.grid, lv)
     opts = StepOptions(k=k, dt=1e-3, variant=variant, solver_tol=1e-13)
+    ledger = EnergyLedger(model.grid, opts)
     run_simulation(model, opts, 20, ledger=ledger)
     assert ledger.residual_rel() <= 1e-8
 
@@ -97,8 +164,8 @@ def test_mass_ledger_holds_only_where_the_pde_conserves_mass(k):
     # and the ledger is right to flag the run
     def worst(bcs):
         model = FluxModel(bcs)
-        ledger = EnergyLedger(model.grid, ledger_variant_for("mass", k))
         opts = StepOptions(k=k, dt=0.05, variant="mass")
+        ledger = EnergyLedger(model.grid, opts)
         diags = run_simulation(model, opts, 6, ledger=ledger).diagnostics
         return max(d.ledger_residual for d in diags)
 
@@ -121,7 +188,7 @@ def test_ledger_leaves_the_step_diagnostics_unchanged(model, variant):
         return [tuple(getattr(d, f) for f in fields) for d in diags]
 
     plain = rows(None)
-    ledgered = rows(EnergyLedger(model.grid, ledger_variant_for(variant, 2)))
+    ledgered = rows(EnergyLedger(model.grid, opts))
     assert repr(ledgered) == repr(plain)  # repr: -0.0 and nan compare too
     assert any(row[-1] > 0 for row in plain)  # some step clamps
 
@@ -182,7 +249,8 @@ def test_convergence_orders_against_exact_solution(k, expected):
     horizon = 0.5
     exact = 2.0 + math.exp(-horizon) * np.sin(x)
     dts = [horizon / 8, horizon / 16, horizon / 32, horizon / 64]
-    rows = convergence_study(model, k, dts, exact, horizon=horizon)
+    rows = convergence_study(model, StepOptions(k=k, dt=dts[0]), dts, exact,
+                             horizon)
     for row in rows[1:]:
         assert abs(row.order - expected) <= 0.05
 
@@ -196,21 +264,66 @@ def test_allen_cahn_temporal_order_k1_k2(k, variant):
     model = AllenCahnModel(eps2=0.05, n=16)
     horizon = 0.02
     dts = [horizon / 10, horizon / 20, horizon / 40, horizon / 80]
-    ref = ReferenceSpec(k=2, dt=horizon / 1280, variant=variant)
-    rows = convergence_study(model, k, dts, ref, variant=variant,
-                             horizon=horizon)
+    ref = StepOptions(k=2, dt=horizon / 1280, variant=variant)
+    rows = convergence_study(model, StepOptions(k=k, dt=dts[0],
+                                                variant=variant),
+                             dts, ref, horizon)
     for row in rows[1:]:
         assert abs(row.order - k) <= 0.1, [r.order for r in rows[1:]]
+
+
+# the order matrix: Allen-Cahn (eps2 0.05, 16 modes) to T = 0.02 at dt =
+# T/10 ... T/320, each variant against one k = 2 reference of its own at
+# T/5120, shared by both orders
+MATRIX_VARIANTS = ("cutoff", "multiplier", "mass")
+
+
+@pytest.fixture(scope="module")
+def order_matrix():
+    """Observed orders of every (variant, k) pair, finest pair last."""
+    model = AllenCahnModel(eps2=0.05, n=16)
+    horizon = 0.02
+    dts = [horizon / n for n in (10, 20, 40, 80, 160, 320)]
+    orders = {}
+    for variant in MATRIX_VARIANTS:
+        ref = StepOptions(k=2, dt=horizon / 5120, variant=variant)
+        u_ref = run_to_horizon(model, ref, horizon)
+        for k in (1, 2):
+            rows = convergence_study(model, replace(ref, k=k), dts, u_ref,
+                                     horizon)
+            orders[variant, k] = [r.order for r in rows[1:]]
+    return orders
+
+
+@pytest.mark.parametrize("variant,k", [(v, k) for v in MATRIX_VARIANTS
+                                       for k in (1, 2)
+                                       if (v, k) != ("cutoff", 2)])
+def test_order_matrix_keeps_order_k(order_matrix, variant, k):
+    # the clamps engage, and the multiplier's memory term keeps k = 2 at
+    # second order (measured: 2.05 down to 2.00); k = 1 reads 0.97-1.00
+    orders = order_matrix[variant, k]
+    assert all(abs(o - k) <= 0.1 for o in orders), orders
+
+
+def test_order_matrix_cutoff_k2_falls_to_first_order(order_matrix):
+    # without the memory term the clamps' first-order error takes over as
+    # dt shrinks: measured 2.04, 2.00, 1.35, 1.03, 1.05
+    cutoff = order_matrix["cutoff", 2]
+    multiplier = order_matrix["multiplier", 2]
+    assert all(abs(o - 2.0) <= 0.1 for o in cutoff[:2]), cutoff
+    for o, o_mult in zip(cutoff[-2:], multiplier[-2:]):
+        assert abs(o - 1.0) <= 0.1 and o < o_mult - 0.5, (cutoff, multiplier)
 
 
 def test_convergence_study_validates_dts():
     g = build_grid((0.0, 2 * np.pi), 8, "periodic")
     model = HeatModel(g, np.ones(8))
+    opts = StepOptions(k=1, dt=0.1)
     with pytest.raises(ValueError, match="decreasing"):
-        convergence_study(model, 1, [0.1, 0.1], np.ones(8), horizon=0.2)
+        convergence_study(model, opts, [0.1, 0.1], np.ones(8), 0.2)
     with pytest.raises(ValueError, match="reference dt"):
-        convergence_study(model, 1, [0.1, 0.05], ReferenceSpec(dt=0.05),
-                          horizon=0.2)
+        convergence_study(model, opts, [0.1, 0.05],
+                          replace(DEFAULT_REFERENCE, dt=0.05), 0.2)
 
 
 def test_run_csv_format(tmp_path):

@@ -1045,13 +1045,13 @@ def test_fourth_order_quad_from_the_solve_spectrum_takes_two_transforms(
 def test_ledger_allen_cahn_step_takes_two_transforms(monkeypatch):
     # the prediction solve's forward and inverse transform; the energy term
     # reuses the solve's spectrum
-    from posikit.diagnostics import EnergyLedger, ledger_variant_for
+    from posikit.diagnostics import EnergyLedger
     from posikit.models import AllenCahnModel
     from posikit.stepper import History, StepOptions, step
     model = AllenCahnModel(eps2=1e-3, n=16)
     opts = StepOptions(k=2, dt=1e-6)
     hist = History.start(model.grid, model.initial_state())
-    ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
+    ledger = EnergyLedger(model.grid, opts)
     step(hist, model, opts, ledger)
     calls = count_periodic_transforms(monkeypatch)
     _, diag = step(hist, model, opts, ledger)

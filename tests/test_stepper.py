@@ -128,7 +128,8 @@ def test_predict_scalar_surrogate():
     g = build_grid((0.0, 2 * np.pi), 8, "periodic")
     u0 = np.sin(g.axes[0])
     hist = History.start(g, u0)
-    u_tilde, _ = predict(hist, bdf_tableau(1), Operator.laplacian(g), 1.0)
+    u_tilde, _ = predict(hist, bdf_tableau(1), Operator.laplacian(g),
+                          StepOptions(k=1, dt=1.0))
     assert np.abs(u_tilde - 0.5 * u0).max() < 1e-13
 
 
@@ -139,7 +140,8 @@ def test_predict_constant_steady_state(k):
     hist = History.start(g, u0)
     for _ in range(3):
         hist.push(u0.copy(), np.zeros(8), 0.0, 0.1)
-    u_tilde, _ = predict(hist, bdf_tableau(k), Operator.laplacian(g), 0.1)
+    u_tilde, _ = predict(hist, bdf_tableau(k), Operator.laplacian(g),
+                          StepOptions(k=k, dt=0.1))
     assert np.abs(u_tilde - 2.0).max() < 1e-12
 
 
@@ -150,7 +152,7 @@ def test_predict_heat_step_matches_dense_solve():
     hist = History.start(g, u0)
     dt = 0.01
     op = Operator.laplacian(g)
-    u_tilde, _ = predict(hist, bdf_tableau(1), op, dt)
+    u_tilde, _ = predict(hist, bdf_tableau(1), op, StepOptions(k=1, dt=dt))
 
     M = dense_matrix(op.apply, g)
     A = np.eye(9) / dt + M
@@ -164,7 +166,8 @@ def test_predict_rejects_bad_dt():
     g = build_grid((0.0, 1.0), 8, "periodic")
     hist = History.start(g, np.zeros(8))
     with pytest.raises(ValueError):
-        predict(hist, bdf_tableau(1), Operator.laplacian(g), 0.0)
+        predict(hist, bdf_tableau(1), Operator.laplacian(g),
+                StepOptions(k=1, dt=0.0))
 
 
 # -- positivity correction --------------------------------------------------------
@@ -710,13 +713,13 @@ def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
     # B_1(lam) is the newest multiplier level itself
     from collections import Counter
     from posikit import models, stepper
-    from posikit.diagnostics import EnergyLedger, ledger_variant_for
+    from posikit.diagnostics import EnergyLedger
     from posikit.grid import Grid
     from posikit.models import AllenCahnModel
     model = AllenCahnModel(eps2=1e-3, n=16)
     opts = StepOptions(k=2, dt=1e-6)
     hist = History.start(model.grid, model.initial_state())
-    ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
+    ledger = EnergyLedger(model.grid, opts)
     step(hist, model, opts, ledger)
     calls = Counter()
     for owner, name in ((Grid, "norm"), (Grid, "mass"), (Grid, "inner"),
@@ -734,12 +737,12 @@ def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
 def test_ledger_pme1d_mass_step_applies_the_operator_once(monkeypatch):
     # past start-up: the elimination's residual check applies L to u~,
     # and the ledger's <L u~, u~> reads that apply off the solve's report
-    from posikit.diagnostics import EnergyLedger, ledger_variant_for
+    from posikit.diagnostics import EnergyLedger
     from posikit.models import PorousMediumModel
     model = PorousMediumModel(m=5.0, n=64, dim=1)
     opts = StepOptions(k=2, dt=1e-3, variant="mass")
     hist = History.start(model.grid, model.initial_state())
-    ledger = EnergyLedger(model.grid, ledger_variant_for(opts.variant, 2))
+    ledger = EnergyLedger(model.grid, opts)
     step(hist, model, opts, ledger)
     calls = []
     real = Operator.apply
