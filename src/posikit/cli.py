@@ -27,19 +27,21 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import (DEFAULT_REFERENCE, EnergyLedger, check_study_steps,
                           convergence_study, has_energy_statement,
-                          horizon_steps, write_convergence_csv, write_run_csv)
+                          horizon_steps, write_convergence_csv, write_csv,
+                          write_run_csv)
 from .grid import write_snapshot
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
                      PorousMediumModel, run_pnp)
 from .operators import SolverError
-from .stepper import (BlowUpError, SecantError, StepOptions, VARIANT_MASS,
-                      VARIANTS, run_simulation)
+from .stepper import (BlowUpError, SecantError, StepDiagnostics, StepOptions,
+                      VARIANT_MASS, VARIANT_NONE, VARIANTS, run_simulation)
 
 ENV_OUT = "POSIKIT_OUT"
 
@@ -224,37 +226,45 @@ def _checked(what: str, rule, *args, **kwargs):
 
 
 def build_options(cfg: RunConfig, model, variant=None) -> StepOptions:
-    """Step options of ``cfg``, for ``variant`` if given; a tolerance left
-    unset keeps the :class:`StepOptions` default.  Nothing is read from
+    """:func:`_step_options` at the config's ``dt``.  Nothing is read from
     ``model``: the floor is the config's (:func:`_floor`)."""
+    return _step_options(cfg, cfg.get_float("dt"), variant)
+
+
+def _step_options(cfg: RunConfig, dt: float, variant=None,
+                  key="variant") -> StepOptions:
+    """Step options of ``cfg`` at ``dt`` for ``variant`` (else the config's,
+    else the model's default); unset tolerances keep their defaults."""
     if variant is None:
         variant = cfg.get("variant", _MODELS[cfg.model].variants[0])
-    _check_variant(cfg, variant)
-    tols = {key: cfg.get_float(key) for key in ("solver_tol", "secant_tol")
-            if key in cfg.raw}
+    _check_variant(cfg, variant, key)
+    tols = {name: cfg.get_float(name) for name in ("solver_tol", "secant_tol")
+            if name in cfg.raw}
     return _checked("step options", StepOptions, k=cfg.get_int("k", 2),
-                    dt=cfg.get_float("dt"), variant=variant,
-                    eps_lb=_floor(cfg), **tols)
+                    dt=dt, variant=variant, eps_lb=_floor(cfg), **tols)
 
 
-def _check_floor(g, opts: StepOptions, mass: float) -> None:
-    """Reject a mass variant whose floor holds more than the initial mass."""
-    floor = opts.eps_lb * float(g.weights.sum())
-    if opts.variant == VARIANT_MASS and mass < floor - 1e-12 * max(1.0, mass):
-        raise ConfigError(f"key 'eps_lb': the floor holds a mass of "
-                          f"{floor:g}, above the initial mass {mass:g}")
+def _check_runs(cfg: RunConfig, g, runs, mass: float) -> None:
+    """Reject a mass run whose floor outweighs the initial ``mass``, then
+    ``eps_lb`` if no run corrects and ``secant_tol`` if none is ``mass``."""
+    measure = float(g.weights.sum())
+    for opts in runs:
+        floor = opts.eps_lb * measure
+        if (opts.variant == VARIANT_MASS
+                and mass < floor - 1e-12 * max(1.0, mass)):
+            raise ConfigError(f"key 'eps_lb': the floor holds a mass of "
+                              f"{floor:g}, above the initial mass {mass:g}")
+    variants = {opts.variant for opts in runs}
+    if variants == {VARIANT_NONE}:
+        _unused(cfg, "eps_lb", "by the uncorrected 'none' variant")
+    if VARIANT_MASS not in variants:
+        _unused(cfg, "secant_tol", "without the mass variant")
 
 
 def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
     out = flag_out or os.environ.get(ENV_OUT) or cfg.get("out") or "out"
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _initial_row(g, u0):
-    act = g.active
-    return (0.0, g.mass(u0), float(u0[act].min()), float(u0[act].max()),
-            g.norm(u0), 0.0, 0, 0, 0.0, 0, 0.0)
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
@@ -287,14 +297,14 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
             path = os.path.join(out_dir, f"u_{diag.step:06d}.txt")
             write_snapshot(path, hist.us[0], g, diag.t)
 
-    # the t = 0 row is taken first, so that no copy of the initial field
+    # the t = 0 record is taken first, so that no copy of the initial field
     # stays alive through the run
-    initial_row = _initial_row(g, model.initial_state())
-    _check_floor(g, opts, initial_row[1])
+    initial = StepDiagnostics.initial(g, model.initial_state())
+    _check_runs(cfg, g, [opts], initial.mass)
     result = run_simulation(model, opts, n_steps, ledger=ledger,
                             on_step=on_step)
-    write_run_csv(os.path.join(out_dir, "run.csv"), result.diagnostics,
-                  initial_row=initial_row)
+    write_run_csv(os.path.join(out_dir, "run.csv"),
+                  chain([initial], result.diagnostics))
     write_snapshot(os.path.join(out_dir, "u_final.txt"),
                    result.history.us[0], g, result.history.t)
     return EXIT_OK
@@ -320,24 +330,19 @@ def _single_field(cfg: RunConfig, command: str) -> None:
 def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     _single_field(cfg, "convergence")
     model = build_model(cfg)
-    variant = cfg.get("variant", _MODELS[cfg.model].variants[0])
-    _check_variant(cfg, variant)
     dts = [_finite("dts", s) for s in cfg.get("dts", "").split(",")
            if s.strip()]
     if not dts:
         raise ConfigError("missing required key 'dts'")
     _checked("key 'dts'", check_study_steps, dts)
-    eps_lb = _floor(cfg)
-    ref = reference_options(cfg, eps_lb)
+    runs = [_step_options(cfg, dt) for dt in dts]
+    ref = reference_options(cfg, runs[0].eps_lb)
     _checked("key 'ref_dt'", check_study_steps, dts, ref.dt)
-    k = cfg.get_int("k", 2)
     horizon = cfg.get_float("T")
-    runs = [_checked("step options", StepOptions, k=k, dt=dt,
-                     variant=variant, eps_lb=eps_lb) for dt in dts]
     mass = model.grid.mass(model.initial_state())
     for opts in runs + [ref]:  # all checked before the first run
-        _check_floor(model.grid, opts, mass)
         _checked("key 'T'", horizon_steps, horizon, opts.dt)
+    _check_runs(cfg, model.grid, runs + [ref], mass)
     rows = convergence_study(model, runs[0], dts, ref, horizon)
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return EXIT_OK
@@ -351,60 +356,42 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     if not variants:
         raise ConfigError("key 'variants': names no variant")
     g = model.grid
-    initial_row = _initial_row(g, model.initial_state())
+    initial = StepDiagnostics.initial(g, model.initial_state())
+    dt = cfg.get_float("dt")  # every variant steps at the one dt
     options = {}
     for v in variants:  # all checked before the first run
         if v in options:
             raise ConfigError(f"key 'variants': names '{v}' twice")
-        _check_variant(cfg, v, "variants")
-        opts = options[v] = build_options(cfg, model, variant=v)
-        _check_floor(g, opts, initial_row[1])
-    # every variant steps at the one dt
-    n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"), opts.dt)
-    per_variant = {}
-    summary = []
+        options[v] = _step_options(cfg, dt, v, "variants")
+    n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"), dt)
+    _check_runs(cfg, g, options.values(), initial.mass)
+    runs, summary = [], []
     for v, opts in options.items():
         result = run_simulation(model, opts, n_steps, stop_on_failure=False)
         diags = result.diagnostics
-        per_variant[v] = diags
-        write_run_csv(os.path.join(out_dir, f"run_{v}.csv"), diags,
-                      initial_row=initial_row)
-        min_min = min((d.min_u for d in diags), default=float("nan"))
-        first_neg = next((d.t for d in diags if d.min_u < 0), None)
+        runs.append(diags)
+        write_run_csv(os.path.join(out_dir, f"run_{v}.csv"),
+                      chain([initial], diags))
         err = result.failure
-        blowup = err.t if isinstance(err, BlowUpError) else None
-        summary.append(",".join([
-            v, str(len(diags)), repr(min_min),
-            "" if first_neg is None else repr(first_neg),
-            "" if blowup is None else repr(blowup),
-            "" if err is None else type(err).__name__,
-            repr(diags[-1].mass if diags else float("nan"))]))
+        summary.append((
+            v, len(diags), min((d.min_u for d in diags), default=math.nan),
+            next((d.t for d in diags if d.min_u < 0), None),
+            err.t if isinstance(err, BlowUpError) else None,
+            None if err is None else type(err).__name__,
+            diags[-1].mass if diags else math.nan))
 
-    with open(os.path.join(out_dir, "compare.csv"), "w") as fh:
-        cols = ["t"]
-        for v in variants:
-            cols += [f"{v}_mass", f"{v}_min_u"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(n_steps):
-            t = None
-            row = []
-            for v in variants:
-                diags = per_variant[v]
-                if i < len(diags):
-                    if t is None:
-                        t = diags[i].t
-                    row += [repr(diags[i].mass), repr(diags[i].min_u)]
-                else:
-                    row += ["", ""]
-            if t is None:
-                break
-            fh.write(",".join([repr(t)] + row) + "\n")
-
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("variant,steps,min_min_u,first_negative_t,blowup_t,failure,"
-                 "final_mass\n")
-        for row in summary:
-            fh.write(row + "\n")
+    # one row per step that any variant reached, blank where one had ended
+    header = ["t"] + [f"{v}_{c}" for v in variants for c in ("mass", "min_u")]
+    rows = []
+    for ds in zip_longest(*runs):
+        row = [next(d.t for d in ds if d is not None)]
+        for d in ds:
+            row += (None, None) if d is None else (d.mass, d.min_u)
+        rows.append(row)
+    write_csv(os.path.join(out_dir, "compare.csv"), header, rows)
+    write_csv(os.path.join(out_dir, "summary.csv"),
+              ("variant", "steps", "min_min_u", "first_negative_t",
+               "blowup_t", "failure", "final_mass"), summary, ("steps",))
     return EXIT_OK
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .grid import Grid
-from .stepper import (StepOptions, VARIANT_CUTOFF, VARIANT_MASS,
-                      VARIANT_MULTIPLIER, run_simulation)
+from .stepper import (StepDiagnostics, StepOptions, VARIANT_CUTOFF,
+                      VARIANT_MASS, VARIANT_MULTIPLIER, run_simulation)
 
 # the schemes with an energy statement, as (variant, k): the cut-off
 # variant has one only at k = 1, where it steps as the multiplier variant
@@ -222,41 +223,46 @@ def convergence_study(model, opts: StepOptions, dts, reference,
 
 # -- CSV emission -----------------------------------------------------------------
 
-RUN_CSV_HEADER = ("t,mass,min_u,max_u,norm_u,xi,secant_iters,active_count,"
-                  "ledger_residual,solver_iters,solver_residual")
+# the run.csv columns, each a StepDiagnostics field; perfbench/gates.py
+# reads the first nine by name
+RUN_COLUMNS = ("t", "mass", "min_u", "max_u", "norm_u", "xi", "secant_iters",
+               "active_count", "ledger_residual", "solver_iters",
+               "solver_residual")
+_INT_FIELDS = {name for name, tp in get_type_hints(StepDiagnostics).items()
+               if tp is int}
 
 
-# the count columns, written as integers; every other column is a float
-_INT_COLS = frozenset(i for i, name in enumerate(RUN_CSV_HEADER.split(","))
-                      if name in ("secant_iters", "active_count",
-                                  "solver_iters"))
+def _cells(row, ints) -> str:
+    return ",".join(str(int(v)) if i in ints
+                    else "" if v is None
+                    else v if type(v) is str
+                    else repr(float(v)) for i, v in enumerate(row))
 
 
-def _run_row(row) -> str:
-    # by value: numpy scalars write as the Python float or int they equal
-    return ",".join(str(int(v)) if i in _INT_COLS else repr(float(v))
-                    for i, v in enumerate(row)) + "\n"
-
-
-def write_run_csv(path, diags, initial_row=None) -> None:
-    """Per-step log; one row per step, optionally preceded by the t = 0 row.
-
-    The count columns are written as integers, every other column as the
-    repr of a float.
-    """
+def write_csv(path, header, rows, int_columns=()) -> None:
+    """Write ``rows`` under ``header``: a column in ``int_columns`` as
+    integers, None as a blank, text as it is, and any other value as the
+    repr of the float it equals (a numpy scalar's too)."""
+    ints = frozenset(i for i, c in enumerate(header) if c in int_columns)
+    # fast path (every run.csv row): plain ints and floats in columns of
+    # their kind are their reprs.  A list, not a tuple: CPython's free list
+    # keeps the resized 11-tuples a map builds (+256 KiB RSS at 10k rows).
+    kinds = [int if i in ints else float for i in range(len(header))]
     with open(path, "w") as fh:
-        fh.write(RUN_CSV_HEADER + "\n")
-        if initial_row is not None:
-            fh.write(_run_row(initial_row))
-        fh.writelines(
-            _run_row((d.t, d.mass, d.min_u, d.max_u, d.norm_u, d.xi,
-                      d.secant_iterations, d.active_count, d.ledger_residual,
-                      d.solver_iterations, d.solver_residual)) for d in diags)
+        fh.write(",".join(header) + "\n")
+        fh.writelines((",".join(map(repr, row))
+                       if list(map(type, row)) == kinds
+                       else _cells(row, ints)) + "\n" for row in rows)
+
+
+def write_run_csv(path, diags) -> None:
+    """One row of :data:`RUN_COLUMNS` per step record in ``diags``."""
+    write_csv(path, RUN_COLUMNS, map(attrgetter(*RUN_COLUMNS), diags),
+              _INT_FIELDS)
 
 
 def write_convergence_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("dt,error,order\n")
-        for r in rows:
-            order = "" if math.isnan(r.order) else repr(r.order)
-            fh.write(f"{r.dt!r},{r.error!r},{order}\n")
+    """The study table; the first row, which has no order, leaves it blank."""
+    write_csv(path, ("dt", "error", "order"),
+              ((r.dt, r.error, None if math.isnan(r.order) else r.order)
+               for r in rows))

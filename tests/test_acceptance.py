@@ -169,7 +169,7 @@ def test_criterion_06_mass_conservation():
     xi_max = max(d.xi for d in res.diagnostics)
     checks.append((xi_max <= xi_floor,
                    f"max xi {xi_max:.2e} <= noise floor {xi_floor:.2e}"))
-    med = float(np.median([d.secant_iterations for d in res.diagnostics]))
+    med = float(np.median([d.secant_iters for d in res.diagnostics]))
     checks.append((med <= 3, f"median secant iterations {med:g}"))
 
     res_nm = run_simulation(model, StepOptions(k=2, dt=dt,

@@ -449,6 +449,73 @@ variants = multiplier,none
         assert row[col["steps"]] == "0"
 
 
+def test_compare_pads_the_variants_that_ended_early(tmp_path):
+    # the uncorrected run blows up after 6 steps and the multiplier run
+    # after 8: compare.csv has a row per step any variant reached, blank
+    # where a variant had ended
+    cfg = write_config(tmp_path, "model = allen_cahn\neps2 = 1e-3\nnx = 16\n"
+                       "dt = 0.1\nT = 5.0\nvariants = none,multiplier\n")
+    out = tmp_path / "cmp"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "compare.csv")
+    assert header == ["t", "none_mass", "none_min_u", "multiplier_mass",
+                      "multiplier_min_u"]
+    assert [r[0] for r in rows] == [repr(n * 0.1) for n in range(1, 9)]
+    assert all(c != "" for r in rows[:6] for c in r)
+    assert all(r[1:3] == ["", ""] and "" not in r[3:] for r in rows[6:])
+    header, rows = read_csv(out / "summary.csv")
+    summary = {r[0]: dict(zip(header, r)) for r in rows}
+    assert summary["none"]["steps"] == "6"
+    assert summary["multiplier"]["steps"] == "8"
+    assert summary["none"]["blowup_t"] == repr(0.7000000000000001)
+    assert summary["multiplier"]["blowup_t"] == "0.9"
+    for v in ("none", "multiplier"):
+        assert summary[v]["failure"] == "BlowUpError"
+        _, log = read_csv(out / f"run_{v}.csv")
+        assert len(log) == int(summary[v]["steps"]) + 1  # the t = 0 row
+
+
+@pytest.mark.parametrize("command,text,key", [
+    # eps_lb = 0.5 left the uncorrected run unfloored (min_u 0.0), exit 0
+    ("solve", PME16_CFG + "\nvariant = none\neps_lb = 0.5", "eps_lb"),
+    ("compare", PME16_CFG + "\nvariants = none\neps_lb = 0.5", "eps_lb"),
+    ("convergence", CONVERGENCE_CFG + "variant = none\nref_variant = none\n"
+     "eps_lb = 0.5", "eps_lb"),
+    # only the mass variant runs the secant
+    ("solve", PME16_CFG + "\nsecant_tol = 1e-10", "secant_tol"),
+    ("compare", PME16_CFG + "\nvariants = multiplier,cutoff,none\n"
+     "secant_tol = 1e-10", "secant_tol"),
+], ids=["solve-eps_lb", "compare-eps_lb", "convergence-eps_lb",
+        "solve-secant_tol", "compare-secant_tol"])
+def test_a_key_no_run_would_read_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, command, text, key):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the config was checked")
+
+    for runner in ("run_simulation", "convergence_study"):
+        monkeypatch.setattr(cli, runner, no_run)
+    cfg = write_config(tmp_path, text + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"key '{key}': not used" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,text", [
+    # one correcting run reads the floor, one mass run the tolerance
+    ("compare", PME16_CFG + "\nvariants = none,cutoff\neps_lb = 0.5"),
+    ("compare", PME16_CFG + "\nvariants = none,mass\nsecant_tol = 1e-10"),
+    ("convergence", CONVERGENCE_CFG + "variant = none\neps_lb = 1e-3"),
+    ("solve", PME16_CFG + "\nvariant = mass\nsecant_tol = 1e-10"),
+], ids=["compare-eps_lb", "compare-secant_tol", "convergence-eps_lb",
+        "solve-secant_tol"])
+def test_a_key_one_run_reads_is_accepted(tmp_path, command, text):
+    cfg = write_config(tmp_path, text + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_compare_rejects_an_infeasible_mass_target(tmp_path, capsys):
     # the floor mass eps_lb * 10 exceeds the initial mass, so the mass
     # residual has no root: rejected before any variant runs (the mass run

@@ -1,19 +1,21 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from posikit.diagnostics import (DEFAULT_REFERENCE, ConvergenceRow,
-                                 EnergyLedger, convergence_study, fit_orders,
+from posikit.diagnostics import (DEFAULT_REFERENCE, RUN_COLUMNS,
+                                 ConvergenceRow, EnergyLedger,
+                                 convergence_study, fit_orders,
                                  has_energy_statement, kkt_audit,
                                  run_to_horizon, write_convergence_csv,
-                                 write_run_csv)
+                                 write_csv, write_run_csv)
 from posikit.grid import build_grid
 from posikit.operators import Operator
-from posikit.stepper import (History, StepOptions, bdf_tableau,
-                             correct_positivity, predict, run_simulation,
-                             step)
+from posikit.stepper import (History, StepDiagnostics, StepOptions,
+                             bdf_tableau, correct_positivity, predict,
+                             run_simulation, step)
 from posikit.models import AllenCahnModel, PorousMediumModel
 
 from test_stepper import HeatModel
@@ -326,41 +328,80 @@ def test_convergence_study_validates_dts():
                           replace(DEFAULT_REFERENCE, dt=0.05), 0.2)
 
 
-def test_run_csv_format(tmp_path):
-    from posikit.stepper import StepDiagnostics
+def load_gates(monkeypatch):
+    """``perfbench/gates.py``, imported by path with its own directory on
+    the path, as the benchmark runs it."""
+    import importlib.util
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gates", os.path.join(bench, "gates.py"))
+    gates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gates)
+    return gates
+
+
+def test_run_csv_row_is_the_step_record(tmp_path, monkeypatch):
+    # every column is a StepDiagnostics field, and the gates of the
+    # benchmark read the first nine by name
+    assert set(RUN_COLUMNS) <= set(StepDiagnostics.__dataclass_fields__)
+    assert list(RUN_COLUMNS[:9]) == list(load_gates(monkeypatch)._COL)
     d = StepDiagnostics(step=1, t=0.1, mass=2.0, min_u=0.0, max_u=1.0,
-                        norm_u=1.5, xi=-0.25, secant_iterations=2,
-                        active_count=3, solver_iterations=4,
+                        norm_u=1.5, xi=-0.25, secant_iters=2,
+                        active_count=3, solver_iters=4,
                         solver_residual=1e-12, op_quad=0.5,
                         ledger_residual=1e-14)
+    u0 = np.array([0.0, 2.0, 1.0, 0.5, 1.0, -3.0])  # the ends are inactive
+    g = build_grid((0.0, 1.0), 5, "dirichlet")
     path = tmp_path / "run.csv"
-    write_run_csv(path, [d], initial_row=(0.0, 2.0, 0.0, 1.0, 1.5, 0.0, 0, 0,
-                                          0.0, 0, 0.0))
+    base = StepDiagnostics.initial(g, u0)
+    write_run_csv(path, [base, d])
     lines = path.read_text().splitlines()
     assert lines[0] == ("t,mass,min_u,max_u,norm_u,xi,secant_iters,"
                         "active_count,ledger_residual,solver_iters,"
                         "solver_residual")
     assert len(lines) == 3
+    # the t = 0 row: min and max over the active nodes only, no counts
+    row = lines[1].split(",")
+    assert row[0] == "0.0" and row[1] == repr(g.mass(u0))
+    assert row[2:4] == ["0.5", "2.0"] and row[4] == repr(g.norm(u0))
+    assert row[5:] == ["0.0", "0", "0", "0.0", "0", "0.0"]
     row = lines[2].split(",")
     assert float(row[0]) == 0.1
     assert float(row[5]) == -0.25
     assert row[6] == "2" and row[7] == "3"
     assert row[9] == "4" and row[10] == "1e-12"
-    # by value: a numpy scalar writes as the Python float or int it equals,
-    # never with its type name
+    # by value: a numpy integer or float scalar in any field writes as the
+    # Python number it equals, never with its type name
+    for name in RUN_COLUMNS:
+        v = getattr(base, name)
+        scalar = np.int64(v) if type(v) is int else np.float64(v)
+        write_run_csv(path, [replace(base, **{name: scalar})])
+        assert path.read_text().splitlines()[1] == lines[1], name
+    first = StepDiagnostics(
+        step=np.int64(0), t=np.float64(0.0), mass=2.5,
+        min_u=np.float64(-1e-300), max_u=float("-inf"),
+        norm_u=np.float64(1.5), xi=0.0, secant_iters=np.int64(0),
+        active_count=0, solver_iters=np.uint8(7), solver_residual=1e-12,
+        op_quad=np.float64(0.5), ledger_residual=np.float64("nan"))
     d = StepDiagnostics(step=1, t=np.float64(0.1), mass=float("nan"),
                         min_u=-0.0, max_u=np.float64("inf"), norm_u=5e-324,
-                        xi=np.float64(-0.0), secant_iterations=np.int64(2),
-                        active_count=3, solver_iterations=np.int32(4),
+                        xi=np.float64(-0.0), secant_iters=np.int64(2),
+                        active_count=np.int16(3), solver_iters=np.int32(4),
                         solver_residual=np.float64(5e-324), op_quad=0.5,
                         ledger_residual=np.float32(0.5))
-    write_run_csv(path, [d], initial_row=(
-        np.float64(0.0), 2.5, np.float64(-1e-300), float("-inf"),
-        np.float64(1.5), 0.0, np.int64(0), 0, np.float64("nan"),
-        np.uint8(7), 1e-12))
+    write_run_csv(path, [first, d])
     lines = path.read_text().splitlines()
     assert lines[1] == "0.0,2.5,-1e-300,-inf,1.5,0.0,0,0,nan,7,1e-12"
     assert lines[2] == "0.1,nan,-0.0,inf,5e-324,-0.0,2,3,0.5,4,5e-324"
+
+
+def test_csv_cells_blank_none_and_keep_text(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("name", "n", "x", "y"),
+              [("a", np.int64(3), np.float32(0.25), None),
+               ("b", 4, 1e-300, -0.0)], ("n",))
+    assert path.read_text() == "name,n,x,y\na,3,0.25,\nb,4,1e-300,-0.0\n"
 
 
 def test_convergence_csv_format(tmp_path):

@@ -427,7 +427,7 @@ def test_correct_mass_flat_secant_falls_back_to_exact_solve():
                              copts("mass", 0.01))
     assert out.xi_next == pytest.approx(1100.0, rel=1e-12)
     assert g.mass(out.u_next) == pytest.approx(1.0, abs=1e-12)
-    assert out.secant_iterations == 0 and out.active_count == 0
+    assert out.secant_iters == 0 and out.active_count == 0
 
 
 def test_correct_mass_target_below_floor_raises_secant_error():
@@ -611,7 +611,7 @@ def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k):
     levels = [model.initial_state()]
     res = run_simulation(model, StepOptions(k=k, dt=1e-3, variant="mass"), 6,
                          on_step=lambda h, d: levels.append(h.us[0].copy()))
-    assert sum(d.solver_iterations for d in res.diagnostics) > 0
+    assert sum(d.solver_iters for d in res.diagnostics) > 0
     assert len(starts) == 6
     for n, x0 in enumerate(starts):
         u = levels[n::-1]  # u^n first
@@ -633,7 +633,7 @@ def test_pme2d_step_leaves_every_history_level_alone(k):
         kept = [(v, v.tobytes()) for v in hist.us + [hist.lam]
                 if v is not None]
         hist, diag = step(hist, model, opts)
-        iters += diag.solver_iterations
+        iters += diag.solver_iters
         assert all(v.tobytes() == b for v, b in kept)
     assert iters > 0 and len(hist.us) == k
 
@@ -700,7 +700,7 @@ def test_pme2d_step_peak_memory_in_field_sizes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(d.solver_iterations for d in res.diagnostics) > 0
+    assert sum(d.solver_iters for d in res.diagnostics) > 0
     field_bytes = np.zeros(model.grid.shape).nbytes
     assert peak / field_bytes <= 17.25
 
