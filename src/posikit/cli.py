@@ -121,9 +121,9 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     raw = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -263,7 +263,11 @@ def _check_runs(cfg: RunConfig, g, runs, mass: float) -> None:
 
 def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
     out = flag_out or os.environ.get(ENV_OUT) or cfg.get("out") or "out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from exc
     return out
 
 

@@ -50,11 +50,11 @@ bits (the ``*_kernels_match_the_public_functions`` tests check):
 scipy's ``pypocketfft`` for 2D real FFTs (``r2c``, ``c2r``) and DST-I/DCT-I
 (``dst``, ``dct``), numpy's ``_pocketfft_umath`` gufuncs for 1D real FFTs,
 which load no scipy.  On these small grids the public wrappers' dispatch and
-shape checks cost more than the FFT itself.  Loading scipy's kernel imports
-the ``scipy.fft`` package.  An :class:`Operator` whose solve uses it (on a
-2D periodic grid, the bounded Laplacian) loads it when built, so Allen-Cahn
-and pnp pay for it in set-up and porous-medium and 1D thin-film runs never
-do; the constant-coefficient fallbacks load it on use.
+shape checks cost more than the FFT itself.  scipy's kernel is loaded from
+its file on the first transform that needs it (:func:`_pocketfft`), with no
+scipy package imported: about 1 ms and 0.4 MiB in an Allen-Cahn or pnp run
+(the ``scipy.fft`` import it replaces took about 0.25 s and 25 MiB), nothing
+in a porous-medium or 1D thin-film run, which never transform with it.
 
 Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
 functions of their inputs and may run concurrently on distinct fields.
@@ -62,6 +62,10 @@ functions of their inputs and may run concurrently on distinct fields.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 
@@ -187,9 +191,28 @@ def _denom(g: Grid, sigma: float, cbar: float, kind: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pocketfft():
     """scipy's compiled pocketfft, in which ``scipy.fft``'s rfft2, irfft2,
-    dst and dct end; loading it imports the ``scipy.fft`` package."""
-    from scipy.fft._pocketfft import pypocketfft
-    return pypocketfft
+    dst and dct end, loaded from its file with neither the ``scipy`` nor
+    the ``scipy.fft`` package imported (``find_spec`` of a top-level package
+    imports nothing).  It is kept in ``sys.modules`` under the name scipy
+    imports it by, and taken from there if scipy got it first, so a process
+    holds one kernel module whichever comes first."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "fft", "_pocketfft")
+            for d in (scipy.submodule_search_locations if scipy else ())]
+    for path in (os.path.join(d, "pypocketfft" + suffix) for d in dirs
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # a thread that loaded or imported it meanwhile registered first
+            return sys.modules.setdefault(name, module)
+    raise ImportError("no pypocketfft extension in "
+                      + (", ".join(dirs) or "scipy, which is not installed"),
+                      name=name)
 
 
 def _cast(v: np.ndarray, real: bool) -> np.ndarray:
@@ -389,14 +412,6 @@ class Operator:
     grid: Grid
     kind: str
     coeff: np.ndarray | None = None
-
-    def __post_init__(self):
-        # the solves that transform with scipy's pocketfft (2D periodic
-        # grids, the bounded Laplacian) load it while the model is built, not
-        # inside the first step
-        g = self.grid
-        if g.dim > 1 if g.fully_periodic else self.kind == LAPLACIAN:
-            _pocketfft()
 
     @classmethod
     def laplacian(cls, g: Grid) -> "Operator":

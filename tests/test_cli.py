@@ -4,6 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+# before any transform, so this process takes scipy's kernel through the
+# package and the fresh interpreters below, which load it by file, are
+# compared against that
+import scipy.fft  # noqa: F401
 
 from posikit import cli, diagnostics, models
 from posikit.cli import main, parse_config, reference_options
@@ -154,6 +158,26 @@ def test_flag_beats_env(tmp_path, monkeypatch):
     assert (flag_dir / "run.csv").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                              via):
+    cfg = write_config(tmp_path, PME_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    argv = ["solve", "--config", cfg]
+    if via == "flag":
+        argv += ["--out", str(taken)]
+    else:
+        monkeypatch.setenv("POSIKIT_OUT", str(taken))
+    ran = []
+    monkeypatch.setattr(cli, "build_model", lambda cfg: ran.append(cfg))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {taken}" in err
+    assert not ran
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_rerun_bit_reproduces_output(tmp_path):
     cfg = write_config(tmp_path, PME_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -247,6 +271,18 @@ def test_config_parse_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     dup = write_config(tmp_path, "model = pme\nmodel = pme\ndt = 1e-3\nT = 1e-3\n")
     assert main(["solve", "--config", dup, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError, which alone would read as a
+    # numerical failure (exit 3)
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(PME_CFG.encode() + b"\xff\xfe = 1\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config" in err and str(path) in err
+    assert not out.exists()
 
 
 LUB_CFG = "model = lubrication\nnx = 32\ndt = 1e-7\nT = 1e-6"
@@ -690,19 +726,37 @@ def test_importing_posikit_loads_no_scipy():
     assert out.split() == ["[]"]
 
 
-@pytest.mark.parametrize("model", ["AllenCahnModel", "PnpModel"])
-def test_building_a_transform_model_loads_scipy_fft(model):
-    # their operators solve through scipy.fft: the import is set-up
-    out = fresh_python("import sys, posikit\n"
-                       "print('scipy.fft' in sys.modules)\n"
-                       f"posikit.{model}()\n"
-                       "print('scipy.fft' in sys.modules)\n")
-    assert out.split() == ["False", "True"]
+KERNEL = "scipy.fft._pocketfft.pypocketfft"
+SCIPY_LOADED = ("print(sorted(m for m in __import__('sys').modules\n"
+                "             if m.startswith('scipy')))\n")
 
 
-def test_constant_coefficient_bounded_solve_loads_scipy_fft_on_use():
-    # the rare transform paths import scipy.fft on first use, with the bits
-    # of a process that has it already (this one)
+@pytest.mark.parametrize("model,text", [
+    ("AllenCahnModel", "model = allen_cahn\nnx = 8\neps2 = 0.01\n"
+     "dt = 1e-4\nT = 2e-4\nvariant = multiplier\n"),
+    ("PnpModel", PNP_CFG)], ids=["AllenCahnModel", "PnpModel"])
+def test_a_transform_model_loads_only_the_kernel_on_first_use(tmp_path, model,
+                                                              text):
+    # their solves transform with scipy's pocketfft: building the model loads
+    # no scipy, and the first transform loads the kernel from its file and no
+    # scipy package
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    built, first, solved = fresh_python(
+        "import numpy as np, posikit\n"
+        "from posikit import operators\n"
+        "from posikit.cli import main\n"
+        f"m = posikit.{model}()\n" + SCIPY_LOADED +
+        "operators._forward(m.grid, np.ones(m.grid.shape))\n" + SCIPY_LOADED +
+        f"code = main(['solve', '--config', {cfg!r}, '--out', {str(out)!r}])\n"
+        + SCIPY_LOADED + "assert code == 0\n").splitlines()
+    assert built == "[]"
+    assert first == solved == str([KERNEL])
+
+
+def test_constant_coefficient_bounded_solve_loads_the_kernel_on_use():
+    # the rare transform paths load the kernel alone on first use, with the
+    # bits of a process that imported scipy.fft (this one)
     build = (
         "import numpy as np\n"
         "from posikit import Operator, build_grid, solve_operator\n"
@@ -711,15 +765,63 @@ def test_constant_coefficient_bounded_solve_loads_scipy_fft_on_use():
         "op = Operator.div_coeff_grad(g, np.ones(g.shape))\n"
         "rhs = np.random.default_rng(5).standard_normal(g.shape) * g.active\n")
     solve = "u, _ = solve_operator(2.0, op, rhs)\n"
-    loaded = "print('scipy.fft' in __import__('sys').modules)\n"
-    out = fresh_python(build + loaded + solve + loaded
+    out = fresh_python(build + SCIPY_LOADED + solve + SCIPY_LOADED
                        + "print(u.tobytes().hex())\n")
-    before, after, bits = out.split()
-    assert (before, after) == ("False", "True")
+    before, after, bits = out.splitlines()
+    assert (before, after) == ("[]", str([KERNEL]))
     assert "scipy.fft" in sys.modules
     scope = {}
     exec(build + solve, scope)
     assert scope["u"].tobytes().hex() == bits
+
+
+@pytest.mark.parametrize("first", ["scipy.fft", "posikit"])
+def test_the_kernel_is_one_module_in_either_import_order(first):
+    # tests and tracers patch the module scipy imported, so the one posikit
+    # loads must be that module, and give scipy.fft's bits
+    load = ("k = ops._pocketfft()\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+    out = fresh_python(
+        "import sys\n"
+        "import numpy as np\n"
+        + ("import scipy.fft\n" if first == "scipy.fft" else "") +
+        "from posikit import build_grid, operators as ops\n"
+        + (load if first == "posikit" else "k = ops._pocketfft()\n") +
+        "import scipy.fft\n"
+        "from scipy.fft._pocketfft import pypocketfft\n"
+        f"assert k is sys.modules[{KERNEL!r}] is pypocketfft\n"
+        "same = lambda a, b: (a.dtype, a.shape, a.tobytes()) == (\n"
+        "    b.dtype, b.shape, b.tobytes())\n"
+        "rng = np.random.default_rng(9)\n"
+        "g = build_grid(((0.0, 6.0), (0.0, 6.0)), (12, 13), 'periodic')\n"
+        "v = rng.standard_normal(g.shape)\n"
+        "V = scipy.fft.rfft2(v)\n"
+        "assert same(ops._rfft(g, v), V)\n"
+        "assert same(ops._irfft(g, V), scipy.fft.irfft2(V, g.counts))\n"
+        "b = build_grid(((0.0, 1.0), (0.0, 2.0)), (12, 15),\n"
+        "               ('dirichlet', 'neumann'))\n"
+        "w = rng.standard_normal(b.shape)\n"
+        "assert same(ops._r2r(b, w, (0,), 0), scipy.fft.dst(w, 1, axis=0))\n"
+        "assert same(ops._r2r(b, w, (1,), 0), scipy.fft.dct(w, 1, axis=1))\n"
+        "print('ok')\n")
+    assert out.split() == ["ok"]
+
+
+def test_a_missing_kernel_file_is_an_import_error_naming_its_directory():
+    out = fresh_python(
+        "import importlib.machinery, importlib.util, os\n"
+        "from posikit import operators\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+        "try:\n"
+        "    operators._pocketfft()\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "where = importlib.util.find_spec('scipy').submodule_search_locations\n"
+        "print(os.path.join(where[0], 'fft', '_pocketfft'))\n"
+        + SCIPY_LOADED)
+    message, directory, loaded = out.splitlines()
+    assert message == f"no pypocketfft extension in {directory}"
+    assert loaded == "[]"
 
 
 # -- the two-species model runs through `solve` only --------------------------------
