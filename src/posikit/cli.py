@@ -261,14 +261,13 @@ def _check_runs(cfg: RunConfig, g, runs, mass: float) -> None:
         _unused(cfg, "secant_tol", "without the mass variant")
 
 
-def resolve_out_dir(cfg: RunConfig, flag_out) -> str:
-    out = flag_out or os.environ.get(ENV_OUT) or cfg.get("out") or "out"
+def make_out_dir(out: str) -> None:
+    """Create ``out`` after every check, just before a command's first run."""
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: "
                           f"{exc.strerror}") from exc
-    return out
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
@@ -282,8 +281,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
 
     g = model.grid
     if cfg.model == "pnp":
-        _unused(cfg, "snapshot_every", "by pnp, which writes final fields "
-                "only")
+        _unused(cfg, "snapshot_every", "by pnp, which writes final fields only")
+        make_out_dir(out_dir)
         run_p, run_n, phis = run_pnp(model, opts, n_steps)
         for name, run in (("p", run_p), ("n", run_n)):
             write_run_csv(os.path.join(out_dir, f"run_{name}.csv"),
@@ -305,6 +304,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     # stays alive through the run
     initial = StepDiagnostics.initial(g, model.initial_state())
     _check_runs(cfg, g, [opts], initial.mass)
+    make_out_dir(out_dir)
     result = run_simulation(model, opts, n_steps, ledger=ledger,
                             on_step=on_step)
     write_run_csv(os.path.join(out_dir, "run.csv"),
@@ -347,6 +347,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
     for opts in runs + [ref]:  # all checked before the first run
         _checked("key 'T'", horizon_steps, horizon, opts.dt)
     _check_runs(cfg, model.grid, runs + [ref], mass)
+    make_out_dir(out_dir)
     rows = convergence_study(model, runs[0], dts, ref, horizon)
     write_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return EXIT_OK
@@ -369,6 +370,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
         options[v] = _step_options(cfg, dt, v, "variants")
     n_steps = _checked("key 'T'", horizon_steps, cfg.get_float("T"), dt)
     _check_runs(cfg, g, options.values(), initial.mass)
+    make_out_dir(out_dir)
     runs, summary = [], []
     for v, opts in options.items():
         result = run_simulation(model, opts, n_steps, stop_on_failure=False)
@@ -415,12 +417,12 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         _check_command_keys(cfg, args.command)
-        out_dir = resolve_out_dir(cfg, args.out)
+        out = args.out or os.environ.get(ENV_OUT) or cfg.get("out") or "out"
         if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
+            return cmd_solve(cfg, out)
         if args.command == "convergence":
-            return cmd_convergence(cfg, out_dir)
-        return cmd_compare(cfg, out_dir)
+            return cmd_convergence(cfg, out)
+        return cmd_compare(cfg, out)
     except ConfigError as exc:
         print(f"posikit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,11 +11,11 @@ kind is the *positive* direction: for the heat part ``L = -laplacian``):
   antisymmetric Fourier derivative (Nyquist mode dropped), exactly
   symmetric positive semidefinite in the grid inner product and equal to
   the spectral Laplacian mode by mode at c == 1.  On bounded grids it is
-  the edge form with edge coefficients ``0.5 * (c_i + c_{i+1})``, which an
-  :class:`Operator` builds once (``Operator.edge_coeffs``) on the flat
-  C-order field: one array per axis, entry i coupling flat nodes i and
+  the edge form with edge coefficients ``0.5 * (c_i + c_{i+1}) / h**2``,
+  which an :class:`Operator` builds once (``Operator.edge_coeffs``) on the
+  flat C-order field: one array per axis, entry i coupling flat nodes i and
   i + s (s the axis stride, zero across the row wraps of a 2D grid), so an
-  apply is one pass of contiguous shifts.
+  apply is one pass of contiguous shifts into one field, with no division.
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
   fourth-order thin-film operator; periodic grids only, applied in fused
   form (Delta u stays in transform space: 4 real transforms in 1D, 6 in 2D).
@@ -71,7 +71,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .grid import DIRICHLET, PERIODIC, Grid
+from .grid import DIRICHLET, NEUMANN, PERIODIC, Grid
 
 # Freeing an mmapped block raises glibc's M_MMAP_THRESHOLD to its size and
 # M_TRIM_THRESHOLD to twice that (mallopt(3)), so field-sized temporaries (a
@@ -320,46 +320,42 @@ def _div_grad_spectrum(c: np.ndarray, U: np.ndarray, g: Grid) -> np.ndarray:
 
 def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
     """Edge coefficients on the flat (C-order) field of a bounded grid, per
-    axis N - s entries: ``0.5 * (c_i + c_{i+s})`` couples flat nodes i and
-    i + s, s the axis stride; 0 across the row wraps of a 2D grid."""
+    axis N - s entries: ``0.5 * (c_i + c_{i+s}) / h**2`` couples flat nodes
+    i and i + s, s the axis stride and h its spacing (1/h**2 is the interior
+    nodes' scale); 0 across the row wraps of a 2D grid."""
     # a list, not tuple() over a generator: that form raised the traced
     # peak memory of a pnp run by about 90 KiB
     v, out, s = c.reshape(-1), [], c.size
     for ax in range(g.dim):
         s //= g.shape[ax]
-        ce = 0.5 * (v[s:] + v[:-s])
+        ce = v[s:] + v[:-s]
+        ce /= 2.0 * g.spacings[ax] ** 2  # 0.5 * (...) / h**2, bit for bit
         if ax == 1:  # the row wraps
             ce[g.shape[1] - 1::g.shape[1]] = 0.0
         out.append(ce)
     return tuple(out)
 
 
-@_per_grid
-def _edge_scale(g: Grid, ax: int) -> np.ndarray:
-    """h times the node weight along ``ax``, shaped to broadcast; the
-    transverse weights cancel.  Excluded Dirichlet ends carry weight 1 (the
-    caller masks their rows), Neumann ends h/2."""
-    n, h = g.counts[ax], g.spacings[ax]
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = 1.0 if g.bcs[ax] == DIRICHLET else 0.5 * h
-    return _along(h * w, ax, g.dim)
-
-
 def _edge_sum(ce: tuple, g: Grid, edge_values, lower) -> np.ndarray:
-    """Per node and axis, 0 combined by ``lower`` (in place) with the value
-    ``edge_values(e)`` on the edge above it, plus the one on the edge below
-    (two scatters into contiguous slices of the flat field), divided by the
-    axis's scale; summed over the axes, the inactive rows set to 0."""
-    out = None
+    """Per node and axis, the node combined by ``lower`` (in place) with the
+    value ``edge_values(e)`` on the edge above it, plus the one below (two
+    scatters into contiguous slices of one flat field); a Neumann end node,
+    of half the weight, takes its one edge twice.  Inactive rows are 0."""
+    flat = np.zeros(g.weights.size)
     for ax, e in enumerate(ce):
-        f, net = edge_values(e), np.zeros(g.weights.size)
-        lower(net[:f.size], f)
-        net[net.size - f.size:] += f
-        del f  # freed first: the broadcast division takes a field's buffer
-        net = net.reshape(g.shape)
-        net /= _edge_scale(g, ax)
-        out = net if out is None else np.add(out, net, out=out)
-    return g.zero_excluded(out)
+        s, f = flat.size - e.size, edge_values(e)
+        lower(flat[:e.size], f)
+        flat[s:] += f
+        if g.bcs[ax] == NEUMANN:
+            if s == 1:  # both ends of every line along the last axis
+                n = g.shape[-1]
+                lower(flat[::n], f[::n])
+                flat[n - 1::n] += f[n - 2::n]
+            else:  # the first and the last row
+                lower(flat[:s], f[:s])
+                flat[-s:] += f[-s:]
+        del f  # freed before the next axis's flux is made
+    return g.zero_excluded(flat.reshape(g.shape))
 
 
 def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -378,7 +374,8 @@ def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
 
 def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
     """Diagonal of :func:`_edge_apply`: per node, the sum of the edge
-    coefficients on its sides, scaled and masked as the apply's."""
+    coefficients on its sides, Neumann ends doubled and inactive rows
+    masked as the apply's."""
     return _edge_sum(ce, g, lambda e: e, np.ndarray.__iadd__)
 
 
@@ -432,8 +429,8 @@ class Operator:
     @cached_property
     def edge_coeffs(self) -> tuple:
         """Edge coefficients on a bounded grid (from c == 1 for the
-        Laplacian), built on first use and kept for the life of the
-        operator."""
+        Laplacian), each axis's divided by its h**2 (:func:`_edge_coeffs`),
+        built on first use and kept for the life of the operator."""
         c = np.ones(self.grid.shape) if self.coeff is None else self.coeff
         return _edge_coeffs(c, self.grid)
 
@@ -602,15 +599,16 @@ def _thomas(lo: list, di: list, up: list, b: list) -> list:
 
 def _tridiagonal_solve(sigma: float, op: Operator, rhs: np.ndarray,
                        tol: float, x0: np.ndarray | None):
-    """The 1D edge-form system by one elimination; inactive Dirichlet ends
-    become identity rows holding ``x0`` (0 without it)."""
+    """The 1D edge-form system by one elimination, Neumann ends as the
+    apply's; inactive Dirichlet ends are identity rows holding ``x0``."""
     g = op.grid
-    (ce,), s = op.edge_coeffs, _edge_scale(g, 0)
-    lo = [0.0] + (-ce / s[1:]).tolist()
-    up = (-ce / s[:-1]).tolist() + [0.0]
+    band = (-op.edge_coeffs[0]).tolist()
+    lo, up = [0.0] + band, band + [0.0]
     di = (sigma + _edge_diagonal(op.edge_coeffs, g)).tolist()
     b = rhs.tolist()
-    if not g.all_active:
+    if g.all_active:
+        up[0], lo[-1] = 2.0 * up[0], 2.0 * lo[-1]
+    else:
         di[0] = di[-1] = 1.0
         lo[-1] = up[0] = 0.0
         if x0 is None:

@@ -170,12 +170,37 @@ def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     else:
         monkeypatch.setenv("POSIKIT_OUT", str(taken))
     ran = []
-    monkeypatch.setattr(cli, "build_model", lambda cfg: ran.append(cfg))
+    monkeypatch.setattr(cli, "run_simulation", lambda *a, **k: ran.append(a))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"config error: cannot create output directory {taken}" in err
     assert not ran
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("key,value,word", [
+    ("eps2", "-1", "interface parameter"), ("T", "1.05e-3", "'T'")],
+    ids=["model", "horizon"])
+@pytest.mark.parametrize("command", ["solve", "convergence", "compare"])
+def test_a_config_error_leaves_no_out_path_behind(tmp_path, capsys, command,
+                                                  key, value, word):
+    # the output directory is made just before the first run, after the
+    # model and every option are checked
+    keys = dict(model="allen_cahn", nx="8", eps2="0.01", T="1e-3")
+    if command == "convergence":
+        keys.update(dts="2e-4,1e-4", ref_dt="2e-5")
+    else:
+        keys.update(dt="1e-4")
+    if command == "compare":
+        keys.update(variants="multiplier,none")
+    keys[key] = value
+    cfg = write_config(tmp_path, "".join(f"{k} = {v}\n"
+                                         for k, v in keys.items()))
+    out = tmp_path / "badout"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and word in err
+    assert not out.exists()
 
 
 def test_rerun_bit_reproduces_output(tmp_path):
@@ -336,7 +361,7 @@ def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and word in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "compare", "convergence"])
@@ -356,7 +381,7 @@ def test_mass_variant_below_its_floor_exits_2(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and "'eps_lb'" in err
     assert "10" in err and "1.6" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
     # a floor below the initial mass runs, and a study steps at that floor
     floors = []
     real = diagnostics.run_simulation
@@ -536,7 +561,7 @@ def test_a_key_no_run_would_read_exits_2_before_any_run(
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"key '{key}': not used" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,text", [
@@ -568,7 +593,7 @@ variants = multiplier,mass
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
     assert "'eps_lb'" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("variants", ["", ",", "mass,mass"])
@@ -579,7 +604,7 @@ def test_compare_rejects_an_empty_variant_list(tmp_path, capsys, variants):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
     assert "'variants'" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_reg_eta_solve_steps_the_regularized_mobility(tmp_path, monkeypatch):
@@ -845,7 +870,7 @@ def test_pnp_rejected_by_study_commands(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "pnp" in err and "'solve'" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 EXACT_PATH_CFGS = {

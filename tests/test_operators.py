@@ -463,22 +463,25 @@ def test_edge_form_matches_edge_by_edge_dense(extents, counts, bcs):
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-def test_1d_edge_apply_rounds_as_the_edge_by_edge_scatter(bc):
-    # the flat edge form keeps the 1D operations: the scatter of
-    # 0.5 * (c_i + c_{i+1}) * (u_{i+1} - u_i), divided by h times the node
-    # weight (1 at an excluded Dirichlet end), bit for bit; excluded ends 0
-    g = build_grid((0.0, 1.0), 24, bc)
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
+def test_edge_apply_rounds_as_the_edge_by_edge_scatter(extents, counts, bcs):
+    # the flat edge form keeps the per-axis operations, bit for bit: the
+    # flux 0.5 * (c_i + c_j) / h**2 * (u_j - u_i) leaves node i and enters
+    # node j, a Neumann end node takes its one edge a second time, and the
+    # excluded ends are 0
+    g = build_grid(extents, counts, bcs)
     rng = np.random.default_rng(53)
     c, u = rng.random(g.shape), rng.standard_normal(g.shape)
-    h = g.spacings[0]
-    flux = 0.5 * (c[:-1] + c[1:]) * (u[1:] - u[:-1])
     ref = np.zeros(g.shape)
-    ref[:-1] -= flux
-    ref[1:] += flux
-    w = np.full(g.shape, h)
-    w[0] = w[-1] = 1.0 if bc == "dirichlet" else 0.5 * h
-    ref /= h * w
+    for ax, bc in enumerate(g.bcs):
+        r, ca, ua = (np.moveaxis(a, ax, 0) for a in (ref, c, u))
+        flux = 0.5 * (ca[:-1] + ca[1:]) / g.spacings[ax] ** 2
+        flux *= ua[1:] - ua[:-1]
+        r[:-1] -= flux
+        r[1:] += flux
+        if bc == "neumann":
+            r[0] -= flux[0]
+            r[-1] += flux[-1]
     ref[~g.active] = 0.0
     assert Operator.div_coeff_grad(g, c).apply(u).tobytes() == ref.tobytes()
 
@@ -539,6 +542,30 @@ def test_edge_diagonal_matches_dense(extents, counts, bcs):
     diag = ops._edge_diagonal(op.edge_coeffs, g) * g.active
     ref = np.diag(edge_form_dense(c, g)).reshape(g.shape)
     assert np.abs(diag - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bcs", ["dirichlet", "neumann",
+                                 ("dirichlet", "neumann")],
+                         ids=["dirichlet", "neumann", "dirichlet-x-neumann"])
+def test_edge_apply_and_diagonal_peak_memory_in_field_sizes(bcs):
+    # the apply holds its output and one axis's flux at a time, the
+    # diagonal only its output; numpy's small buffers stay under 0.05
+    import tracemalloc
+    g = build_grid(((0.0, 1.0), (0.0, 1.0)), (128, 128), bcs)
+    rng = np.random.default_rng(54)
+    c, u = rng.random(g.shape), rng.standard_normal(g.shape)
+    op = Operator.div_coeff_grad(g, c)
+    op.apply(u)  # builds the edge coefficients
+    peaks = []
+    for call in (lambda: op.apply(u),
+                 lambda: ops._edge_diagonal(op.edge_coeffs, g)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / u.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2.05 and peaks[1] <= 1.05, peaks
 
 
 def assert_solve_path(g, rep):

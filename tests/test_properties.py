@@ -7,7 +7,8 @@ positive lower bound; the history levels and the prediction are drawn from a
 seeded generator, with nodes planted on the bound (and on -0.0 and +0.0 at
 a zero bound) where the kernels are checked against their select forms.  Edge-form instances range over bounded grids down to two
 nodes per axis, every boundary combination and coefficients with zero
-patches or support on one edge column only.  Reduction instances range
+patches or support on one edge column only; on 1D grids the elimination
+solves sigma I + L for sigma from 1e-2 to 1e4.  Reduction instances range
 over 1D and 2D grids of every boundary kind and fields whose magnitudes
 span twelve decades.
 """
@@ -160,8 +161,8 @@ def edge_forms(draw):
 
 
 @PROPERTY
-@given(edge_forms())
-def test_flat_edge_form_is_the_edge_by_edge_form(inst):
+@given(edge_forms(), st.floats(-2.0, 4.0))
+def test_flat_edge_form_is_the_edge_by_edge_form(inst, shift):
     g, c, u, v = inst
     op = ops.Operator.div_coeff_grad(g, c)
     M = edge_form_dense(c, g)
@@ -178,6 +179,9 @@ def test_flat_edge_form_is_the_edge_by_edge_form(inst):
         <= tol * g.norm(v)
     if all(bc == "neumann" for bc in g.bcs):  # [L u, 1] = 0
         assert abs(g.mass(op.apply(u))) <= tol * np.sqrt(g.measure)
+    if g.dim == 1:  # sigma I + L by the elimination, sigma 1e-2 to 1e4
+        _, rep = ops._tridiagonal_solve(10.0 ** shift, op, v, 1e-13, None)
+        assert rep.residual <= 1e-13
 
 
 @st.composite
