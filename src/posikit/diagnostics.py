@@ -63,13 +63,13 @@ class EnergyLedger:
         self.sum_increments = 0.0    # sum ||u~^{n+1} - u^n||^2
         self.sum_mult2 = 0.0         # sum dt^2 ||lam (+xi)||^2
         self.sum_quad = 0.0          # sum dt <L u~, u~>
-        self.um_norm = 0.0           # ||u^{n+1}|| of the last step
         self.um_norm2 = 0.0
         self.mult_m_norm2 = 0.0
 
     def update(self, u_prev: np.ndarray, u_tilde: np.ndarray,
                u_next: np.ndarray, lam_next: np.ndarray, xi_next: float,
-               op_quad: float) -> None:
+               op_quad: float, um_norm: float) -> None:
+        """Take in one step; the step hands over ||u^{n+1}|| as ``um_norm``."""
         g = self.grid
         dt = self.opts.dt
         if self.nsteps == 0:
@@ -79,8 +79,7 @@ class EnergyLedger:
         self.mult_m_norm2 = g.norm(mult) ** 2
         self.sum_mult2 += dt**2 * self.mult_m_norm2
         self.sum_quad += dt * op_quad
-        self.um_norm = g.norm(u_next)
-        self.um_norm2 = self.um_norm ** 2
+        self.um_norm2 = um_norm ** 2
         self.nsteps += 1
         if self.nsteps == 1:
             self.rhs_second = (g.norm(2.0 * u_next - u_prev) ** 2

@@ -65,13 +65,16 @@ class Grid:
     shape: tuple[int, ...] = field(init=False)
     fully_periodic: bool = field(init=False)
     all_active: bool = field(init=False)
+    active_block: tuple = field(init=False, repr=False)
     memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         derived = dict(dim=len(self.axes),
                        shape=tuple(len(ax) for ax in self.axes),
                        fully_periodic=all(bc == PERIODIC for bc in self.bcs),
-                       all_active=bool(self.active.all()))
+                       all_active=bool(self.active.all()),
+                       active_block=tuple(slice(1, -1) if bc == DIRICHLET
+                                          else slice(None) for bc in self.bcs))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -98,24 +101,24 @@ class Grid:
     # -- quadrature ---------------------------------------------------------
 
     # Each reduction forms its product in place and sums it with
-    # ndarray.sum: the pairwise sum of np.sum(w * u * v), bit for bit.
+    # np.add.reduce, as ndarray.sum does: np.sum(w * u * v), bit for bit.
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Weighted discrete inner product over the active node set."""
         p = self.weights * self.check_field(u)
         p *= self.check_field(v)
-        return float(p.sum())
+        return float(np.add.reduce(p, None))
 
     def norm(self, u: np.ndarray) -> float:
         """Norm induced by :meth:`inner`."""
         u = self.check_field(u)
         p = self.weights * u
         p *= u
-        return math.sqrt(p.sum())
+        return math.sqrt(np.add.reduce(p, None))
 
     def mass(self, u: np.ndarray) -> float:
         """Inner product of ``u`` against the constant-one field."""
-        return float((self.weights * self.check_field(u)).sum())
+        return float(np.add.reduce(self.weights * self.check_field(u), None))
 
     def zero_excluded(self, a: np.ndarray) -> np.ndarray:
         """Set the excluded nodes (the Dirichlet end rows) of ``a`` to 0 in

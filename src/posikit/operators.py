@@ -39,10 +39,11 @@ finite-difference counterpart (Orszag 1980), which sees a contrast no
 constant coefficient can.  The spectral one goes first: it ends smooth
 solves within the switch and converges faster on white-noise coefficients.
 
-On fully periodic grids the report keeps the solution's spectrum, from which
-``Operator.quad`` forms ``<L u, u>`` by Parseval, with no transform back; the
-1D elimination keeps the ``L u`` of its residual check, which ``quad`` reads
-instead of applying L again.
+On fully periodic grids the report keeps the solution's spectrum and, from
+a Krylov solve, the spectrum of L u of its last true residual, taken on the
+iterate it returns, so ``Operator.quad`` forms ``<L u, u>`` by Parseval and
+transforms nothing (after a transform pass L is a multiplier); the 1D
+elimination keeps the ``L u`` of its residual check, which ``quad`` reads.
 
 Each transform is one call of the compiled kernel in which its public
 function ends, on the arguments that function passes, so it gives the public
@@ -66,7 +67,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 
 import numpy as np
@@ -102,8 +103,9 @@ class SolverError(RuntimeError):
 class SolverReport:
     """A solve's iterations, relative true residual and convergence, and,
     out of ``repr`` and equality, what ``Operator.quad`` reuses: the
-    result's real-FFT ``spectrum`` on fully periodic grids and L times the
-    result (``applied``) from the 1D elimination's residual check."""
+    result's real-FFT ``spectrum`` on fully periodic grids, and L times the
+    result in the basis of the result (``applied``), from the last true
+    residual of a periodic Krylov solve or of the 1D elimination."""
 
     iterations: int
     residual: float
@@ -291,8 +293,7 @@ def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Solve a constant-coefficient system diagonalized by the grid transforms."""
     if g.all_active:
         return _backward(g, _forward(g, rhs) / denom)
-    sl = tuple(slice(1, -1) if bc == DIRICHLET else slice(None)
-               for bc in g.bcs)
+    sl = g.active_block
     out = np.zeros(g.shape)
     out[sl] = _backward(g, _forward(g, rhs[sl]) / denom)
     return out
@@ -454,18 +455,18 @@ class Operator:
 
     def quad(self, u: np.ndarray, U: np.ndarray | None = None,
              Lu: np.ndarray | None = None) -> float:
-        """The bilinear form <L u, u> in the grid inner product; on fully
-        periodic grids the Parseval sum over the spectrum ``U`` of u, which
-        a solve's ``SolverReport.spectrum`` holds (else one transform), on
-        bounded ones the inner product of ``Lu`` = L u, which a 1D solve's
-        ``SolverReport.applied`` holds (else one apply)."""
+        """The bilinear form <L u, u> in the grid inner product, from ``Lu``
+        = L u in the basis of ``U``, as a solve's ``SolverReport.applied``
+        holds it (else one apply); on fully periodic grids the Parseval sum
+        over the spectrum ``U`` of u, a solve's ``SolverReport.spectrum``
+        (else one transform)."""
         g = self.grid
         if not g.fully_periodic:
             return g.inner(self.apply(u) if Lu is None else Lu, u)
         if U is None:
             U = _rfft(g, g.check_field(u))
-        return _wdot(_parseval_weights(g), self.apply_spectrum(U).view(float),
-                     U.view(float))
+        Lu = self.apply_spectrum(U) if Lu is None else Lu
+        return _wdot(_parseval_weights(g), Lu.view(float), U.view(float))
 
 
 # -- Krylov kernels -----------------------------------------------------------
@@ -476,7 +477,7 @@ def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     # wrapper; not a BLAS dot, which goes multithreaded on 2D grids
     p = w * a
     p *= b
-    return float(p.sum())
+    return float(np.add.reduce(p, None))
 
 
 def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
@@ -491,7 +492,8 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
     ``x0`` becomes the iterate: the caller hands over an array it owns.
     With ``switch = (n, make)`` the recursions stop after n iterations and,
     if the true residual there misses the tolerance, go on from it with the
-    preconditioner ``make()``.
+    preconditioner ``make()``.  Returns the iterate, the iterations and the
+    relative true residual, whose ``matvec`` on that iterate is the last.
     """
     bnorm = np.sqrt(_wdot(w, b, b)) or 1.0
     x = np.zeros_like(b) if x0 is None else x0
@@ -502,7 +504,7 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
         r = b - matvec(x)
         relres = np.sqrt(_wdot(w, r, r)) / bnorm
         if relres <= tol:
-            return x, SolverReport(total, relres, True)
+            return x, total, relres
         if total >= cap:
             precond, cap = switch[1](), maxit
         used = cycle(matvec, precond, x, r, w, gate, cap - total)
@@ -510,8 +512,7 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
             break  # immediate breakdown, no progress possible
         total += used
     res = b - matvec(x)
-    relres = np.sqrt(_wdot(w, res, res)) / bnorm
-    return x, SolverReport(total, relres, bool(relres <= tol))
+    return x, total, np.sqrt(_wdot(w, res, res)) / bnorm
 
 
 def _pcg(matvec, precond, x, r, w, gate, budget):
@@ -537,14 +538,15 @@ def _pcg(matvec, precond, x, r, w, gate, budget):
 
 def _pbicgstab(matvec, precond, x, r, w, gate, budget):
     """One preconditioned BiCGStab recursion from residual r; a zero
-    ``rho``, ``omega`` or ``[t, t]`` is a breakdown and ends it."""
-    rhat = r.copy()
+    ``rho``, ``omega`` or ``[t, t]`` is a breakdown and ends it.  ``w * rhat``
+    and ``w * t`` are formed once each: the bits of :func:`_wdot`."""
+    wr = w * r  # w * rhat, rhat = r
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
     p = np.zeros_like(r)
     used = 0
     while used < budget:
-        rho_new = _wdot(w, rhat, r)
+        rho_new = float(np.add.reduce(wr * r, None))
         if rho_new == 0.0 or omega == 0.0:
             break
         used += 1
@@ -553,19 +555,23 @@ def _pbicgstab(matvec, precond, x, r, w, gate, budget):
         p = r + beta * (p - omega * v)
         phat = precond(p)
         v = matvec(phat)
-        alpha = rho / _wdot(w, rhat, v)
+        alpha = rho / float(np.add.reduce(wr * v, None))
         s = r - alpha * v
         if np.sqrt(_wdot(w, s, s)) <= gate:
             x += alpha * phat
             break
         shat = precond(s)
         t = matvec(shat)
-        tt = _wdot(w, t, t)
+        wt = w * t
+        ts = float(np.add.reduce(wt * s, None))
+        wt *= t
+        tt = float(np.add.reduce(wt, None))
+        del wt  # freed before the next matvec, where a solve peaks
         if tt == 0.0:
             # t = 0 only if s = 0: the half step solved the system
             x += alpha * phat
             break
-        omega = _wdot(w, t, s) / tt
+        omega = ts / tt
         x += alpha * phat + omega * shat
         r = s - omega * t
         if np.sqrt(_wdot(w, r, r)) <= gate:
@@ -772,15 +778,16 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
     if g.fully_periodic:
         fourth = op.kind == DIV_COEFF_GRAD_LAPLACIAN
-        cbar = float(np.mean(c))
+        cbar = float(np.add.reduce(c, None) / c.size)  # np.mean's bits
         diag = _denom(g, sigma, cbar, op.kind)
         denom = np.repeat(diag, 2, axis=-1)
+        kept = [None]  # the newest matvec's spectrum of L x, for the report
 
         def matvec(V):
             Z = V.view(complex)
-            S = op.apply_spectrum(Z)
-            S += sigma * Z
-            return S.view(float)
+            kept[0] = None  # freed before the apply, where a solve peaks
+            kept[0] = S = op.apply_spectrum(Z)
+            return (S + sigma * Z).view(float)
 
         switch = None
         # the band pivots keep their sign while sigma h^4 stands above the
@@ -791,12 +798,13 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
                       lambda: _fd_preconditioner(g, sigma, c, cbar, diag))
         # a fresh spectrum: _krylov iterates on it without a copy
         X0 = None if x0 is None else _rfft(g, g.check_field(x0)).view(float)
-        X, report = _krylov(_pbicgstab if fourth else _pcg, matvec,
+        X, n, res = _krylov(_pbicgstab if fourth else _pcg, matvec,
                             lambda R: R / denom, _rfft(g, rhs).view(float),
                             _parseval_weights(g), tol, maxit, x0=X0,
                             switch=switch)
         U = X.view(complex)
-        return _irfft(g, U), replace(report, spectrum=U)
+        return _irfft(g, U), SolverReport(n, res, bool(res <= tol), U,
+                                          kept[0])
     if g.dim == 1:
         return _tridiagonal_solve(sigma, op, rhs, tol, x0)
 
@@ -813,8 +821,9 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     inv = 1.0 / (sigma + _edge_diagonal(op.edge_coeffs, g))
     if not g.all_active:
         inv *= g.active
-    return _krylov(_pcg, matvec, lambda r: r * inv, rhs, g.weights, tol,
-                   maxit, x0=None if x0 is None else np.asarray(x0, float))
+    x, n, res = _krylov(_pcg, matvec, lambda r: r * inv, rhs, g.weights, tol,
+                        maxit, x0=None if x0 is None else np.asarray(x0, float))
+    return x, SolverReport(n, res, bool(res <= tol))
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:

@@ -42,7 +42,7 @@ def test_ledger_variant_mapping():
         assert ledger.with_xi == (variant == "mass")
         # a step that loses all energy and dissipates none: an identity
         # flags it, an inequality holds
-        ledger.update(u0, u0, z, z, 0.0, 0.0)
+        ledger.update(u0, u0, z, z, 0.0, 0.0, 0.0)
         assert (ledger.residual() > 0) == (statement == "identity")
     with pytest.raises(ValueError, match="BDF order"):
         StepOptions(k=3, dt=0.1)  # no scheme, so no ledger either
@@ -53,7 +53,7 @@ def test_ledger_zero_trajectory():
     ledger = EnergyLedger(g, StepOptions(k=1, dt=0.1))
     z = np.zeros(8)
     for _ in range(5):
-        ledger.update(z, z, z, z, 0.0, 0.0)
+        ledger.update(z, z, z, z, 0.0, 0.0, 0.0)
     assert ledger.residual() == 0.0
 
 
@@ -72,7 +72,7 @@ def test_ledger_one_step_dense_crosscheck():
 
     ledger = EnergyLedger(g, opts)
     ledger.update(u0, u_tilde, out.u_next, out.lambda_next, 0.0,
-                  op.quad(u_tilde))
+                  op.quad(u_tilde), g.norm(out.u_next))
     # independent evaluation of the same balance
     lhs = (g.norm(out.u_next) ** 2 + g.norm(u_tilde - u0) ** 2
            + dt**2 * g.norm(out.lambda_next) ** 2

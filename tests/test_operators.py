@@ -1002,10 +1002,11 @@ def test_bicgstab_zero_t_is_a_breakdown_not_a_division_by_zero():
     # with the identity the first half step solves exactly, so s and t are
     # 0; a negative tolerance keeps the inner gate from stopping before t
     b = np.arange(1.0, 9.0)
-    x, rep = ops._krylov(ops._pbicgstab, lambda v: v.copy(),
-                         lambda r: r.copy(), b, np.ones(8), -1.0, 10)
+    x, iterations, relres = ops._krylov(ops._pbicgstab, lambda v: v.copy(),
+                                        lambda r: r.copy(), b, np.ones(8),
+                                        -1.0, 10)
     assert np.array_equal(x, b)
-    assert rep.iterations == 1 and rep.residual == 0.0 and not rep.converged
+    assert iterations == 1 and relres == 0.0 and not relres <= -1.0
 
 
 # -- the energy term <L u, u> from a solve's spectrum ---------------------------
@@ -1067,6 +1068,91 @@ def test_fourth_order_quad_from_the_solve_spectrum_takes_two_transforms(
     calls = count_periodic_transforms(monkeypatch)
     op.quad(u, rep.spectrum)
     assert len(calls) == 2
+
+
+def handback_system(case):
+    """A periodic Krylov system: sigma, operator, right side and start."""
+    if case == "past-touchdown":
+        return post_touchdown_system()
+    if case.startswith("2d"):
+        g = build_grid(*KRYLOV_GRIDS[2], "periodic")
+        kind = "lubrication" if case == "2d-bicgstab" else "div_coeff_grad"
+        rng = np.random.default_rng(62)
+        return (10.0, getattr(Operator, kind)(g, strongly_varying(g)),
+                rng.standard_normal(g.shape), rng.standard_normal(g.shape))
+    g = build_grid((-1.0, 1.0), 256, "periodic")
+    u = 1.0 + 0.2 * np.cos(np.pi * g.axes[0])
+    sigma = 1.5 / 2e-7
+    return sigma, Operator.lubrication(g, np.sqrt(u)), sigma * u, u.copy()
+
+
+@pytest.mark.parametrize("spent", [False, True],
+                         ids=["converged", "budget-spent"])
+@pytest.mark.parametrize("case", ["before-touchdown", "past-touchdown",
+                                  "2d-bicgstab", "2d-cg"])
+def test_periodic_krylov_solve_hands_back_the_spectrum_of_L_u(case, spent):
+    # the last matvec of a Krylov solve is its true residual's, on the
+    # iterate it returns, so the report's applied is L u~ to the bit; past
+    # touchdown the finite-difference switch has fired
+    sigma, op, rhs, x0 = handback_system(case)
+    u, rep = solve_operator(sigma, op, rhs, tol=1e-30 if spent else 1e-10,
+                            maxit=3 if spent else 500, x0=x0)
+    assert rep.converged != spent and rep.iterations > 0
+    if case == "past-touchdown" and not spent:
+        assert rep.iterations > ops._FD_SWITCH
+    assert same_bits(rep.applied, op.apply_spectrum(rep.spectrum))
+    assert op.quad(u, rep.spectrum, rep.applied).hex() == \
+        op.quad(u, rep.spectrum).hex()
+
+
+@pytest.mark.parametrize("kind,bound", [("lubrication", 20.0),
+                                        ("div_coeff_grad", 13.9)],
+                         ids=["bicgstab", "cg"])
+def test_periodic_2d_solve_peak_memory_in_spectra(kind, bound):
+    # the traced peak of a 2D periodic Krylov solve, in units of one
+    # spectrum: each bound is the peak before the solve kept L u~'s
+    # spectrum (19.0 and 12.9) plus that one spectrum
+    import tracemalloc
+    g = build_grid(((0.0, 2 * np.pi), (0.0, 2 * np.pi)), (32, 32),
+                   "periodic")
+    X, Y = g.coords()
+    op = getattr(Operator, kind)(g, 1.0 + 0.5 * np.sin(X) * np.cos(Y))
+    rng = np.random.default_rng(63)
+    rhs, x0 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    solve_operator(10.0, op, rhs, x0=x0.copy())  # warm-up
+    tracemalloc.start()
+    try:
+        _, rep = solve_operator(10.0, op, rhs, x0=x0.copy())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations > 10
+    assert peak / ops._rfft(g, rhs).nbytes <= bound
+
+
+def test_ledgered_thin_film_step_quad_makes_no_transform(monkeypatch):
+    # the energy term reads the BiCGStab solve's spectra of u~ and L u~
+    from posikit.diagnostics import EnergyLedger
+    from posikit.models import LubricationModel
+    from posikit.stepper import History, StepOptions, step
+    model = LubricationModel(rho=0.5, n=64)
+    opts = StepOptions(k=2, dt=1e-6, variant="mass", eps_lb=1e-4)
+    hist = History.start(model.grid, model.initial_state())
+    ledger = EnergyLedger(model.grid, opts)
+    step(hist, model, opts, ledger)
+    calls = count_periodic_transforms(monkeypatch)
+    in_quad, real = [], Operator.quad
+
+    def quad(self, *args):
+        before = len(calls)
+        out = real(self, *args)
+        in_quad.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(Operator, "quad", quad)
+    _, diag = step(hist, model, opts, ledger)
+    assert in_quad == [0] and len(calls) > 0 and diag.solver_iters > 0
+    assert diag.op_quad > 0.0 and diag.ledger_residual <= 1e-8
 
 
 def test_ledger_allen_cahn_step_takes_two_transforms(monkeypatch):

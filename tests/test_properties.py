@@ -4,9 +4,11 @@ thin film's band elimination and of the grid reductions.
 Correction instances range over 1D and 2D grids, the three boundary
 conditions, orders k = 1 and 2, the three corrected variants and a zero or
 positive lower bound; the history levels and the prediction are drawn from a
-seeded generator, with nodes planted on the bound (and on -0.0 and +0.0 at
-a zero bound) where the kernels are checked against their select forms.  Edge-form instances range over bounded grids down to two
-nodes per axis, every boundary combination and coefficients with zero
+seeded generator, with nodes planted on the bound, on -0.0 and +0.0 and
+one ulp to either side of the bound (a subnormal gap at the bounds 0 and
+1e-300, which alpha/dt < 1 can scale to 0), where the kernels are checked
+against their select forms.  Edge-form instances range over bounded grids
+down to two nodes per axis, every boundary combination and coefficients with zero
 patches or support on one edge column only; on 1D grids the elimination
 solves sigma I + L for sigma from 1e-2 to 1e4.  Reduction instances range
 over 1D and 2D grids of every boundary kind and fields whose magnitudes
@@ -34,14 +36,14 @@ PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
 
 @st.composite
 def instances(draw, variants=CORRECTED, orders=(1, 2),
-              eps_lbs=(0.0, 1e-2)):
+              eps_lbs=(0.0, 1e-2), dts=(0.05, 1.0)):
     dim = draw(st.sampled_from((1, 2)))
     bc = draw(st.sampled_from(("periodic", "dirichlet", "neumann")))
     n = draw(st.integers(4, 10 if dim == 2 else 40))
     k = draw(st.sampled_from(orders))
     variant = draw(st.sampled_from(variants))
     eps_lb = draw(st.sampled_from(eps_lbs))
-    dt = draw(st.floats(0.05, 1.0))
+    dt = draw(st.floats(*dts))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     g = build_grid(((0.0, 2.0),) * dim, (n,) * dim, bc)
@@ -237,23 +239,63 @@ def _select_correction(base, eps_lb, r, g):
     return u, lam, int(np.count_nonzero(~inactive & g.active))
 
 
-@PROPERTY
-@given(tie_instances())
-def test_correction_kernel_is_the_select_form_bit_for_bit(inst):
-    hist, tab, u_tilde, opts = inst
-    g, dt = hist.grid, opts.dt
-    out = correct_positivity(u_tilde, hist, tab, opts)
+def _corrected_base(out, hist, tab, u_tilde, opts):
+    """The shifted prediction that the correction ``out`` clamped."""
+    dt = opts.dt
     lam_load, xi_load = hist.multiplier_load(tab, opts.variant)
     if opts.variant == "cutoff":
-        base = u_tilde
-    elif opts.variant == "mass":
-        base = u_tilde + (dt / tab.alpha) * (out.xi_next - (lam_load + xi_load))
-    else:
-        base = u_tilde - (dt / tab.alpha) * lam_load
-    u, lam, count = _select_correction(base, opts.eps_lb, tab.alpha / dt, g)
-    assert out.u_next.tobytes() == u.tobytes()
-    assert out.lambda_next.tobytes() == lam.tobytes()
-    assert out.active_count == count
+        return u_tilde
+    if opts.variant == "mass":
+        return u_tilde + (dt / tab.alpha) * (out.xi_next
+                                             - (lam_load + xi_load))
+    return u_tilde - (dt / tab.alpha) * lam_load
+
+
+@st.composite
+def gap_instances(draw):
+    """Correction instances with nodes of the prediction planted on the
+    bound, on -0.0 and +0.0 and one ulp to either side of the bound, whose
+    gap is subnormal at the bounds 0 and 1e-300, and steps up to 4, where
+    alpha/dt < 1 scales such a gap down to 0."""
+    hist, tab, u_tilde, opts = draw(instances(eps_lbs=(0.0, 1e-4, 1e-300),
+                                              dts=(0.05, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps_lb = opts.eps_lb
+    pool = np.array([eps_lb, -0.0, 0.0, np.nextafter(eps_lb, -1.0),
+                     np.nextafter(eps_lb, 1.0)])
+    plant = rng.integers(0, 2 * pool.size, u_tilde.shape)
+    u_tilde = np.where(plant < pool.size,
+                       pool[np.minimum(plant, pool.size - 1)], u_tilde)
+    return hist, tab, u_tilde, opts
+
+
+def _clamp_correction(base, eps_lb, r, g):
+    """The correction in its clamp form: u = max(eps_lb, base), lam =
+    max(r (eps_lb - base), 0) and the count of base < eps_lb, the excluded
+    nodes zeroed."""
+    u = np.maximum(eps_lb, base)
+    lam = np.subtract(eps_lb, base)
+    lam *= r
+    np.maximum(lam, 0.0, out=lam)
+    clamped = base < eps_lb
+    for a in (u, lam, clamped):
+        g.zero_excluded(a)
+    return u, lam, int(np.count_nonzero(clamped))
+
+
+@PROPERTY
+@given(gap_instances())
+def test_correction_kernel_is_the_select_form_bit_for_bit(inst):
+    # and the clamp form, which the kernel replaced
+    hist, tab, u_tilde, opts = inst
+    out = correct_positivity(u_tilde, hist, tab, opts)
+    base = _corrected_base(out, hist, tab, u_tilde, opts)
+    for form in (_select_correction, _clamp_correction):
+        u, lam, count = form(base, opts.eps_lb, tab.alpha / opts.dt,
+                             hist.grid)
+        assert out.u_next.tobytes() == u.tobytes()
+        assert out.lambda_next.tobytes() == lam.tobytes()
+        assert out.active_count == count
 
 
 @PROPERTY
