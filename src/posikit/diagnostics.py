@@ -11,6 +11,10 @@ scheme, one :class:`~posikit.stepper.StepOptions`, decides the statement:
 * first-order mass variant, and both second-order variants (multiplier and
   mass): inequalities; residual is the positive part of (LHS - RHS).
 
+At k = 1 the statements read sums of the increments ``||u~ - u^n||^2``,
+of ``dt^2 ||lam (+xi)||^2``, of ``dt <L u~, u~>`` and of the supply
+``2 dt (<f, u~> + eps_lb <lam, 1>)`` of a source f and a floor; at k = 2 the
+sum of ``dt <L u~, u~>`` and the newest ``||u^{n+1}||``, ``||lam (+xi)||``.
 Both second-order forms assume the run started with a first-order step,
 which is what the stepper's start-up cascade produces.  A convergence
 study takes its scheme the same way, as options whose step it replaces.
@@ -48,7 +52,9 @@ def has_energy_statement(opts: StepOptions) -> bool:
 
 class EnergyLedger:
     """Energy-balance terms of one run of the scheme ``opts``, from its
-    first step on; :func:`~posikit.stepper.step` rejects any other use."""
+    first step on; :func:`~posikit.stepper.step` rejects any other use.
+    A k = 1 step adds to the sums of increments, multipliers and supply, a
+    k = 2 step forms only the multiplier norm; both sum ``dt <L u~, u~>``."""
 
     def __init__(self, g: Grid, opts: StepOptions):
         if not has_energy_statement(opts):
@@ -62,26 +68,33 @@ class EnergyLedger:
         self.rhs_second = None       # ||2 u^1 - u^0||^2 + 4 ||u^0||^2
         self.sum_increments = 0.0    # sum ||u~^{n+1} - u^n||^2
         self.sum_mult2 = 0.0         # sum dt^2 ||lam (+xi)||^2
+        self.sum_supply = 0.0        # sum 2 dt (<f, u~> + eps_lb <lam, 1>)
         self.sum_quad = 0.0          # sum dt <L u~, u~>
         self.um_norm2 = 0.0
         self.mult_m_norm2 = 0.0
 
     def update(self, u_prev: np.ndarray, u_tilde: np.ndarray,
                u_next: np.ndarray, lam_next: np.ndarray, xi_next: float,
-               op_quad: float, um_norm: float) -> None:
-        """Take in one step; the step hands over ||u^{n+1}|| as ``um_norm``."""
-        g = self.grid
-        dt = self.opts.dt
+               op_quad: float, um_norm: float,
+               source: Optional[np.ndarray]) -> None:
+        """Take in one step with its ||u^{n+1}|| and its source (or None)."""
+        g, opts = self.grid, self.opts
+        dt = opts.dt
         if self.nsteps == 0:
             self.u0_norm2 = g.norm(u_prev) ** 2
         mult = lam_next + xi_next if self.with_xi else lam_next
-        self.sum_increments += g.norm(u_tilde - u_prev) ** 2
         self.mult_m_norm2 = g.norm(mult) ** 2
-        self.sum_mult2 += dt**2 * self.mult_m_norm2
         self.sum_quad += dt * op_quad
+        if opts.k == 1:
+            self.sum_increments += g.norm(u_tilde - u_prev) ** 2
+            self.sum_mult2 += dt**2 * self.mult_m_norm2
+            if source is not None:
+                self.sum_supply += 2.0 * dt * g.inner(source, u_tilde)
+            if opts.eps_lb > 0.0:
+                self.sum_supply += 2.0 * dt * opts.eps_lb * g.mass(lam_next)
         self.um_norm2 = um_norm ** 2
         self.nsteps += 1
-        if self.nsteps == 1:
+        if self.nsteps == 1 and opts.k == 2:
             self.rhs_second = (g.norm(2.0 * u_next - u_prev) ** 2
                                + 4.0 * self.u0_norm2)
 
@@ -92,10 +105,8 @@ class EnergyLedger:
         if self.opts.k == 1:
             lhs = (self.um_norm2 + self.sum_increments + self.sum_mult2
                    + 2.0 * self.sum_quad)
-            defect = lhs - self.u0_norm2
-            if not self.with_xi:
-                return abs(defect)
-            return max(defect, 0.0)
+            defect = lhs - self.u0_norm2 - self.sum_supply
+            return max(defect, 0.0) if self.with_xi else abs(defect)
         lhs = (4.0 * self.um_norm2
                + (4.0 / 3.0) * self.opts.dt**2 * self.mult_m_norm2
                + 4.0 * self.sum_quad)

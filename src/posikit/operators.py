@@ -57,8 +57,8 @@ scipy package imported: about 1 ms and 0.4 MiB in an Allen-Cahn or pnp run
 (the ``scipy.fft`` import it replaces took about 0.25 s and 25 MiB), nothing
 in a porous-medium or 1D thin-film run, which never transform with it.
 
-Operators are immutable; ``Operator.apply`` and ``solve_operator`` are pure
-functions of their inputs and may run concurrently on distinct fields.
+Operators are immutable but for one held diagonal; ``Operator.apply`` and
+``solve_operator`` are pure and may run concurrently on distinct fields.
 """
 
 from __future__ import annotations
@@ -435,6 +435,16 @@ class Operator:
         c = np.ones(self.grid.shape) if self.coeff is None else self.coeff
         return _edge_coeffs(c, self.grid)
 
+    def _shifted_denom(self, sigma: float, cbar: float) -> np.ndarray:
+        """The read-only :func:`_denom`, held as one (sigma, cbar, array)
+        tuple until a solve at another shift (once per run) replaces it."""
+        held = self.__dict__.get("_diagonal")
+        if held is None or held[:2] != (sigma, cbar):
+            held = (sigma, cbar, _denom(self.grid, sigma, cbar, self.kind))
+            held[2].flags.writeable = False
+            object.__setattr__(self, "_diagonal", held)
+        return held[2]
+
     def apply_spectrum(self, V: np.ndarray) -> np.ndarray:
         """Real-FFT spectrum of L v from the spectrum ``V`` of v on a fully
         periodic grid (2 * dim transforms, none for the Laplacian); the
@@ -771,7 +781,7 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     # inactive Dirichlet nodes
     lo, hi = (1.0, 1.0) if c is None else (c.min(), c.max())
     if lo == hi:
-        denom = _denom(g, sigma, float(hi), op.kind)
+        denom = op._shifted_denom(sigma, float(hi))
         if g.fully_periodic:  # the operations of _diag_solve, spectrum kept
             U = _rfft(g, rhs) / denom
             return _irfft(g, U), SolverReport(0, 0.0, True, U)

@@ -108,10 +108,14 @@ def bdf_tableau(k: int) -> BdfTableau:
 
 
 def combine_levels(coeffs, levels) -> np.ndarray:
-    """sum_i coeffs[i] * levels[i] over the leading levels, newest first."""
+    """sum_i coeffs[i] * levels[i] over the leading levels, newest first;
+    a level of weight -1 is subtracted, the bits of adding -1.0 * v."""
     out = coeffs[0] * levels[0]
     for c, v in zip(coeffs[1:], levels[1:]):
-        out += c * v
+        if c == -1.0:
+            out -= v
+        else:
+            out += c * v
     return out
 
 
@@ -476,7 +480,7 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
         op_quad = op.quad(u_tilde, report.spectrum, report.applied)
         ledger.update(u_prev=hist.us[0], u_tilde=u_tilde, u_next=u_next,
                       lam_next=out.lambda_next, xi_next=out.xi_next,
-                      op_quad=op_quad, um_norm=stats[3])
+                      op_quad=op_quad, um_norm=stats[3], source=source)
         ledger_residual = ledger.residual_rel()
 
     hist.push(u_next, out.lambda_next, out.xi_next, opts.dt, opts.k)

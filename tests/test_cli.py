@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -1014,6 +1015,32 @@ def test_traced_benchmark_sample_reports_every_metric_finite(tmp_path, name):
            if not isinstance(v, (int, float)) or not math.isfinite(v)}
     assert bad == {}
     assert metrics["stepper.steps"] == 20
+
+
+@pytest.mark.parametrize("name", ["lubrication_floor", "pme_1d", "pme_mass",
+                                  "pnp_2d"])
+def test_shipped_solve_configs_run_end_to_end(tmp_path, name):
+    # each run keeps its floor, a ledger, where one is attached, holds its
+    # energy statement, and the mass variant holds each run's mass
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        f"{name}.cfg")
+    cfg = parse_config(path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    logs = sorted(out.glob("run*.csv"))
+    assert len(logs) == (2 if cfg.model == "pnp" else 1)
+    floor = cli._floor(cfg)
+    for log in logs:
+        header, rows = read_csv(log)
+        cols = {c: [float(r[i]) for r in rows] for i, c in enumerate(header)}
+        assert min(cols["min_u"]) >= floor, log.name
+        ledgered = cols["ledger_residual"][1:]  # the t = 0 row has none
+        assert all(math.isnan(r) for r in ledgered) == (cfg.model == "pnp")
+        assert all(math.isnan(r) or r <= 1e-8 for r in ledgered), log.name
+        if cfg.get("variant") == "mass":
+            mass = np.array(cols["mass"])
+            drift = np.abs(mass - mass[0]).max() / abs(mass[0])
+            assert drift <= 1e-10, log.name
 
 
 def test_shipped_configs_build_without_a_solve():

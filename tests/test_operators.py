@@ -716,6 +716,44 @@ def test_constant_coefficient_solve_makes_one_transform_pass(
     assert sorted(calls) == sorted(expect)
 
 
+def periodic_laplacian():
+    return Operator.laplacian(
+        build_grid(((0.0, 2 * np.pi), (0.0, 2 * np.pi)), (8, 9), "periodic"))
+
+
+def bounded_constant_coefficient():
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (9, 8), ("dirichlet", "neumann"))
+    return Operator.div_coeff_grad(g, np.full(g.shape, 2.0))
+
+
+@pytest.mark.parametrize("make", [periodic_laplacian,
+                                  bounded_constant_coefficient])
+def test_constant_coefficient_solves_hold_one_diagonal(monkeypatch, make):
+    # solves at one shift build sigma + cbar * symbol once and give the
+    # bits of a fresh operator's solve; another shift replaces the held
+    # diagonal, so an operator never holds more than one
+    built = []
+    real = ops._denom
+    monkeypatch.setattr(ops, "_denom",
+                        lambda *args: built.append(args[1]) or real(*args))
+    op = make()
+    g, cbar = op.grid, 1.0 if op.coeff is None else 2.0
+    rhs = np.random.default_rng(66).standard_normal(g.shape) * g.active
+    fresh = solve_operator(3.0, make(), rhs)[0]
+    built.clear()
+    us = [solve_operator(3.0, op, rhs)[0] for _ in range(3)]
+    assert built == [3.0]
+    assert all(u.tobytes() == fresh.tobytes() for u in us)
+    held = op._diagonal
+    assert held[:2] == (3.0, cbar) and not held[2].flags.writeable
+    for sigma in (5.0, 3.0):
+        solve_operator(sigma, op, rhs)
+        assert op._diagonal[:2] == (sigma, cbar)
+    assert built == [3.0, 5.0, 3.0]
+    assert op._diagonal[2] is not held[2]
+    assert set(vars(op)) == {"grid", "kind", "coeff", "_diagonal"}
+
+
 # -- fourth-order BiCGStab in transform space -----------------------------------
 
 KRYLOV_GRIDS = [((0.0, 2 * np.pi), 32), ((0.0, 2 * np.pi), 33),

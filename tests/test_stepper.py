@@ -6,9 +6,9 @@ from posikit.grid import build_grid
 from posikit.operators import Operator
 from posikit.stepper import (EXTRAPOLATION_COEFFS, VARIANTS, BlowUpError,
                              History, SecantError, StepOptions, bdf_tableau,
-                             correct_positivity, predict, residual_F,
-                             run_simulation, solve_xi_exact, solve_xi_secant,
-                             step)
+                             combine_levels, correct_positivity, predict,
+                             residual_F, run_simulation, solve_xi_exact,
+                             solve_xi_secant, step)
 
 from test_operators import dense_matrix
 
@@ -111,6 +111,27 @@ def test_extrapolation_coeffs_are_exact_on_polynomials(k):
     lam, xi = hist.multiplier_load(bdf_tableau(k), "mass")
     expect = sum(c * x for c, x in zip(EXTRAPOLATION_COEFFS[k - 1], [0.75]))
     assert np.all(lam == expect) and xi == expect
+
+
+def test_combine_levels_subtracts_a_minus_one_weight_bitwise():
+    # a level of weight -1 is subtracted, not scaled and added: the bits
+    # agree with the scaled add on every operand pair, signed zeros,
+    # infinities (inf - inf included) and subnormals among them
+    rng = np.random.default_rng(31)
+    tiny = np.finfo(float).smallest_subnormal
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
+                         1000 * tiny, -3 * tiny, 1.0, -2.5e-300])
+    pool = np.concatenate([specials, rng.standard_normal(6)])
+    a, b = (x.ravel() for x in np.meshgrid(pool, pool))
+    a0, b0 = a.copy(), b.copy()
+    for coeffs in ((2.0, -1.0), (1.0, -1.0), (-1.0, -1.0)):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN on both
+            expect = coeffs[0] * a
+            expect += -1.0 * b
+            got = combine_levels(coeffs, [a, b])
+        assert got.tobytes() == expect.tobytes(), coeffs
+        assert got is not a  # the first level is scaled into a new array
+    assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
 
 
 @pytest.mark.parametrize("k", [0, 3, 4, 5, -1])
@@ -705,20 +726,15 @@ def test_pme2d_step_peak_memory_in_field_sizes():
     assert peak / field_bytes <= 17.25
 
 
-def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
-    # past start-up a ledgered k = 2 step takes two norms (increment and
-    # multiplier; the mass and ||u^{n+1}||, which the ledger reads too,
-    # come from the step statistics' one weighted product), and combines
-    # levels twice: A_k(u) and the source's extrapolated state; the
-    # transform solve reads no start, so none is formed, and B_1(lam) is
-    # the newest multiplier level itself
+def count_ledger_step_calls(monkeypatch, opts):
+    """Grid reductions and level combinations of the second ledgered step
+    of an Allen-Cahn run under ``opts``, and that step's diagnostics."""
     from collections import Counter
     from posikit import models, stepper
     from posikit.diagnostics import EnergyLedger
     from posikit.grid import Grid
     from posikit.models import AllenCahnModel
     model = AllenCahnModel(eps2=1e-3, n=16)
-    opts = StepOptions(k=2, dt=1e-6)
     hist = History.start(model.grid, model.initial_state())
     ledger = EnergyLedger(model.grid, opts)
     step(hist, model, opts, ledger)
@@ -731,7 +747,29 @@ def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
             return _real(*args, **kw)
         monkeypatch.setattr(owner, name, counting)
     _, diag = step(hist, model, opts, ledger)
-    assert calls == {"norm": 2, "combine_levels": 2}
+    return calls, diag
+
+
+def test_ledger_allen_cahn_step_reductions_and_combos(monkeypatch):
+    # past start-up a ledgered k = 2 step takes one norm, the multiplier's
+    # (the mass and ||u^{n+1}||, which the ledger reads too, come from the
+    # step statistics' one weighted product; the increment and the supply
+    # are first-order terms), and combines levels twice: A_k(u) and the
+    # source's extrapolated state; the transform solve reads no start, so
+    # none is formed, and B_1(lam) is the newest multiplier level itself
+    calls, diag = count_ledger_step_calls(monkeypatch,
+                                          StepOptions(k=2, dt=1e-6))
+    assert calls == {"norm": 1, "combine_levels": 2}
+    assert diag.active_count > 0 and diag.ledger_residual <= 1e-8
+
+
+def test_first_order_ledger_step_reductions_and_combos(monkeypatch):
+    # a ledgered k = 1 step takes two norms (increment and multiplier), the
+    # source's inner product with u~ and, above a floor, the multiplier's
+    # mass; it combines levels twice, as at k = 2
+    calls, diag = count_ledger_step_calls(
+        monkeypatch, StepOptions(k=1, dt=1e-6, eps_lb=1e-3))
+    assert calls == {"norm": 2, "inner": 1, "mass": 1, "combine_levels": 2}
     assert diag.active_count > 0 and diag.ledger_residual <= 1e-8
 
 
