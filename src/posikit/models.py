@@ -132,9 +132,21 @@ def barenblatt(x, t: float, m: float, C: float = 1.0):
 
 
 def pme_operator(hist: History, m: float, k: int = 2) -> Operator:
-    """Lagged diffusion handle with coefficient m * star^(m-1) >= 0."""
-    star = _clamped_star(hist, k)
-    return Operator.div_coeff_grad(hist.grid, m * star ** (m - 1.0))
+    """Lagged diffusion handle with coefficient m * star^(m-1) >= 0; a whole
+    exponent by squaring, in place in the fresh floored array (libm's pow
+    is slow at the zeros outside the support): the bits of ``**`` at m = 2
+    and 3, within a few ulp above."""
+    star, e = _clamped_star(hist, k), float(m - 1.0)
+    if not (e.is_integer() and e >= 1.0):
+        return Operator.div_coeff_grad(hist.grid, m * star ** e)
+    e, odd = int(e), m
+    while e > 1:  # m star^e: star's squares times m and the odd bits' powers
+        if e & 1:
+            odd = odd * star
+        np.square(star, out=star)
+        e >>= 1
+    star *= odd
+    return Operator.div_coeff_grad(hist.grid, star)
 
 
 @dataclass

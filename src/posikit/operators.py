@@ -39,11 +39,11 @@ finite-difference counterpart (Orszag 1980), which sees a contrast no
 constant coefficient can.  The spectral one goes first: it ends smooth
 solves within the switch and converges faster on white-noise coefficients.
 
-On fully periodic grids the report keeps the solution's spectrum and, from
-a Krylov solve, the spectrum of L u of its last true residual, taken on the
-iterate it returns, so ``Operator.quad`` forms ``<L u, u>`` by Parseval and
-transforms nothing (after a transform pass L is a multiplier); the 1D
-elimination keeps the ``L u`` of its residual check, which ``quad`` reads.
+Every variable-coefficient path keeps L u on its report, from its last
+true residual, taken on the result (a Krylov solve's is on the iterate it
+returns), so ``Operator.quad`` applies nothing; on fully periodic grids the
+report keeps the spectra of u and L u, so ``quad`` forms ``<L u, u>`` by
+Parseval and transforms nothing (after a transform pass L is a multiplier).
 
 Each transform is one call of the compiled kernel in which its public
 function ends, on the arguments that function passes, so it gives the public
@@ -105,7 +105,7 @@ class SolverReport:
     out of ``repr`` and equality, what ``Operator.quad`` reuses: the
     result's real-FFT ``spectrum`` on fully periodic grids, and L times the
     result in the basis of the result (``applied``), from the last true
-    residual of a periodic Krylov solve or of the 1D elimination."""
+    residual of every variable-coefficient solve."""
 
     iterations: int
     residual: float
@@ -398,7 +398,7 @@ def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
 
 def _nonnegative(g: Grid, c: np.ndarray, what: str) -> np.ndarray:
     c = g.check_field(np.asarray(c, dtype=float))
-    if np.any(c < 0):
+    if not (c >= 0).all():  # NaN compares False either way
         raise ValueError(f"{what} coefficient must be nonnegative")
     return c
 
@@ -526,10 +526,11 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
 
 
 def _pcg(matvec, precond, x, r, w, gate, budget):
-    """One preconditioned conjugate-gradient recursion from residual r."""
-    z = precond(r)
-    p = z.copy()
-    rz = _wdot(w, r, z)
+    """One preconditioned conjugate-gradient recursion from residual r; the
+    first direction is ``precond(r)`` itself (a fresh array, updated in
+    place), and ``w * r`` serves ``[r, r]`` and ``[r, z]``: _wdot's bits."""
+    p = precond(r)
+    rz = _wdot(w, r, p)
     used = 0
     while used < budget:
         used += 1
@@ -537,11 +538,16 @@ def _pcg(matvec, precond, x, r, w, gate, budget):
         alpha = rz / _wdot(w, p, Ap)
         x += alpha * p
         r -= alpha * Ap
-        if np.sqrt(_wdot(w, r, r)) <= gate:
+        del Ap  # each temporary is freed before the next matvec
+        wr = w * r
+        if np.sqrt(np.add.reduce(wr * r, None)) <= gate:
             break
         z = precond(r)
-        rz_new = _wdot(w, r, z)
-        p = z + (rz_new / rz) * p
+        wr *= z
+        rz_new = float(np.add.reduce(wr, None))
+        p *= rz_new / rz  # z + beta * p, in p
+        p += z
+        del wr, z
         rz = rz_new
     return used
 
@@ -748,7 +754,7 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     * the edge form on a bounded 2D grid -- conjugate gradients
       preconditioned by the exact diagonal of ``sigma I + L``, built once
       per solve from ``Operator.edge_coeffs``; no transforms, and each
-      matvec one pass of contiguous shifts over the flat field;
+      matvec one apply, its L x kept until the next;
     * the pseudo-spectral second-order kind (periodic) -- conjugate
       gradients, and the fourth-order kind -- BiCGStab, both on the float
       view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
@@ -761,6 +767,9 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
       :func:`_fd_preconditioner`) and restarts from its iterate and true
       residual: 4 real transforms per iteration before the switch, 8 after.
 
+    Each of these hands back L u, in the basis of u, as the report's
+    ``applied``: the 1D elimination's from its residual check, a Krylov
+    solve's from its last matvec, always the true residual's on the result.
     The Krylov paths start from ``x0`` (0 without it), so a guess close to
     the solution saves iterations; where ``rhs`` vanishes on the active
     rows they judge the residual as absolute.  They iterate in ``x0``: the
@@ -818,11 +827,13 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     if g.dim == 1:
         return _tridiagonal_solve(sigma, op, rhs, tol, x0)
 
+    kept = [None]  # the newest matvec's L x, for the report
+
     def matvec(v):
-        # apply first: a sigma * v made before it would stay live through
-        # the apply and raise the solve's peak memory
-        out = op.apply(v)
-        out += sigma * v
+        kept[0] = None  # freed before the apply, where a solve peaks
+        kept[0] = Lv = op.apply(v)
+        out = sigma * v  # the bits of Lv + sigma * v, with no temporary
+        out += Lv
         return out
 
     # the edge form is an M-matrix whose exact diagonal preconditions about
@@ -833,7 +844,7 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         inv *= g.active
     x, n, res = _krylov(_pcg, matvec, lambda r: r * inv, rhs, g.weights, tol,
                         maxit, x0=None if x0 is None else np.asarray(x0, float))
-    return x, SolverReport(n, res, bool(res <= tol))
+    return x, SolverReport(n, res, bool(res <= tol), applied=kept[0])
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:

@@ -25,7 +25,8 @@ prediction before it clamps:
 
 A prediction that is not finite ends the step with :class:`BlowUpError`
 before any correction.  The energy term ``<L u~, u~>`` is computed only for
-an attached ledger, on periodic grids from the prediction solve's spectrum.
+an attached ledger, from the L u~ that every variable-coefficient prediction
+solve hands back (on periodic grids, with u~, as spectra).
 
 The order k is 1 or 2, the orders whose stability the ledgers in
 :mod:`posikit.diagnostics` check.  At k = 2 the first step runs at order 1.

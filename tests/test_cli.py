@@ -68,6 +68,30 @@ T = 1e-3
     assert len(after_zero) == 1
 
 
+def test_solve_pme2d_fractional_exponent_keeps_positivity_and_mass(
+        tmp_path):
+    # m = 2.5: the lagged coefficient takes pow, not the whole-exponent
+    # squaring
+    cfg = write_config(tmp_path, """
+model = pme
+m = 2.5
+nx = 16
+ny = 16
+k = 2
+dt = 1e-3
+T = 0.02
+variant = mass
+""")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "run.csv")
+    mass, min_u = header.index("mass"), header.index("min_u")
+    m0 = float(rows[0][mass])
+    assert len(rows) == 21 and all(float(r[min_u]) >= 0.0 for r in rows)
+    assert max(abs(float(r[mass]) - m0) for r in rows) <= 1e-10 * m0
+    assert sum(int(r[header.index("solver_iters")]) for r in rows) > 0
+
+
 def test_invalid_variant_exits_2_naming_key(tmp_path, capsys):
     cfg = write_config(tmp_path, PME_CFG.replace("multiplier", "magic"))
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from posikit import models
 from posikit.grid import build_grid
 from posikit.models import (AllenCahnModel, LubricationModel, PnpModel,
                             PorousMediumModel, barenblatt, extrapolate_star,
@@ -114,6 +115,44 @@ def test_pme_operator_m2_coefficient_formula():
     op = pme_operator(hist, 2.0, k=2)
     star = extrapolate_star(un, unm1)
     assert np.allclose(op.coeff, 2.0 * star, atol=1e-15)
+
+
+def pme_history(k):
+    """A 2D history with zeros outside a support and values from 0 to about
+    3; at k = 2 its levels rise on some nodes and fall on others."""
+    model = PorousMediumModel(m=3.0, n=32, dim=2)
+    rng = np.random.default_rng(8)
+    u0 = model.initial_state()
+    hist = History.start(model.grid, u0 * 3.0 * rng.random(u0.shape))
+    if k == 2:
+        hist.push(u0 * 3.0 * rng.random(u0.shape), np.zeros(u0.shape), 0.0,
+                  1e-3)
+    return hist
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m", [2.0, 3.0, 4.0, 5.0, 6.0, 9.0, 2.5, 4.5])
+def test_pme_coefficient_against_pow(m, k):
+    # a whole exponent by squaring: the bits of ** at m = 2 and 3 (numpy
+    # forms x ** 1.0 and x ** 2.0 without pow), within 4 ulp up to m = 6
+    # (3 measured); three squarings (m = 9) compound their roundings to
+    # about m - 1 ulp against the exact power (5 from pow measured here).
+    # A fractional exponent is ** itself; zeros stay +0.0, and no history
+    # level is written
+    hist = pme_history(k)
+    levels = [(v, v.tobytes()) for v in hist.us]
+    star = models._clamped_star(hist, k)
+    expect = m * star ** (m - 1.0)
+    coeff = pme_operator(hist, m, k).coeff
+    assert all(v.tobytes() == b for v, b in levels)
+    if m in (2.0, 3.0) or not m.is_integer():
+        assert coeff.tobytes() == expect.tobytes()
+    else:
+        ulps = 4.0 if m <= 6.0 else m - 1.0
+        assert (np.abs(coeff - expect) <= ulps * np.spacing(expect)).all()
+    zeros = star == 0.0
+    assert zeros.sum() > star.size // 4 and (star > 1.0).any()
+    assert (coeff[zeros] == 0.0).all() and not np.signbit(coeff).any()
 
 
 # -- self-similar reference ----------------------------------------------------------

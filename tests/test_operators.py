@@ -129,6 +129,27 @@ def test_div_negative_coeff_rejected():
         Operator.div_coeff_grad(g, c).apply(np.zeros(8))
 
 
+@pytest.mark.parametrize("kind,extents,counts,bc", [
+    ("div_coeff_grad", (0.0, 1.0), 16, "dirichlet"),
+    ("div_coeff_grad", ((0.0, 1.0), (0.0, 1.0)), (16, 16), "dirichlet"),
+    ("lubrication", (0.0, 2 * np.pi), 64, "periodic"),
+], ids=["1d-dirichlet", "2d-dirichlet", "thin-film"])
+def test_nan_coefficient_node_rejected_at_construction(kind, extents, counts,
+                                                       bc):
+    # NaN fails c < 0 as well as c >= 0: one NaN node once made a solve
+    # spend its whole budget on NaN; +inf stays accepted, -inf rejected
+    g = build_grid(extents, counts, bc)
+    make = getattr(Operator, kind)
+    for bad in (np.nan, -np.inf):
+        c = np.ones(g.shape)
+        c.reshape(-1)[c.size // 2] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(g, c)
+    c = np.ones(g.shape)
+    c.reshape(-1)[c.size // 2] = np.inf
+    assert make(g, c).coeff.reshape(-1)[c.size // 2] == np.inf
+
+
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
 def test_div_positive_semidefinite_dense(bc):
     # weighted-symmetrized dense assembly on an 8-interval grid
@@ -1141,6 +1162,29 @@ def test_periodic_krylov_solve_hands_back_the_spectrum_of_L_u(case, spent):
     assert same_bits(rep.applied, op.apply_spectrum(rep.spectrum))
     assert op.quad(u, rep.spectrum, rep.applied).hex() == \
         op.quad(u, rep.spectrum).hex()
+
+
+@pytest.mark.parametrize("start", ["none", "x0", "zero-rhs"])
+@pytest.mark.parametrize("spent", [False, True],
+                         ids=["converged", "budget-spent"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_2d_edge_form_cg_hands_back_L_u(bc, spent, start):
+    # as on periodic grids: the last matvec is the true residual's, on the
+    # returned iterate, so the report's applied is op.apply(u~) to the bit
+    # and quad applies nothing; a zero right side starts from ones
+    g = build_grid(((0.0, 1.0), (0.0, 2.0)), (12, 10), bc)
+    op = Operator.div_coeff_grad(g, patchy_coefficient(g, 64))
+    rng = np.random.default_rng(65)
+    rhs = rng.standard_normal(g.shape) * g.active
+    x0 = {"none": None, "x0": rng.standard_normal(g.shape),
+          "zero-rhs": np.ones(g.shape)}[start]
+    if start == "zero-rhs":
+        rhs = np.zeros(g.shape)
+    u, rep = solve_operator(3.0, op, rhs, tol=1e-30 if spent else 1e-10,
+                            maxit=1 if spent else 500, x0=x0)
+    assert rep.converged != spent and rep.iterations > 0
+    assert same_bits(rep.applied, op.apply(u))
+    assert op.quad(u, None, rep.applied).hex() == op.quad(u).hex()
 
 
 @pytest.mark.parametrize("kind,bound", [("lubrication", 20.0),

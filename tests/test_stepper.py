@@ -703,27 +703,63 @@ def test_history_keeps_only_the_levels_order_k_reads(k):
     assert depths[-1] == k
 
 
-def test_pme2d_step_peak_memory_in_field_sizes():
+@pytest.mark.parametrize("ledgered", [False, True],
+                         ids=["plain", "ledgered"])
+def test_pme2d_step_peak_memory_in_field_sizes(ledgered):
     # the traced peak of a small 2D porous-medium mass run, in units of one
     # field: the history levels, the Krylov vectors, the start and the
     # correction's temporaries (the run keeps no copy of the initial
     # field); a change that keeps more of them alive through the solve
-    # shows here before it shows in a benchmark's RSS
+    # shows here before it shows in a benchmark's RSS.  A ledgered run
+    # also keeps the solve's L u~ until the energy term reads it
     import tracemalloc
+    from posikit.diagnostics import EnergyLedger
     from posikit.models import PorousMediumModel
 
     opts = StepOptions(k=2, dt=1e-3, variant="mass")
     run_simulation(PorousMediumModel(m=5.0, n=64, dim=2), opts, 8)  # warm-up
     model = PorousMediumModel(m=5.0, n=64, dim=2)
+    ledger = EnergyLedger(model.grid, opts) if ledgered else None
     tracemalloc.start()
     try:
-        res = run_simulation(model, opts, 8)
+        res = run_simulation(model, opts, 8, ledger=ledger)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sum(d.solver_iters for d in res.diagnostics) > 0
     field_bytes = np.zeros(model.grid.shape).nbytes
     assert peak / field_bytes <= 17.25
+
+
+def test_ledgered_pme2d_step_applies_the_operator_only_in_its_solve(
+        monkeypatch):
+    # the energy term reads L u~ off the edge-form CG's report, as the
+    # thin film's reads the BiCGStab spectra
+    from posikit import stepper
+    from posikit.diagnostics import EnergyLedger
+    from posikit.models import PorousMediumModel
+    model = PorousMediumModel(m=5.0, n=32, dim=2)
+    opts = StepOptions(k=2, dt=1e-3, variant="mass")
+    hist = History.start(model.grid, model.initial_state())
+    ledger = EnergyLedger(model.grid, opts)
+    step(hist, model, opts, ledger)
+    calls, inside, real_apply = [], [False], Operator.apply
+    real_solve = stepper.solve_operator
+
+    def solve(*args, **kw):
+        inside[0] = True
+        try:
+            return real_solve(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Operator, "apply",
+                        lambda self, u: calls.append(inside[0])
+                        or real_apply(self, u))
+    monkeypatch.setattr(stepper, "solve_operator", solve)
+    _, diag = step(hist, model, opts, ledger)
+    assert all(calls) and len(calls) > diag.solver_iters > 0
+    assert diag.op_quad > 0.0 and diag.ledger_residual <= 1e-8
 
 
 def count_ledger_step_calls(monkeypatch, opts):
