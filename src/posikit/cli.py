@@ -293,7 +293,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
                        run_p.history.t)
         return EXIT_OK
 
-    ledger = EnergyLedger(g, opts) if has_energy_statement(opts) else None
+    ledger = (_checked("key 'dt'", EnergyLedger, g, opts)
+              if has_energy_statement(opts) else None)
 
     def on_step(hist, diag):
         if cadence > 0 and diag.step % cadence == 0:

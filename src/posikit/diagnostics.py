@@ -60,6 +60,8 @@ class EnergyLedger:
         if not has_energy_statement(opts):
             raise ValueError(f"no energy statement for the {opts.variant!r} "
                              f"variant at k = {opts.k}")
+        if opts.dt * opts.dt == math.inf:  # where dt**2 would raise
+            raise ValueError(f"dt = {opts.dt!r}: its square overflows")
         self.grid = g
         self.opts = opts
         self.with_xi = opts.variant == VARIANT_MASS
@@ -171,6 +173,8 @@ def horizon_steps(horizon: float, dt: float) -> int:
     """Steps of ``dt`` to the horizon: at least one, a whole number to 1e-9."""
     if horizon < dt:
         raise ValueError("horizon must be at least one step")
+    if horizon / dt == math.inf:  # where round() would raise
+        raise ValueError(f"horizon {horizon!r} over dt = {dt!r} overflows")
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError(f"horizon {horizon!r} is not an integer number of "

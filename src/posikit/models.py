@@ -203,8 +203,10 @@ class PnpModel:
     n: int = 64
 
     def __post_init__(self):
-        if not 0 < self.eps_debye < np.inf:
-            raise ValueError("Debye ratio must be finite and positive")
+        square = self.eps_debye * self.eps_debye  # the Poisson scale
+        if not (self.eps_debye > 0 and 0 < square < np.inf):
+            raise ValueError(f"Debye ratio eps_debye = {self.eps_debye!r} "
+                             f"must be positive with a finite nonzero square")
         self.grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)),
                                (self.n, self.n), NEUMANN)
         self.laplacian = Operator.laplacian(self.grid)

@@ -29,21 +29,8 @@ in transform space.  All kinds annihilate constants in the adjoint sense:
 against the all-ones extension vanishes on Dirichlet grids.
 
 Every shifted system ``(sigma I + L) u = b`` goes through
-:func:`solve_operator`, whose docstring gives its paths: one exact transform
-pass for constant coefficients; for the edge form one tridiagonal
-elimination in 1D and diagonally preconditioned CG in 2D, neither with a
-transform; on periodic grids CG (second order) or BiCGStab (fourth order) on
-the real-FFT spectrum, preconditioned by the mean-coefficient transform
-solve and, in a 1D thin film past touchdown, then by the band solve of its
-finite-difference counterpart (Orszag 1980), which sees a contrast no
-constant coefficient can.  The spectral one goes first: it ends smooth
-solves within the switch and converges faster on white-noise coefficients.
-
-Every variable-coefficient path keeps L u on its report, from its last
-true residual, taken on the result (a Krylov solve's is on the iterate it
-returns), so ``Operator.quad`` applies nothing; on fully periodic grids the
-report keeps the spectra of u and L u, so ``quad`` forms ``<L u, u>`` by
-Parseval and transforms nothing (after a transform pass L is a multiplier).
+:func:`solve_operator`, whose docstring lists its paths and what each hands
+back to ``Operator.quad``.
 
 Each transform is one call of the compiled kernel in which its public
 function ends, on the arguments that function passes, so it gives the public
@@ -57,7 +44,8 @@ scipy package imported: about 1 ms and 0.4 MiB in an Allen-Cahn or pnp run
 (the ``scipy.fft`` import it replaces took about 0.25 s and 25 MiB), nothing
 in a porous-medium or 1D thin-film run, which never transform with it.
 
-Operators are immutable but for one held diagonal; ``Operator.apply`` and
+Operators are immutable but for their cached coefficient range and edge
+coefficients and one held diagonal; ``Operator.apply`` and
 ``solve_operator`` are pure and may run concurrently on distinct fields.
 """
 
@@ -289,14 +277,16 @@ def _r2r(g: Grid, v: np.ndarray, axes, inorm: int) -> np.ndarray:
     return v
 
 
-def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Solve a constant-coefficient system diagonalized by the grid transforms."""
-    if g.all_active:
-        return _backward(g, _forward(g, rhs) / denom)
-    sl = g.active_block
-    out = np.zeros(g.shape)
-    out[sl] = _backward(g, _forward(g, rhs[sl]) / denom)
-    return out
+def _diag_solve(g: Grid, rhs: np.ndarray, denom: np.ndarray) -> tuple:
+    """Solve the system whose diagonal in transform space is ``denom``:
+    the solution and, on fully periodic grids, its spectrum (else None)."""
+    if not g.all_active:
+        sl = g.active_block
+        out = np.zeros(g.shape)
+        out[sl] = _backward(g, _forward(g, rhs[sl]) / denom)
+        return out, None
+    V = _forward(g, rhs) / denom
+    return _backward(g, V), V if g.fully_periodic else None
 
 
 # -- apply: divergence form ---------------------------------------------------
@@ -396,13 +386,6 @@ def transport_div_form(c: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
 # -- operator handles ---------------------------------------------------------
 
 
-def _nonnegative(g: Grid, c: np.ndarray, what: str) -> np.ndarray:
-    c = g.check_field(np.asarray(c, dtype=float))
-    if not (c >= 0).all():  # NaN compares False either way
-        raise ValueError(f"{what} coefficient must be nonnegative")
-    return c
-
-
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Immutable handle for L in ``u_t + L u = 0``."""
@@ -417,15 +400,29 @@ class Operator:
 
     @classmethod
     def div_coeff_grad(cls, g: Grid, c: np.ndarray) -> "Operator":
-        return cls(grid=g, kind=DIV_COEFF_GRAD,
-                   coeff=_nonnegative(g, c, "div-coeff-grad"))
+        return cls._nonnegative(g, DIV_COEFF_GRAD, c, "div-coeff-grad")
 
     @classmethod
     def lubrication(cls, g: Grid, c: np.ndarray) -> "Operator":
         if not g.fully_periodic:
             raise ValueError("the fourth-order operator requires a periodic grid")
-        return cls(grid=g, kind=DIV_COEFF_GRAD_LAPLACIAN,
-                   coeff=_nonnegative(g, c, "fourth-order"))
+        return cls._nonnegative(g, DIV_COEFF_GRAD_LAPLACIAN, c, "fourth-order")
+
+    @classmethod
+    def _nonnegative(cls, g: Grid, kind: str, c, what: str) -> "Operator":
+        op = cls(grid=g, kind=kind,
+                 coeff=g.check_field(np.asarray(c, dtype=float)))
+        if not op._coeff_range[0] >= 0:  # a NaN node makes the minimum NaN
+            raise ValueError(f"{what} coefficient must be nonnegative")
+        return op
+
+    @cached_property
+    def _coeff_range(self) -> tuple:
+        """(min, max) of the coefficient, (1.0, 1.0) for the Laplacian, read
+        by the sign gate and every solve; every node counts, as the edge
+        form's end edges read the coefficient at inactive Dirichlet nodes."""
+        c = self.coeff
+        return (1.0, 1.0) if c is None else (c.min(), c.max())
 
     @cached_property
     def edge_coeffs(self) -> tuple:
@@ -490,8 +487,10 @@ def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(p, None))
 
 
-def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
-    """Restarted Krylov solve in the weighted inner product.
+def _krylov(cycle, apply, sigma, precond, b, w, tol, maxit, x0=None,
+            switch=None):
+    """Restarted Krylov solve of ``sigma x + apply(x) = b`` in the weighted
+    inner product.
 
     Convergence is judged on the true residual.  From each true residual
     ``cycle`` (:func:`_pcg` or :func:`_pbicgstab`) runs one recursion,
@@ -502,40 +501,51 @@ def _krylov(cycle, matvec, precond, b, w, tol, maxit, x0=None, switch=None):
     ``x0`` becomes the iterate: the caller hands over an array it owns.
     With ``switch = (n, make)`` the recursions stop after n iterations and,
     if the true residual there misses the tolerance, go on from it with the
-    preconditioner ``make()``.  Returns the iterate, the iterations and the
-    relative true residual, whose ``matvec`` on that iterate is the last.
+    preconditioner ``make()``.  Returns the iterate, the iterations, the
+    relative true residual and ``apply`` of the iterate, from that residual.
     """
+    # sigma v before apply(v): the other order ran 2 % slower on pme2d-mass
+    def matvec(v):
+        out = sigma * v
+        out += apply(v)
+        return out
+
     bnorm = np.sqrt(_wdot(w, b, b)) or 1.0
     x = np.zeros_like(b) if x0 is None else x0
     gate = 0.5 * tol * bnorm
-    total = 0
+    total, used = 0, None
     cap = maxit if switch is None else min(switch[0], maxit)
-    while total < maxit:
-        r = b - matvec(x)
+    while True:
+        r = sigma * x
+        ax = apply(x)
+        r += ax
+        np.subtract(b, r, out=r)
         relres = np.sqrt(_wdot(w, r, r)) / bnorm
-        if relres <= tol:
-            return x, total, relres
+        # after an immediate breakdown no progress is possible
+        if relres <= tol or total >= maxit or used == 0:
+            return x, total, relres, ax
+        del ax  # freed before the recursion's matvecs, where a solve peaks
         if total >= cap:
             precond, cap = switch[1](), maxit
         used = cycle(matvec, precond, x, r, w, gate, cap - total)
-        if used == 0:
-            break  # immediate breakdown, no progress possible
         total += used
-    res = b - matvec(x)
-    return x, total, np.sqrt(_wdot(w, res, res)) / bnorm
 
 
 def _pcg(matvec, precond, x, r, w, gate, budget):
     """One preconditioned conjugate-gradient recursion from residual r; the
     first direction is ``precond(r)`` itself (a fresh array, updated in
-    place), and ``w * r`` serves ``[r, r]`` and ``[r, z]``: _wdot's bits."""
+    place), and ``w * r`` serves ``[r, r]`` and ``[r, z]``: _wdot's bits.
+    A zero ``[r, z]`` or ``[p, Ap]`` (an underflow) is a breakdown."""
     p = precond(r)
     rz = _wdot(w, r, p)
     used = 0
-    while used < budget:
-        used += 1
+    while used < budget and rz != 0.0:
         Ap = matvec(p)
-        alpha = rz / _wdot(w, p, Ap)
+        pap = _wdot(w, p, Ap)
+        if pap == 0.0:
+            break
+        used += 1
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * Ap
         del Ap  # each temporary is freed before the next matvec
@@ -643,9 +653,8 @@ def _tridiagonal_solve(sigma: float, op: Operator, rhs: np.ndarray,
     ax = op.apply(x)
     r = rhs - ax
     r -= sigma * x
-    w = g.weights
-    bnorm = np.sqrt(_wdot(w, rhs, rhs))
-    relres = float(np.sqrt(_wdot(w, r, r)) / (bnorm or 1.0))
+    bnorm = np.sqrt(_wdot(g.weights, rhs, rhs))
+    relres = float(np.sqrt(_wdot(g.weights, r, r)) / (bnorm or 1.0))
     return x, SolverReport(0, relres, relres <= tol, applied=ax)
 
 
@@ -743,10 +752,12 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
                    x0: np.ndarray | None = None):
     """Solve the shifted system (sigma I + L) u = rhs for any operator kind.
 
-    Constant coefficients (none, or equal on every node) solve
-    exactly in one transform pass (iterations = 0, residual reported as 0).
-    Variable coefficients take one of three paths, each judging the true
-    residual in the grid inner product against ``tol``:
+    Constant coefficients (none, or equal on every node by the operator's
+    one ``(min, max)`` scan) solve exactly in one transform pass,
+    :func:`_diag_solve` (iterations = 0, residual reported as 0), which
+    hands back the spectrum of u on fully periodic grids.  Variable
+    coefficients take one of three paths, each judging the true residual
+    in the grid inner product against ``tol``:
 
     * the edge form on a 1D (Dirichlet or Neumann) grid -- one exact
       tridiagonal elimination built from ``Operator.edge_coeffs``
@@ -754,7 +765,7 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     * the edge form on a bounded 2D grid -- conjugate gradients
       preconditioned by the exact diagonal of ``sigma I + L``, built once
       per solve from ``Operator.edge_coeffs``; no transforms, and each
-      matvec one apply, its L x kept until the next;
+      matvec one apply;
     * the pseudo-spectral second-order kind (periodic) -- conjugate
       gradients, and the fourth-order kind -- BiCGStab, both on the float
       view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
@@ -764,12 +775,18 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
       coefficient contrast of at least ``_FD_CONTRAST`` switches, if
       ``_FD_SWITCH`` iterations leave it short of ``tol``, to the band
       solve of its finite-difference counterpart (:func:`_band_factor`,
-      :func:`_fd_preconditioner`) and restarts from its iterate and true
-      residual: 4 real transforms per iteration before the switch, 8 after.
+      :func:`_fd_preconditioner`; Orszag 1980), which sees a contrast no
+      constant coefficient can, and restarts from its iterate and true
+      residual: 4 real transforms per iteration before the switch, 8
+      after.  The spectral preconditioner goes first: it ends smooth
+      solves within the switch and converges faster on white-noise
+      coefficients.
 
     Each of these hands back L u, in the basis of u, as the report's
-    ``applied``: the 1D elimination's from its residual check, a Krylov
-    solve's from its last matvec, always the true residual's on the result.
+    ``applied``, from the true residual on the result: the 1D
+    elimination's residual check, or the last one of :func:`_krylov`.
+    So ``Operator.quad`` applies nothing, and on fully periodic grids,
+    where the report keeps both as spectra, transforms nothing.
     The Krylov paths start from ``x0`` (0 without it), so a guess close to
     the solution saves iterations; where ``rhs`` vanishes on the active
     rows they judge the residual as absolute.  They iterate in ``x0``: the
@@ -785,29 +802,15 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         raise ValueError("solver tolerance must be positive")
     g = op.grid
     rhs = g.check_field(rhs)
-    c = op.coeff
-    # every node counts: the edge form's end edges read the coefficient at
-    # inactive Dirichlet nodes
-    lo, hi = (1.0, 1.0) if c is None else (c.min(), c.max())
+    lo, hi = op._coeff_range
     if lo == hi:
-        denom = op._shifted_denom(sigma, float(hi))
-        if g.fully_periodic:  # the operations of _diag_solve, spectrum kept
-            U = _rfft(g, rhs) / denom
-            return _irfft(g, U), SolverReport(0, 0.0, True, U)
-        return _diag_solve(g, rhs, denom), SolverReport(0, 0.0, True)
+        u, U = _diag_solve(g, rhs, op._shifted_denom(sigma, float(hi)))
+        return u, SolverReport(0, 0.0, True, U)
     if g.fully_periodic:
-        fourth = op.kind == DIV_COEFF_GRAD_LAPLACIAN
+        c, fourth = op.coeff, op.kind == DIV_COEFF_GRAD_LAPLACIAN
         cbar = float(np.add.reduce(c, None) / c.size)  # np.mean's bits
         diag = _denom(g, sigma, cbar, op.kind)
         denom = np.repeat(diag, 2, axis=-1)
-        kept = [None]  # the newest matvec's spectrum of L x, for the report
-
-        def matvec(V):
-            Z = V.view(complex)
-            kept[0] = None  # freed before the apply, where a solve peaks
-            kept[0] = S = op.apply_spectrum(Z)
-            return (S + sigma * Z).view(float)
-
         switch = None
         # the band pivots keep their sign while sigma h^4 stands above the
         # rounding of the stencil (lost from about 1e-16 of max c)
@@ -817,34 +820,26 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
                       lambda: _fd_preconditioner(g, sigma, c, cbar, diag))
         # a fresh spectrum: _krylov iterates on it without a copy
         X0 = None if x0 is None else _rfft(g, g.check_field(x0)).view(float)
-        X, n, res = _krylov(_pbicgstab if fourth else _pcg, matvec,
-                            lambda R: R / denom, _rfft(g, rhs).view(float),
-                            _parseval_weights(g), tol, maxit, x0=X0,
-                            switch=switch)
+        X, n, res, LX = _krylov(
+            _pbicgstab if fourth else _pcg,
+            lambda V: op.apply_spectrum(V.view(complex)).view(float), sigma,
+            lambda R: R / denom, _rfft(g, rhs).view(float),
+            _parseval_weights(g), tol, maxit, X0, switch)
         U = X.view(complex)
         return _irfft(g, U), SolverReport(n, res, bool(res <= tol), U,
-                                          kept[0])
+                                          LX.view(complex))
     if g.dim == 1:
         return _tridiagonal_solve(sigma, op, rhs, tol, x0)
-
-    kept = [None]  # the newest matvec's L x, for the report
-
-    def matvec(v):
-        kept[0] = None  # freed before the apply, where a solve peaks
-        kept[0] = Lv = op.apply(v)
-        out = sigma * v  # the bits of Lv + sigma * v, with no temporary
-        out += Lv
-        return out
-
     # the edge form is an M-matrix whose exact diagonal preconditions about
     # as well as the mean-coefficient transform solve, at a fraction of its
     # cost; zero on inactive rows, so the iterate keeps x0 there
     inv = 1.0 / (sigma + _edge_diagonal(op.edge_coeffs, g))
     if not g.all_active:
         inv *= g.active
-    x, n, res = _krylov(_pcg, matvec, lambda r: r * inv, rhs, g.weights, tol,
-                        maxit, x0=None if x0 is None else np.asarray(x0, float))
-    return x, SolverReport(n, res, bool(res <= tol), applied=kept[0])
+    x, n, res, Lx = _krylov(_pcg, op.apply, sigma, lambda r: r * inv, rhs,
+                            g.weights, tol, maxit,
+                            None if x0 is None else np.asarray(x0, float))
+    return x, SolverReport(n, res, bool(res <= tol), applied=Lx)
 
 
 def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.ndarray:
@@ -859,8 +854,5 @@ def solve_conservative_poisson(g: Grid, rhs: np.ndarray, scale: float) -> np.nda
     if scale <= 0:
         raise ValueError("scale must be positive")
     denom = _denom(g, 0.0, scale, LAPLACIAN)
-    zero = (0,) * g.dim
-    denom[zero] = 1.0
-    v = _forward(g, rhs) / denom
-    v[zero] = 0.0
-    return _backward(g, v)
+    denom[(0,) * g.dim] = np.inf  # the zero mode divides to 0
+    return _diag_solve(g, rhs, denom)[0]

@@ -26,7 +26,9 @@ prediction before it clamps:
 A prediction that is not finite ends the step with :class:`BlowUpError`
 before any correction.  The energy term ``<L u~, u~>`` is computed only for
 an attached ledger, from the L u~ that every variable-coefficient prediction
-solve hands back (on periodic grids, with u~, as spectra).
+solve hands back (on periodic grids, with u~, as spectra), and the step then
+drops the solve's report but for its iterations and residual, so no L u~
+stays alive through the correction.
 
 The order k is 1 or 2, the orders whose stability the ledgers in
 :mod:`posikit.diagnostics` check.  At k = 2 the first step runs at order 1.
@@ -200,17 +202,13 @@ def predict(hist: History, tab: BdfTableau, op: Operator, opts: StepOptions,
                          f"BDF-{tab.k} needs {tab.k}")
     rhs = combine_levels(tab.a_coeffs, hist.us)
     rhs /= opts.dt
-    if lam is not None:
-        rhs += lam
-    if xi is not None:
-        rhs += xi
-    if source is not None:
-        rhs += source
-    sigma = tab.alpha / opts.dt
+    for load in (lam, xi, source):
+        if load is not None:
+            rhs += load
     x0 = (None if op.coeff is None
           else combine_levels(EXTRAPOLATION_COEFFS[tab.k], hist.us))
-    u_tilde, report = solve_operator(sigma, op, rhs, tol=opts.solver_tol,
-                                     x0=x0)
+    u_tilde, report = solve_operator(tab.alpha / opts.dt, op, rhs,
+                                     tol=opts.solver_tol, x0=x0)
     if not report.converged:
         raise SolverError(
             f"prediction solve failed: {report.iterations} iterations, "
@@ -468,27 +466,29 @@ def step(hist: History, model, opts: StepOptions, ledger=None):
     if not np.isfinite(u_tilde).all():
         raise BlowUpError(f"solution lost finiteness at t = {t_next:g}",
                           t=t_next)
+    # the report's L u~ and spectra are read here, freed before the correction
+    op_quad = (float("nan") if ledger is None
+               else op.quad(u_tilde, report.spectrum, report.applied))
+    solver = report.iterations, float(report.residual)
+    del report
 
     if opts.variant == VARIANT_NONE:
         out = CorrectionOutcome(u_tilde, np.zeros(g.shape), 0.0, 0, 0)
     else:
         out = correct_positivity(u_tilde, hist, tab, opts)
 
-    u_next = out.u_next
-    stats = _field_stats(g, u_next)
-    op_quad = ledger_residual = float("nan")
+    stats = _field_stats(g, out.u_next)
+    ledger_residual = float("nan")
     if ledger is not None:
-        op_quad = op.quad(u_tilde, report.spectrum, report.applied)
-        ledger.update(u_prev=hist.us[0], u_tilde=u_tilde, u_next=u_next,
+        ledger.update(u_prev=hist.us[0], u_tilde=u_tilde, u_next=out.u_next,
                       lam_next=out.lambda_next, xi_next=out.xi_next,
                       op_quad=op_quad, um_norm=stats[3], source=source)
         ledger_residual = ledger.residual_rel()
 
-    hist.push(u_next, out.lambda_next, out.xi_next, opts.dt, opts.k)
+    hist.push(out.u_next, out.lambda_next, out.xi_next, opts.dt, opts.k)
     diag = StepDiagnostics(hist.nstep, t_next, *stats, out.xi_next,
-                           out.secant_iters,
-                           out.active_count, report.iterations,
-                           float(report.residual), op_quad, ledger_residual)
+                           out.secant_iters, out.active_count, *solver,
+                           op_quad, ledger_residual)
     return hist, diag
 
 

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 # before any transform, so this process takes scipy's kernel through the
 # package and the fresh interpreters below, which load it by file, are
 # compared against that
@@ -378,6 +382,21 @@ PME16_CFG = "model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3"
     (PME16_CFG.replace("m = 2", "m = 1"), "m must be greater than 1"),
     (PME16_CFG + "\nC = 0", "C must be positive"),
     (PME16_CFG + "\nC = -1", "C must be positive"),
+    # squares that overflowed in a traceback (exit 1): the ledger's dt**2
+    # in its update (k = 1) or residual (k = 2), and the Poisson scale
+    # eps_debye**2, which also flushed to 0 and failed late with exit 3
+    ("model = allen_cahn\nnx = 8\nk = 2\ndt = 1e300\nT = 1e300", "'dt'"),
+    (LUB_CFG.replace("dt = 1e-7\nT = 1e-6", "k = 1\ndt = 1e200\nT = 1e200"),
+     "'dt'"),
+    (PME16_CFG.replace("dt = 1e-3\nT = 2e-3", "k = 1\ndt = 1e200\nT = 1e200"),
+     "'dt'"),
+    ("model = pme\nnx = 8\nny = 8\ndt = 1e300\nT = 1e300", "'dt'"),
+    (PNP_CFG + "\neps_debye = 1e200", "eps_debye"),
+    (PNP_CFG + "\neps_debye = 1e300", "eps_debye"),
+    (PNP_CFG + "\neps_debye = 1e-200", "eps_debye"),
+    # a horizon that overflows in steps of dt
+    (PME16_CFG.replace("dt = 1e-3", "dt = 1e-300").replace("T = 2e-3",
+                                                          "T = 1e10"), "'T'"),
 ])
 def test_bad_model_or_option_value_exits_2(tmp_path, capsys, text, word):
     cfg = write_config(tmp_path, text + "\n")
@@ -1087,3 +1106,53 @@ def test_shipped_configs_build_without_a_solve():
         variants = cfg.get("variants")
         for v in variants.split(",") if variants else [None]:
             assert cli.build_options(cfg, model, variant=v).dt > 0, path
+
+
+# -- fuzz: every tiny config ends in a documented exit code ---------------
+
+# magnitudes from either end of the float range, and bad signs and zeros
+FUZZ_VALUES = ("-1", "0", "1e-300", "1e-200", "1e-12", "0.5", "1", "2",
+               "3.5", "1e12", "1e200", "1e300")
+
+
+@st.composite
+def tiny_configs(draw):
+    model = draw(st.sampled_from(sorted(cli._MODELS)))
+    entry = cli._MODELS[model]
+    nx = draw(st.sampled_from((4, 5, 8)))
+    mantissa = draw(st.sampled_from((1, 2.5)))
+    dt = float(f"{mantissa}e{draw(st.integers(-300, 300))}")
+    # horizons of one to three whole steps, and two that are not whole
+    steps = draw(st.sampled_from((1, 2, 3, 0.5, 2.5)))
+    lines = [f"model = {model}", f"nx = {nx}", f"dt = {dt!r}",
+             f"T = {steps * dt!r}", f"k = {draw(st.sampled_from((1, 2)))}",
+             f"variant = {draw(st.sampled_from(entry.variants))}"]
+    if model in ("pme", "lubrication") and draw(st.booleans()):
+        lines.append(f"ny = {nx}")
+    optional = ("eps_lb", "solver_tol", "secant_tol") + entry.keys
+    for key in draw(st.lists(st.sampled_from(optional), max_size=2,
+                             unique=True)):
+        values = ("floor", "reg_eta") if key == "reg" else FUZZ_VALUES
+        lines.append(f"{key} = {draw(st.sampled_from(values))}")
+    return "\n".join(lines) + "\n"
+
+
+# 2D porous-medium CG whose [p, Ap] or [r, z] underflowed to 0 and ended
+# in a ZeroDivisionError (exit 1)
+@example("model = pme\nnx = 4\nny = 4\nk = 1\ndt = 10.0\nT = 10.0\n"
+         "solver_tol = 1e-300\n")
+@example("model = pme\nnx = 5\nny = 5\nk = 1\ndt = 1e152\nT = 1e152\n")
+@example("model = pme\nnx = 4\nny = 4\nk = 1\ndt = 100.0\nT = 100.0\n"
+         "solver_tol = 1e-300\nm = 1e12\n")
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(tiny_configs())
+def test_fuzzed_tiny_solve_exits_0_2_or_3(text):
+    # the documented exit codes; a traceback would exit 1
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        code = main(["solve", "--config", cfg, "--out",
+                     os.path.join(tmp, "o")])
+    assert code in (0, 2, 3), text

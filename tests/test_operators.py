@@ -365,7 +365,7 @@ def test_symbols_built_once_per_grid():
     results, stored = [], []
     for _ in range(2):
         denom = _denom(g, 2.0, 0.5, DIV_COEFF_GRAD)
-        results.append(_diag_solve(g, rhs, denom))
+        results.append(_diag_solve(g, rhs, denom)[0])
         (symbol,) = g.memo.values()
         stored.append(symbol)
     assert stored[1] is stored[0] and _symbol(g, DIV_COEFF_GRAD) is stored[0]
@@ -403,8 +403,13 @@ def test_neumann_solve_matches_dense():
     assert np.abs(u - x).max() < 1e-12
 
 
-def test_conservative_poisson_gauge_and_residual():
-    g = build_grid(((-1.0, 1.0), (-1.0, 1.0)), (8, 8), "neumann")
+@pytest.mark.parametrize("extents,counts,bc", [
+    (((-1.0, 1.0), (-1.0, 1.0)), (8, 8), "neumann"),
+    ((-1.0, 1.0), 16, "periodic"),
+    (((0.0, 2 * np.pi), (0.0, 2 * np.pi)), (8, 9), "periodic")],
+    ids=["neumann-2d", "periodic-1d", "periodic-2d"])
+def test_conservative_poisson_gauge_and_residual(extents, counts, bc):
+    g = build_grid(extents, counts, bc)
     rng = np.random.default_rng(13)
     rho = rng.standard_normal(g.shape)
     rho -= g.mass(rho) / g.measure  # compatible right side
@@ -413,6 +418,13 @@ def test_conservative_poisson_gauge_and_residual():
     assert abs(g.mass(phi)) < 1e-12
     res = scale * Operator.laplacian(g).apply(phi) - rho
     assert g.norm(res) <= 1e-11 * g.norm(rho)
+    # the gauge by its rule: forward, divide, zero the mode, backward
+    zero = (0,) * g.dim
+    denom = scale * _symbol(g, "laplacian")
+    denom[zero] = 1.0
+    V = ops._forward(g, rho) / denom
+    V[zero] = 0.0
+    assert same_bits(phi, ops._backward(g, V))
 
 
 def test_solver_report_invariant():
@@ -772,7 +784,8 @@ def test_constant_coefficient_solves_hold_one_diagonal(monkeypatch, make):
         assert op._diagonal[:2] == (sigma, cbar)
     assert built == [3.0, 5.0, 3.0]
     assert op._diagonal[2] is not held[2]
-    assert set(vars(op)) == {"grid", "kind", "coeff", "_diagonal"}
+    assert set(vars(op)) == {"grid", "kind", "coeff", "_coeff_range",
+                             "_diagonal"}
 
 
 # -- fourth-order BiCGStab in transform space -----------------------------------
@@ -1061,11 +1074,25 @@ def test_bicgstab_zero_t_is_a_breakdown_not_a_division_by_zero():
     # with the identity the first half step solves exactly, so s and t are
     # 0; a negative tolerance keeps the inner gate from stopping before t
     b = np.arange(1.0, 9.0)
-    x, iterations, relres = ops._krylov(ops._pbicgstab, lambda v: v.copy(),
-                                        lambda r: r.copy(), b, np.ones(8),
-                                        -1.0, 10)
+    x, iterations, relres, _ = ops._krylov(ops._pbicgstab, lambda v: v.copy(),
+                                           0.0, lambda r: r.copy(), b,
+                                           np.ones(8), -1.0, 10)
     assert np.array_equal(x, b)
     assert iterations == 1 and relres == 0.0 and not relres <= -1.0
+
+
+@pytest.mark.parametrize("apply,precond", [
+    (np.zeros_like, np.copy),   # [p, Ap] = 0
+    (np.copy, np.zeros_like)],  # [r, z] = 0
+    ids=["p-Ap", "r-z"])
+def test_cg_zero_product_is_a_breakdown_not_a_division_by_zero(apply,
+                                                                precond):
+    # as where a 2D porous-medium solve's products underflow to 0: the
+    # recursion stops without progress, and the solve reports its residual
+    b = np.arange(1.0, 9.0)
+    x, iterations, relres, _ = ops._krylov(ops._pcg, apply, 0.0, precond, b,
+                                           np.ones(8), 1e-10, 10)
+    assert not x.any() and iterations == 0 and relres == 1.0
 
 
 # -- the energy term <L u, u> from a solve's spectrum ---------------------------

@@ -762,6 +762,47 @@ def test_ledgered_pme2d_step_applies_the_operator_only_in_its_solve(
     assert diag.op_quad > 0.0 and diag.ledger_residual <= 1e-8
 
 
+@pytest.mark.parametrize("ledgered", [False, True],
+                         ids=["plain", "ledgered"])
+@pytest.mark.parametrize("case", ["pme2d", "thin-film"])
+def test_step_frees_the_solves_L_u_before_the_correction(monkeypatch, case,
+                                                         ledgered):
+    # the report's L u~ (and on the periodic grid its spectrum of u~) is
+    # read before the correction, and held by nothing from then on
+    import weakref
+    from posikit import stepper
+    from posikit.diagnostics import EnergyLedger
+    from posikit.models import LubricationModel, PorousMediumModel
+    if case == "pme2d":
+        model = PorousMediumModel(m=5.0, n=16, dim=2)
+        opts = StepOptions(k=2, dt=1e-3, variant="mass")
+    else:
+        model = LubricationModel(rho=0.5, n=64)
+        opts = StepOptions(k=2, dt=1e-6, variant="mass", eps_lb=1e-4)
+    hist = History.start(model.grid, model.initial_state())
+    ledger = EnergyLedger(model.grid, opts) if ledgered else None
+    refs, alive = [], []
+    real_solve = stepper.solve_operator
+    real_correct = stepper.correct_positivity
+
+    def solve(*args, **kw):
+        u, rep = real_solve(*args, **kw)
+        refs.append([weakref.ref(a) for a in (rep.applied, rep.spectrum)
+                     if a is not None])
+        return u, rep
+
+    def correct(*args):
+        alive.append([ref() is not None for ref in refs[-1]])
+        return real_correct(*args)
+
+    monkeypatch.setattr(stepper, "solve_operator", solve)
+    monkeypatch.setattr(stepper, "correct_positivity", correct)
+    for _ in range(3):
+        step(hist, model, opts, ledger)
+    held = 1 if case == "pme2d" else 2
+    assert alive == [[False] * held] * 3
+
+
 def count_ledger_step_calls(monkeypatch, opts):
     """Grid reductions and level combinations of the second ledgered step
     of an Allen-Cahn run under ``opts``, and that step's diagnostics."""
