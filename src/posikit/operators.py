@@ -327,12 +327,15 @@ def _edge_coeffs(c: np.ndarray, g: Grid) -> tuple:
     return tuple(out)
 
 
-def _edge_sum(ce: tuple, g: Grid, edge_values, lower) -> np.ndarray:
+def _edge_sum(ce: tuple, g: Grid, edge_values, lower,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Per node and axis, the node combined by ``lower`` (in place) with the
     value ``edge_values(e)`` on the edge above it, plus the one below (two
-    scatters into contiguous slices of one flat field); a Neumann end node,
-    of half the weight, takes its one edge twice.  Inactive rows are 0."""
-    flat = np.zeros(g.weights.size)
+    scatters into contiguous slices of one flat field: a zero one, or
+    ``out``, C-contiguous, which the sum is added into); a Neumann end
+    node, of half the weight, takes its one edge twice.  Inactive rows are
+    0, whatever ``out`` held there."""
+    flat = np.zeros(g.weights.size) if out is None else out.reshape(-1)
     for ax, e in enumerate(ce):
         s, f = flat.size - e.size, edge_values(e)
         lower(flat[:e.size], f)
@@ -349,10 +352,12 @@ def _edge_sum(ce: tuple, g: Grid, edge_values, lower) -> np.ndarray:
     return g.zero_excluded(flat.reshape(g.shape))
 
 
-def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
+def _edge_apply(ce: tuple, u: np.ndarray, g: Grid,
+                out: np.ndarray | None = None) -> np.ndarray:
     """+<-div(c grad u)> in edge form, from the flat edge coefficients
-    ``ce``: per axis the flux, a difference of contiguous slices scaled in
-    place, leaves each node by its upper edge and enters by its lower."""
+    ``ce``, scattered into ``out`` if given (:func:`_edge_sum`): per axis
+    the flux, a difference of contiguous slices scaled in place, leaves
+    each node by its upper edge and enters by its lower."""
     v = u.reshape(-1)
 
     def flux(e):
@@ -360,7 +365,7 @@ def _edge_apply(ce: tuple, u: np.ndarray, g: Grid) -> np.ndarray:
         d *= e
         return d
 
-    return _edge_sum(ce, g, flux, np.ndarray.__isub__)
+    return _edge_sum(ce, g, flux, np.ndarray.__isub__, out)
 
 
 def _edge_diagonal(ce: tuple, g: Grid) -> np.ndarray:
@@ -454,11 +459,19 @@ class Operator:
             V = _symbol(g, LAPLACIAN) * V
         return -_div_grad_spectrum(self.coeff, V, g)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """L u, or with ``out`` (a float field) out + L u, formed in ``out``
+        where it is C-contiguous.  The edge form scatters its fluxes
+        straight into ``out`` and, as without it, sets the inactive rows to
+        0: the sum is out + L u on the active rows only."""
         g = self.grid
+        u = g.check_field(u)
+        if out is not None:
+            g.check_field(out)
         if g.fully_periodic:
-            return _irfft(g, self.apply_spectrum(_rfft(g, g.check_field(u))))
-        return _edge_apply(self.edge_coeffs, g.check_field(u), g)
+            return _added(out, _irfft(g, self.apply_spectrum(_rfft(g, u))))
+        return _edge_apply(self.edge_coeffs, u, g, out)
 
     def quad(self, u: np.ndarray, U: np.ndarray | None = None,
              Lu: np.ndarray | None = None) -> float:
@@ -487,10 +500,25 @@ def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(p, None))
 
 
+def _added(out: np.ndarray | None, Lv: np.ndarray) -> np.ndarray:
+    """``out += Lv`` and ``out``, or ``Lv`` where ``out`` is None: the
+    accumulating form of an apply that makes its own array."""
+    if out is None:
+        return Lv
+    out += Lv
+    return out
+
+
 def _krylov(cycle, apply, sigma, precond, b, w, tol, maxit, x0=None,
             switch=None):
     """Restarted Krylov solve of ``sigma x + apply(x) = b`` in the weighted
     inner product.
+
+    ``apply(v)`` is L v and ``apply(v, out)`` is out + L v, formed in
+    ``out``.  Each recursion matvec is ``apply(v, sigma * v)``, so the 2D
+    edge form scatters its fluxes straight into ``sigma v``, with no zero
+    field and no final add; the inactive rows it zeroes are 0 in
+    ``sigma v`` already, as in every direction the preconditioner makes.
 
     Convergence is judged on the true residual.  From each true residual
     ``cycle`` (:func:`_pcg` or :func:`_pbicgstab`) runs one recursion,
@@ -504,11 +532,8 @@ def _krylov(cycle, apply, sigma, precond, b, w, tol, maxit, x0=None,
     preconditioner ``make()``.  Returns the iterate, the iterations, the
     relative true residual and ``apply`` of the iterate, from that residual.
     """
-    # sigma v before apply(v): the other order ran 2 % slower on pme2d-mass
     def matvec(v):
-        out = sigma * v
-        out += apply(v)
-        return out
+        return apply(v, sigma * v)
 
     bnorm = np.sqrt(_wdot(w, b, b)) or 1.0
     x = np.zeros_like(b) if x0 is None else x0
@@ -564,8 +589,9 @@ def _pcg(matvec, precond, x, r, w, gate, budget):
 
 def _pbicgstab(matvec, precond, x, r, w, gate, budget):
     """One preconditioned BiCGStab recursion from residual r; a zero
-    ``rho``, ``omega`` or ``[t, t]`` is a breakdown and ends it.  ``w * rhat``
-    and ``w * t`` are formed once each: the bits of :func:`_wdot`."""
+    ``rho``, ``[rhat, v]``, ``omega`` or ``[t, t]`` is a breakdown and ends
+    it.  ``w * rhat`` and ``w * t`` are formed once each: the bits of
+    :func:`_wdot`."""
     wr = w * r  # w * rhat, rhat = r
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
@@ -575,13 +601,16 @@ def _pbicgstab(matvec, precond, x, r, w, gate, budget):
         rho_new = float(np.add.reduce(wr * r, None))
         if rho_new == 0.0 or omega == 0.0:
             break
-        used += 1
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
         phat = precond(p)
         v = matvec(phat)
-        alpha = rho / float(np.add.reduce(wr * v, None))
+        rv = float(np.add.reduce(wr * v, None))
+        if rv == 0.0:
+            break
+        used += 1
+        alpha = rho / rv
         s = r - alpha * v
         if np.sqrt(_wdot(w, s, s)) <= gate:
             x += alpha * phat
@@ -765,7 +794,8 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     * the edge form on a bounded 2D grid -- conjugate gradients
       preconditioned by the exact diagonal of ``sigma I + L``, built once
       per solve from ``Operator.edge_coeffs``; no transforms, and each
-      matvec one apply;
+      matvec one accumulating apply, ``op.apply(v, sigma * v)``, which
+      scatters the edge fluxes straight into ``sigma v``;
     * the pseudo-spectral second-order kind (periodic) -- conjugate
       gradients, and the fourth-order kind -- BiCGStab, both on the float
       view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
@@ -788,10 +818,13 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
     So ``Operator.quad`` applies nothing, and on fully periodic grids,
     where the report keeps both as spectra, transforms nothing.
     The Krylov paths start from ``x0`` (0 without it), so a guess close to
-    the solution saves iterations; where ``rhs`` vanishes on the active
-    rows they judge the residual as absolute.  They iterate in ``x0``: the
-    2D edge path in a float ``x0`` itself, without a copy, so the caller
-    hands over an array it owns (the periodic paths in its transform).
+    the solution saves iterations (:func:`posikit.stepper.predict` hands
+    the 2D edge path the quadratic extrapolation of three solution levels
+    at order 2, the others the order-k one); where ``rhs`` vanishes on the
+    active rows they judge the residual as absolute.  They iterate in
+    ``x0``: the 2D edge path in a float ``x0`` itself, without a copy, so
+    the caller hands over an array it owns (the periodic paths in its
+    transform).
     Iterative solves leave inactive (Dirichlet end) nodes at ``x0``, and
     so does the 1D elimination, for which ``x0`` sets only those ends; the
     transform pass ignores ``x0`` and sets them to 0.
@@ -822,7 +855,8 @@ def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
         X0 = None if x0 is None else _rfft(g, g.check_field(x0)).view(float)
         X, n, res, LX = _krylov(
             _pbicgstab if fourth else _pcg,
-            lambda V: op.apply_spectrum(V.view(complex)).view(float), sigma,
+            lambda V, out=None: _added(
+                out, op.apply_spectrum(V.view(complex)).view(float)), sigma,
             lambda R: R / denom, _rfft(g, rhs).view(float),
             _parseval_weights(g), tol, maxit, X0, switch)
         U = X.view(complex)

@@ -496,16 +496,10 @@ def test_edge_form_matches_edge_by_edge_dense(extents, counts, bcs):
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
-def test_edge_apply_rounds_as_the_edge_by_edge_scatter(extents, counts, bcs):
-    # the flat edge form keeps the per-axis operations, bit for bit: the
-    # flux 0.5 * (c_i + c_j) / h**2 * (u_j - u_i) leaves node i and enters
-    # node j, a Neumann end node takes its one edge a second time, and the
-    # excluded ends are 0
-    g = build_grid(extents, counts, bcs)
-    rng = np.random.default_rng(53)
-    c, u = rng.random(g.shape), rng.standard_normal(g.shape)
-    ref = np.zeros(g.shape)
+def edge_by_edge_scatter(c, u, g, start):
+    """L u added into a copy of ``start`` edge by edge, axis by axis; the
+    excluded ends set to 0."""
+    ref = start.copy()
     for ax, bc in enumerate(g.bcs):
         r, ca, ua = (np.moveaxis(a, ax, 0) for a in (ref, c, u))
         flux = 0.5 * (ca[:-1] + ca[1:]) / g.spacings[ax] ** 2
@@ -516,7 +510,54 @@ def test_edge_apply_rounds_as_the_edge_by_edge_scatter(extents, counts, bcs):
             r[0] -= flux[0]
             r[-1] += flux[-1]
     ref[~g.active] = 0.0
+    return ref
+
+
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS, ids=EDGE_IDS)
+def test_edge_apply_rounds_as_the_edge_by_edge_scatter(extents, counts, bcs):
+    # the flat edge form keeps the per-axis operations, bit for bit: the
+    # flux 0.5 * (c_i + c_j) / h**2 * (u_j - u_i) leaves node i and enters
+    # node j, a Neumann end node takes its one edge a second time, and the
+    # excluded ends are 0
+    g = build_grid(extents, counts, bcs)
+    rng = np.random.default_rng(53)
+    c, u = rng.random(g.shape), rng.standard_normal(g.shape)
+    ref = edge_by_edge_scatter(c, u, g, np.zeros(g.shape))
     assert Operator.div_coeff_grad(g, c).apply(u).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("extents,counts,bcs", EDGE_GRIDS[2:],
+                         ids=EDGE_IDS[2:])
+def test_accumulating_apply_is_out_plus_L_u_on_the_cg_directions(
+        monkeypatch, extents, counts, bcs):
+    # every recursion matvec of the 2D edge-form CG is one apply(p, sigma p):
+    # the fluxes are scattered into sigma p itself, in the order of the
+    # plain apply, and the inactive rows, where every direction is 0, are 0
+    g = build_grid(extents, counts, bcs)
+    rng = np.random.default_rng(62)
+    c = 0.1 + rng.random(g.shape) * 3.0
+    op = Operator.div_coeff_grad(g, c)
+    sigma, seen, real = 10.0, [], Operator.apply
+
+    def spy(self, u, out=None):
+        if out is None:
+            return real(self, u)
+        assert not u[~g.active].any() and not out[~g.active].any()
+        start = out.copy()
+        got = real(self, u, out)
+        assert np.shares_memory(got, out)
+        ref = edge_by_edge_scatter(c, u, g, start)
+        assert got.tobytes() == ref.tobytes()
+        expect = start + real(self, u)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+        seen.append(np.array_equal(start, sigma * u))
+        return got
+
+    monkeypatch.setattr(Operator, "apply", spy)
+    _, rep = solve_operator(sigma, op, rng.standard_normal(g.shape) * g.active,
+                            tol=1e-12)
+    assert rep.converged and rep.iterations > 0
+    assert len(seen) >= rep.iterations and all(seen)
 
 
 @pytest.mark.parametrize("extents,counts,bcs",
@@ -1074,11 +1115,21 @@ def test_bicgstab_zero_t_is_a_breakdown_not_a_division_by_zero():
     # with the identity the first half step solves exactly, so s and t are
     # 0; a negative tolerance keeps the inner gate from stopping before t
     b = np.arange(1.0, 9.0)
-    x, iterations, relres, _ = ops._krylov(ops._pbicgstab, lambda v: v.copy(),
-                                           0.0, lambda r: r.copy(), b,
-                                           np.ones(8), -1.0, 10)
+    x, iterations, relres, _ = ops._krylov(
+        ops._pbicgstab, lambda v, out=None: ops._added(out, v.copy()), 0.0,
+        lambda r: r.copy(), b, np.ones(8), -1.0, 10)
     assert np.array_equal(x, b)
     assert iterations == 1 and relres == 0.0 and not relres <= -1.0
+
+
+def test_bicgstab_zero_rhat_v_is_a_breakdown_not_a_division_by_zero():
+    # a matvec that returns zeros makes [rhat, v] = 0 at the first step: the
+    # recursion ends there, without an update, as CG does on a zero [p, Ap]
+    r = np.arange(1.0, 9.0)
+    x = np.zeros(8)
+    used = ops._pbicgstab(np.zeros_like, np.copy, x, r.copy(), np.ones(8),
+                          1e-10, 10)
+    assert used == 0 and not x.any()
 
 
 @pytest.mark.parametrize("apply,precond", [
@@ -1090,8 +1141,9 @@ def test_cg_zero_product_is_a_breakdown_not_a_division_by_zero(apply,
     # as where a 2D porous-medium solve's products underflow to 0: the
     # recursion stops without progress, and the solve reports its residual
     b = np.arange(1.0, 9.0)
-    x, iterations, relres, _ = ops._krylov(ops._pcg, apply, 0.0, precond, b,
-                                           np.ones(8), 1e-10, 10)
+    x, iterations, relres, _ = ops._krylov(
+        ops._pcg, lambda v, out=None: ops._added(out, apply(v)), 0.0, precond,
+        b, np.ones(8), 1e-10, 10)
     assert not x.any() and iterations == 0 and relres == 1.0
 
 

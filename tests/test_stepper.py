@@ -340,6 +340,23 @@ def test_secant_three_node_case_matches_breakpoint_oracle():
     assert xi == pytest.approx(xe, abs=1e-13)
 
 
+def test_secant_second_point_on_the_roots_side():
+    # F(0) < 0: the root of the nondecreasing F lies above 0, so the second
+    # point is +1, not -1, and F(0) is evaluated once
+    def F(x):
+        seen.append(x)
+        return max(x, 0.5 * x) - 0.3
+
+    seen = []
+    xi, its = solve_xi_secant(F, 0.0, -1.0)
+    assert seen[:2] == [0.0, 1.0] and seen.count(0.0) == 1
+    assert xi == pytest.approx(0.3, abs=1e-15) and its == 1
+    # F(0) > 0 keeps the given point
+    seen.clear()
+    solve_xi_secant(lambda x: F(x) + 0.6, 0.0, -1.0)
+    assert seen[:2] == [0.0, -1.0]
+
+
 def test_secant_budget_exhaustion():
     with pytest.raises(SecantError):
         solve_xi_secant(lambda x: np.tanh(x) + 2.0, 0.0, -1.0, maxit=3)
@@ -435,8 +452,9 @@ def test_correct_mass_kkt_and_mass_random():
 
 
 def test_correct_mass_flat_secant_falls_back_to_exact_solve():
-    # every node is clamped at xi = 0 and at xi = -dt, so the secant's first
-    # step is flat; the root unclamps all nodes at u = 1: xi = (1 + 10) / dt
+    # every node is clamped at xi = 0 and at xi = +dt (F(0) < 0), so the
+    # secant's first step is flat; the root unclamps all nodes at u = 1:
+    # xi = (1 + 10) / dt
     g = build_grid((0.0, 1.0), 8, "neumann")
     ut = np.full(g.shape, -10.0)
     tab = bdf_tableau(1)
@@ -613,13 +631,18 @@ def test_step_options_reject_orders_above_two(k):
 # -- starting iterate and history depth ------------------------------------------
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k):
-    # the x0 handed to the solver is bitwise the extrapolation the step's
-    # order reads: u^n at k = 1 and at the first step, 2u^n - u^(n-1) from
-    # the second step on at k = 2
+@pytest.mark.parametrize("k,case", [
+    (1, "pme2d"), (2, "pme2d"), (1, "pme1d"), (2, "pme1d"),
+    (1, "thin-film"), (2, "thin-film")],
+    ids=["1", "2", "pme1d-1", "pme1d-2", "thin-film-1", "thin-film-2"])
+def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k,
+                                                          case):
+    # the x0 handed to the solver is bitwise the extrapolation the step
+    # reads: u^n at k = 1 and at the first step, 2u^n - u^(n-1) at the
+    # second step at k = 2, and from the third step on 3u^n - 3u^(n-1) +
+    # u^(n-2) on the 2D edge-form CG, 2u^n - u^(n-1) on every other path
     from posikit import stepper as stepper_mod
-    from posikit.models import PorousMediumModel
+    from posikit.models import LubricationModel, PorousMediumModel
     starts = []
     real = stepper_mod.solve_operator
 
@@ -628,22 +651,35 @@ def test_prediction_starts_from_the_order_k_extrapolation(monkeypatch, k):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(stepper_mod, "solve_operator", spy)
-    model = PorousMediumModel(m=3.0, n=16, dim=2)
+    if case == "thin-film":
+        model = LubricationModel(rho=0.5, n=64)
+        opts = StepOptions(k=k, dt=1e-6, variant="mass", eps_lb=1e-4)
+    else:
+        model = PorousMediumModel(m=3.0, n=16, dim=2 if case == "pme2d" else 1)
+        opts = StepOptions(k=k, dt=1e-3, variant="mass")
     levels = [model.initial_state()]
-    res = run_simulation(model, StepOptions(k=k, dt=1e-3, variant="mass"), 6,
+    res = run_simulation(model, opts, 6,
                          on_step=lambda h, d: levels.append(h.us[0].copy()))
-    assert sum(d.solver_iters for d in res.diagnostics) > 0
+    if case != "pme1d":  # the 1D elimination takes no iterations
+        assert sum(d.solver_iters for d in res.diagnostics) > 0
     assert len(starts) == 6
     for n, x0 in enumerate(starts):
         u = levels[n::-1]  # u^n first
-        expect = u[0] if min(k, n + 1) == 1 else 2.0 * u[0] - u[1]
+        order = min(k, n + 1)
+        if order == 2 and n >= 2 and case == "pme2d":
+            expect = 3.0 * u[0] - 3.0 * u[1] + u[2]
+        elif order == 2:
+            expect = 2.0 * u[0] - u[1]
+        else:
+            expect = u[0]
         assert np.array_equal(x0, expect), (k, n)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_pme2d_step_leaves_every_history_level_alone(k):
     # the 2D edge-form solve iterates in its start without a copy, so the
-    # start must be a fresh array, never a level the history keeps
+    # start must be a fresh array, never a level the history keeps; at k = 2
+    # the history keeps the three levels of the quadratic start
     from posikit.models import PorousMediumModel
     model = PorousMediumModel(m=3.0, n=16, dim=2)
     g = model.grid
@@ -656,7 +692,7 @@ def test_pme2d_step_leaves_every_history_level_alone(k):
         hist, diag = step(hist, model, opts)
         iters += diag.solver_iters
         assert all(v.tobytes() == b for v, b in kept)
-    assert iters > 0 and len(hist.us) == k
+    assert iters > 0 and len(hist.us) == (3 if k == 2 else 1)
 
 
 def test_history_push_defaults_to_order_two():
@@ -728,13 +764,23 @@ def test_pme2d_step_peak_memory_in_field_sizes(ledgered):
         tracemalloc.stop()
     assert sum(d.solver_iters for d in res.diagnostics) > 0
     field_bytes = np.zeros(model.grid.shape).nbytes
-    assert peak / field_bytes <= 17.25
+    assert peak / field_bytes <= 14.5
+
+
+def test_pme2d_mass_run_cg_iterations_from_the_quadratic_start():
+    # the 64^2 run of the peak-memory guard: 41 CG iterations over 8 steps
+    # from the quadratic start, 52 from the linear one
+    from posikit.models import PorousMediumModel
+    res = run_simulation(PorousMediumModel(m=5.0, n=64, dim=2),
+                         StepOptions(k=2, dt=1e-3, variant="mass"), 8)
+    assert 0 < sum(d.solver_iters for d in res.diagnostics) <= 45
 
 
 def test_ledgered_pme2d_step_applies_the_operator_only_in_its_solve(
         monkeypatch):
     # the energy term reads L u~ off the edge-form CG's report, as the
-    # thin film's reads the BiCGStab spectra
+    # thin film's reads the BiCGStab spectra; every CG iteration's matvec
+    # is one accumulating apply, and each true residual one plain apply
     from posikit import stepper
     from posikit.diagnostics import EnergyLedger
     from posikit.models import PorousMediumModel
@@ -754,11 +800,13 @@ def test_ledgered_pme2d_step_applies_the_operator_only_in_its_solve(
             inside[0] = False
 
     monkeypatch.setattr(Operator, "apply",
-                        lambda self, u: calls.append(inside[0])
-                        or real_apply(self, u))
+                        lambda self, u, out=None:
+                        calls.append((inside[0], out is not None))
+                        or real_apply(self, u, out))
     monkeypatch.setattr(stepper, "solve_operator", solve)
     _, diag = step(hist, model, opts, ledger)
-    assert all(calls) and len(calls) > diag.solver_iters > 0
+    assert all(c[0] for c in calls) and len(calls) > diag.solver_iters > 0
+    assert sum(c[1] for c in calls) == diag.solver_iters
     assert diag.op_quad > 0.0 and diag.ledger_residual <= 1e-8
 
 
