@@ -7,7 +7,7 @@ multiplier that restores conservation of the weighted mass.  Ships with four
 model problems, runtime stability ledgers, and a convergence-study harness.
 """
 
-from .grid import Grid, build_grid, read_snapshot, write_snapshot
+from .grid import Grid, build_grid, write_snapshot
 from .operators import (Operator, SolverError, SolverReport,
                         solve_conservative_poisson, solve_operator)
 from .stepper import (BdfTableau, BlowUpError, CorrectionOutcome, History,
@@ -15,10 +15,10 @@ from .stepper import (BdfTableau, BlowUpError, CorrectionOutcome, History,
                       bdf_tableau, correct_positivity, predict, residual_F,
                       run_simulation, solve_xi_exact, solve_xi_secant, step)
 from .models import (AllenCahnModel, LubricationModel, PnpModel,
-                     PorousMediumModel, barenblatt, extrapolate_star,
-                     lubrication_f_eta, pme_operator, pnp_step, run_pnp)
+                     PorousMediumModel, barenblatt, lubrication_f_eta,
+                     pme_operator, pnp_step, run_pnp)
 from .diagnostics import (DEFAULT_REFERENCE, ConvergenceRow, EnergyLedger,
                           KktReport, convergence_study, has_energy_statement,
-                          kkt_audit, run_to_horizon)
+                          kkt_audit)
 
 __version__ = "0.1.0"

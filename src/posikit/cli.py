@@ -1,23 +1,10 @@
 """Batch front end: config parsing, experiment orchestration, CSV emission.
 
-Configs are flat ``key = value`` text files; unknown keys are rejected so a
-typo cannot silently fall back to a default, and so is a key the command
-would ignore.  Three subcommands:
-
-* ``solve``        -- run one configuration, emit ``run.csv`` and field
-  snapshots at the configured cadence;
-* ``convergence``  -- temporal convergence table against a fine reference
-  (a ``ref_*`` key left unset keeps ``diagnostics.DEFAULT_REFERENCE``);
-* ``compare``      -- run several step variants on one model and emit aligned
-  per-step metrics (the ``none`` variant is the uncorrected baseline and may
-  blow up; a failure's kind, and for a blow-up its time, are recorded, not
-  raised).
-
-Every command steps to the horizon ``T``, which each config must set.
-Output directory precedence: ``--out`` flag, then the ``POSIKIT_OUT``
-environment variable, then the config's ``out`` key, then ``./out``.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Reruns of the same config reproduce all CSV output bit for bit.
+Three subcommands over flat ``key = value`` configs: ``solve`` runs one
+configuration, ``convergence`` tabulates temporal errors against a fine
+reference, and ``compare`` runs several step variants on one model.  The
+README's CLI section states the keys each command takes, the outputs and
+the exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,8 +16,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, zip_longest
 from typing import NamedTuple
-
-import numpy as np
 
 from .diagnostics import (DEFAULT_REFERENCE, EnergyLedger, check_study_steps,
                           convergence_study, has_energy_statement,
@@ -66,6 +51,13 @@ def _finite(key: str, text: str) -> float:
     return x
 
 
+def _integer(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"key '{key}': cannot parse {text!r} as an integer")
+
+
 class _ModelEntry(NamedTuple):
     cls: type
     keys: tuple      # the model's own config keys
@@ -99,23 +91,20 @@ class RunConfig:
         return self.raw.get(key, default)
 
     def get_float(self, key, default=None):
-        v = self.raw.get(key)
-        if v is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}'")
-            return default
-        return _finite(key, v)
+        return self._parsed(key, default, _finite)
 
     def get_int(self, key, default=None):
+        return self._parsed(key, default, _integer)
+
+    def _parsed(self, key, default, parse):
+        """``parse(key, text)`` of the key's text; an unset key is
+        ``default``, or a ConfigError where there is none."""
         v = self.raw.get(key)
         if v is None:
             if default is None:
                 raise ConfigError(f"missing required key '{key}'")
             return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"key '{key}': cannot parse {v!r} as an integer")
+        return parse(key, v)
 
 
 def parse_config(path) -> RunConfig:
@@ -155,21 +144,12 @@ def _check_command_keys(cfg: RunConfig, command: str) -> None:
             raise ConfigError(f"key '{key}': not used by '{command}'")
 
 
-def build_model(cfg: RunConfig):
-    try:
-        return _build_model(cfg)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # a model rejecting its parameters
-        raise ConfigError(f"model '{cfg.model}': {exc}") from exc
-
-
 def _unused(cfg: RunConfig, key: str, why: str) -> None:
     if key in cfg.raw:
         raise ConfigError(f"key '{key}': not used {why}")
 
 
-def _build_model(cfg: RunConfig):
+def build_model(cfg: RunConfig):
     """The config's model; a key left unset keeps the model's default,
     except ``eta``, which is 1e-8 under ``reg = reg_eta``."""
     kwargs = {key: cfg.get_float(key) for key in _MODELS[cfg.model].keys
@@ -189,7 +169,7 @@ def _build_model(cfg: RunConfig):
                 raise ConfigError("key 'eta': reg = reg_eta needs eta > 0")
         else:
             raise ConfigError(f"key 'reg': unknown regularization '{reg}'")
-    model = _MODELS[cfg.model].cls(**kwargs)
+    model = _checked(f"model '{cfg.model}'", _MODELS[cfg.model].cls, **kwargs)
     if ny is not None and ny != model.n:
         raise ConfigError(f"key 'ny': {cfg.model} uses equal per-axis counts")
     return model
@@ -357,8 +337,10 @@ def cmd_convergence(cfg: RunConfig, out_dir: str) -> int:
 def cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     _single_field(cfg, "compare")
     model = build_model(cfg)
-    variants_raw = cfg.get("variants", "multiplier,cutoff,mass,none")
-    variants = [v.strip() for v in variants_raw.split(",") if v.strip()]
+    raw = cfg.get("variants")  # unset: every variant the model takes
+    variants = ([v for v in VARIANTS if v in _MODELS[cfg.model].variants]
+                if raw is None else
+                [v.strip() for v in raw.split(",") if v.strip()])
     if not variants:
         raise ConfigError("key 'variants': names no variant")
     g = model.grid

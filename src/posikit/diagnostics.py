@@ -182,13 +182,6 @@ def horizon_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def run_to_horizon(model, opts: StepOptions, horizon: float) -> np.ndarray:
-    """Run the model under ``opts`` to the horizon and return the final
-    field."""
-    result = run_simulation(model, opts, horizon_steps(horizon, opts.dt))
-    return result.history.us[0]
-
-
 def fit_orders(dts, errors) -> list[float]:
     """Pairwise observed orders, matching consecutive table rows."""
     orders = [float("nan")]
@@ -222,14 +215,16 @@ def convergence_study(model, opts: StepOptions, dts, reference,
     dts = list(dts)
     if isinstance(reference, StepOptions):
         check_study_steps(dts, reference.dt)
-        u_ref = run_to_horizon(model, reference, horizon)
+        u_ref = run_simulation(model, reference, horizon_steps(
+            horizon, reference.dt)).history.us[0]
     else:
         check_study_steps(dts)
         u_ref = np.asarray(reference)
     act = model.grid.active
     errors = []
     for dt in dts:
-        u = run_to_horizon(model, replace(opts, dt=dt), horizon)
+        u = run_simulation(model, replace(opts, dt=dt),
+                           horizon_steps(horizon, dt)).history.us[0]
         errors.append(float(np.abs((u - u_ref)[act]).max()))
     orders = fit_orders(dts, errors)
     return [ConvergenceRow(dt, e, o) for dt, e, o in zip(dts, errors, orders)]

@@ -100,21 +100,14 @@ class Grid:
 
     # -- quadrature ---------------------------------------------------------
 
-    # Each reduction forms its product in place and sums it with
-    # np.add.reduce, as ndarray.sum does: np.sum(w * u * v), bit for bit.
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Weighted discrete inner product over the active node set."""
-        p = self.weights * self.check_field(u)
-        p *= self.check_field(v)
-        return float(np.add.reduce(p, None))
+        return _wdot(self.weights, self.check_field(u), self.check_field(v))
 
     def norm(self, u: np.ndarray) -> float:
         """Norm induced by :meth:`inner`."""
         u = self.check_field(u)
-        p = self.weights * u
-        p *= u
-        return math.sqrt(np.add.reduce(p, None))
+        return math.sqrt(_wdot(self.weights, u, u))
 
     def mass(self, u: np.ndarray) -> float:
         """Inner product of ``u`` against the constant-one field."""
@@ -128,6 +121,15 @@ class Grid:
                 ends = a.swapaxes(0, ax)
                 ends[0] = ends[-1] = 0
         return a
+
+
+def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum(w * a * b), the bits of np.sum(w * a * b): the product formed in
+    place and reduced by np.add.reduce, as ndarray.sum does, without its
+    wrapper; not a BLAS dot, which goes multithreaded on 2D grids."""
+    p = w * a
+    p *= b
+    return float(np.add.reduce(p, None))
 
 
 def _axis_nodes(a: float, b: float, n: int, bc: str):
@@ -230,16 +232,3 @@ def write_snapshot(path, u: np.ndarray, g: Grid, t: float) -> None:
         fh.write(f"{dims} {t!r}\n")
         for x in np.ravel(u, order="C"):
             fh.write(f"{float(x)!r}\n")
-
-
-def read_snapshot(path) -> tuple[np.ndarray, float]:
-    """Read a snapshot written by :func:`write_snapshot`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        shape = tuple(int(s) for s in header[:-1])
-        t = float(header[-1])
-        values = np.array([float(line) for line in fh])
-    if values.size != int(np.prod(shape)):
-        raise ValueError(f"snapshot {path}: expected {np.prod(shape)} values, "
-                         f"got {values.size}")
-    return values.reshape(shape, order="C"), t

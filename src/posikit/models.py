@@ -27,23 +27,14 @@ from .stepper import (EXTRAPOLATION_COEFFS, VARIANT_MASS, History,
 _STAR_FLOOR = 1e-14
 
 
-def extrapolate_star(un: np.ndarray, unm1: np.ndarray) -> np.ndarray:
-    """Positivity-preserving two-level extrapolation.
+def _star(un: np.ndarray, unm1: np.ndarray) -> np.ndarray:
+    """Positivity-preserving two-level extrapolation of nonnegative levels.
 
     Rising nodes extrapolate linearly (2 u^n - u^{n-1}); falling nodes use the
     harmonic form 1/(2/u^n - 1/u^{n-1}), which stays positive.  Nodes at or
-    below 1e-14 return 0, the continuous limit of the harmonic branch.
+    below 1e-14 return 0, the continuous limit of the harmonic branch.  The
+    branches are written into the fresh harmonic array.
     """
-    un = np.asarray(un, dtype=float)
-    unm1 = np.asarray(unm1, dtype=float)
-    if np.any(un < 0) or np.any(unm1 < 0):
-        raise ValueError("extrapolation requires nonnegative history")
-    return _star(un, unm1)
-
-
-def _star(un: np.ndarray, unm1: np.ndarray) -> np.ndarray:
-    """:func:`extrapolate_star` on levels known to be nonnegative, its
-    branches written into the fresh harmonic array."""
     star = 2.0 / np.maximum(un, _STAR_FLOOR)
     star -= 1.0 / np.maximum(unm1, _STAR_FLOOR)
     np.divide(1.0, star, out=star)
@@ -59,8 +50,7 @@ def _clamped_star(hist: History, k: int) -> np.ndarray:
     history (on a periodic Fourier grid, whose divergence form is not
     monotone); the lagged coefficient must stay nonnegative for the operator
     to be well posed, so history levels are floored before extrapolating.
-    For corrected variants the floor is a no-op.  The floored levels need
-    no negativity scan, so the kernel is called directly.
+    For corrected variants the floor is a no-op.
     """
     u0 = np.maximum(hist.us[0], 0.0)
     if k >= 2 and len(hist.us) >= 2:

@@ -3,46 +3,26 @@
 Three operator kinds, all in the sign convention of ``u_t + L u = 0`` (every
 kind is the *positive* direction: for the heat part ``L = -laplacian``):
 
-* ``laplacian``                 -- L u = -Delta u.  Periodic grids use exact
-  Fourier differentiation, bounded grids the div-coeff-grad edge form at
-  c == 1 (the second-difference stencil of the lumped linear-element form).
+* ``laplacian``                 -- L u = -Delta u: exact Fourier
+  differentiation on periodic grids, the edge form at c == 1 on bounded ones.
 * ``div-coeff-grad``            -- L u = -div(c grad u) with nodal c >= 0.
-  On periodic grids it is assembled pseudo-spectrally from the
-  antisymmetric Fourier derivative (Nyquist mode dropped), exactly
-  symmetric positive semidefinite in the grid inner product and equal to
-  the spectral Laplacian mode by mode at c == 1.  On bounded grids it is
-  the edge form with edge coefficients ``0.5 * (c_i + c_{i+1}) / h**2``,
-  which an :class:`Operator` builds once (``Operator.edge_coeffs``) on the
-  flat C-order field: one array per axis, entry i coupling flat nodes i and
-  i + s (s the axis stride, zero across the row wraps of a 2D grid), so an
-  apply is one pass of contiguous shifts into one field, with no division.
+  Periodic grids assemble it pseudo-spectrally from the antisymmetric
+  Fourier derivative (Nyquist mode dropped): symmetric positive
+  semidefinite in the grid inner product, and the spectral Laplacian mode
+  by mode at c == 1.  Bounded grids use the edge form, built once per
+  operator (``Operator.edge_coeffs``, :func:`_edge_apply`).
 * ``div-coeff-grad-laplacian``  -- L u = +div(c grad (Delta u)), the
   fourth-order thin-film operator; periodic grids only, applied in fused
   form (Delta u stays in transform space: 4 real transforms in 1D, 6 in 2D).
 
-A grid is periodic on every axis or on none (:func:`posikit.grid.build_grid`).
-Periodic grids use real FFTs, Dirichlet/Neumann axes DST-I/DCT-I; the
-unit-coefficient symbol of each kind is kept in ``Grid.memo``, so a
-constant-coefficient shifted system is the diagonal ``sigma + c * symbol``
+Periodic grids transform with real FFTs, Dirichlet/Neumann axes with
+DST-I/DCT-I, each by one call of the compiled kernel its public function
+ends in, for the public bits (:func:`_pocketfft`; README, numerical notes).
+A constant-coefficient shifted system is the diagonal ``sigma + c * symbol``
 in transform space.  All kinds annihilate constants in the adjoint sense:
 ``[L v, 1] = 0`` on periodic/Neumann grids, and the telescoped edge flux
-against the all-ones extension vanishes on Dirichlet grids.
-
-Every shifted system ``(sigma I + L) u = b`` goes through
-:func:`solve_operator`, whose docstring lists its paths and what each hands
-back to ``Operator.quad``.
-
-Each transform is one call of the compiled kernel in which its public
-function ends, on the arguments that function passes, so it gives the public
-bits (the ``*_kernels_match_the_public_functions`` tests check):
-scipy's ``pypocketfft`` for 2D real FFTs (``r2c``, ``c2r``) and DST-I/DCT-I
-(``dst``, ``dct``), numpy's ``_pocketfft_umath`` gufuncs for 1D real FFTs,
-which load no scipy.  On these small grids the public wrappers' dispatch and
-shape checks cost more than the FFT itself.  scipy's kernel is loaded from
-its file on the first transform that needs it (:func:`_pocketfft`), with no
-scipy package imported: about 1 ms and 0.4 MiB in an Allen-Cahn or pnp run
-(the ``scipy.fft`` import it replaces took about 0.25 s and 25 MiB), nothing
-in a porous-medium or 1D thin-film run, which never transform with it.
+against the all-ones extension vanishes on Dirichlet grids.  Every shifted
+system ``(sigma I + L) u = b`` goes through :func:`solve_operator`.
 
 Operators are immutable but for their cached coefficient range and edge
 coefficients and one held diagonal; ``Operator.apply`` and
@@ -60,14 +40,11 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .grid import DIRICHLET, NEUMANN, PERIODIC, Grid
+from .grid import DIRICHLET, NEUMANN, PERIODIC, Grid, _wdot
 
-# Freeing an mmapped block raises glibc's M_MMAP_THRESHOLD to its size and
-# M_TRIM_THRESHOLD to twice that (mallopt(3)), so field-sized temporaries (a
-# 129 x 129 field is 130 KiB, above the 128 KiB default) come from the heap
-# instead of a fresh mmap each: a pme2d-mass solve takes 0.7k minor faults
-# with this 2 MiB block (never touched), 62k without (glibc 2.36).  Not a
-# malloc tunable: setting any one turns the dynamic threshold off.
+# Freeing one untouched 2 MiB block raises glibc's mmap threshold, so
+# field-sized temporaries come from the heap, not a fresh mmap each
+# (README, numerical notes)
 np.empty(1 << 18)
 
 LAPLACIAN = "laplacian"
@@ -492,14 +469,6 @@ class Operator:
 # -- Krylov kernels -----------------------------------------------------------
 
 
-def _wdot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    # the same sum as np.sum(w * a * b), without a temporary and the np.sum
-    # wrapper; not a BLAS dot, which goes multithreaded on 2D grids
-    p = w * a
-    p *= b
-    return float(np.add.reduce(p, None))
-
-
 def _added(out: np.ndarray | None, Lv: np.ndarray) -> np.ndarray:
     """``out += Lv`` and ``out``, or ``Lv`` where ``out`` is None: the
     accumulating form of an apply that makes its own array."""
@@ -690,14 +659,10 @@ def _tridiagonal_solve(sigma: float, op: Operator, rhs: np.ndarray,
 # -- finite-difference preconditioner of the 1D thin film ---------------------
 
 # BiCGStab iterations on the mean-coefficient preconditioner before a 1D
-# fourth-order solve switches to the finite-difference one: of 1, 2 and 3,
-# 2 solved the thin film's systems past touchdown fastest
+# fourth-order solve switches to the finite-difference one, and the
+# coefficient contrast max c / min c from which it switches at all: the
+# fastest choices on thin-film systems (CHANGES.md, the switch's entry)
 _FD_SWITCH = 2
-# the coefficient contrast max c / min c from which a solve switches at all:
-# an iteration under the finite-difference preconditioner costs about three
-# spectral ones.  On thin-film systems (256 nodes, dt 2e-7 to 1e-4) the
-# switch cut solve time by up to 43 % above a contrast of 50, or cost at
-# most 8 % more; below 40 it cost up to 2.6 times as much.
 _FD_CONTRAST = 50.0
 
 
@@ -759,7 +724,8 @@ def _fd_preconditioner(g: Grid, sigma: float, c: np.ndarray, cbar: float,
     """``R -> rfft(B^-1 irfft(R)) * (sigma + cbar k_FD^4) / denom`` on the
     float view of 1D spectra, B from :func:`_band_factor` and ``k_FD^2 =
     (2 - 2 cos kh) / h^2``: the rescale turns the finite-difference symbol
-    at the mean coefficient into the spectral one, ``denom``."""
+    at the mean coefficient into the spectral one, ``denom`` (Orszag 1980).
+    """
     h = g.spacings[0]
     factor = _band_factor(c, sigma, h)
     kfd2 = (2.0 - 2.0 * np.cos(_wavenumbers(g, 0) * h)) / h**2
@@ -779,54 +745,33 @@ def _fd_preconditioner(g: Grid, sigma: float, c: np.ndarray, cbar: float,
 def solve_operator(sigma: float, op: Operator, rhs: np.ndarray,
                    tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT,
                    x0: np.ndarray | None = None):
-    """Solve the shifted system (sigma I + L) u = rhs for any operator kind.
+    """Solve the shifted system (sigma I + L) u = rhs for any operator kind;
+    returns u and a :class:`SolverReport`.
 
     Constant coefficients (none, or equal on every node by the operator's
     one ``(min, max)`` scan) solve exactly in one transform pass,
-    :func:`_diag_solve` (iterations = 0, residual reported as 0), which
-    hands back the spectrum of u on fully periodic grids.  Variable
-    coefficients take one of three paths, each judging the true residual
-    in the grid inner product against ``tol``:
+    :func:`_diag_solve` (iterations = 0, residual reported as 0).  Variable
+    coefficients take one of three paths, each judging the true residual in
+    the grid inner product against ``tol``:
 
-    * the edge form on a 1D (Dirichlet or Neumann) grid -- one exact
-      tridiagonal elimination built from ``Operator.edge_coeffs``
+    * a 1D bounded grid -- one exact tridiagonal elimination
       (iterations = 0, ``maxit`` unused);
-    * the edge form on a bounded 2D grid -- conjugate gradients
-      preconditioned by the exact diagonal of ``sigma I + L``, built once
-      per solve from ``Operator.edge_coeffs``; no transforms, and each
-      matvec one accumulating apply, ``op.apply(v, sigma * v)``, which
-      scatters the edge fluxes straight into ``sigma v``;
-    * the pseudo-spectral second-order kind (periodic) -- conjugate
-      gradients, and the fourth-order kind -- BiCGStab, both on the float
-      view of the real-FFT spectrum: ``rhs`` and ``x0`` are transformed
-      once and the iterate back once, inner products carry the Parseval
-      weights, and the preconditioner (the operator at the mean
-      coefficient) is a division.  In 1D the fourth-order kind with a
-      coefficient contrast of at least ``_FD_CONTRAST`` switches, if
-      ``_FD_SWITCH`` iterations leave it short of ``tol``, to the band
-      solve of its finite-difference counterpart (:func:`_band_factor`,
-      :func:`_fd_preconditioner`; Orszag 1980), which sees a contrast no
-      constant coefficient can, and restarts from its iterate and true
-      residual: 4 real transforms per iteration before the switch, 8
-      after.  The spectral preconditioner goes first: it ends smooth
-      solves within the switch and converges faster on white-noise
-      coefficients.
+    * a bounded 2D grid -- CG preconditioned by the exact diagonal of
+      ``sigma I + L``, with no transform;
+    * a periodic grid -- CG (second order) or BiCGStab (fourth order) on
+      the float view of the real-FFT spectrum, preconditioned by the
+      operator at the mean coefficient; a 1D fourth-order solve of contrast
+      above ``_FD_CONTRAST`` that ``_FD_SWITCH`` iterations leave short of
+      ``tol`` goes on from its iterate under :func:`_fd_preconditioner`.
 
-    Each of these hands back L u, in the basis of u, as the report's
-    ``applied``, from the true residual on the result: the 1D
-    elimination's residual check, or the last one of :func:`_krylov`.
-    So ``Operator.quad`` applies nothing, and on fully periodic grids,
-    where the report keeps both as spectra, transforms nothing.
-    The Krylov paths start from ``x0`` (0 without it), so a guess close to
-    the solution saves iterations (:func:`posikit.stepper.predict` hands
-    the 2D edge path the quadratic extrapolation of three solution levels
-    at order 2, the others the order-k one); where ``rhs`` vanishes on the
-    active rows they judge the residual as absolute.  They iterate in
-    ``x0``: the 2D edge path in a float ``x0`` itself, without a copy, so
-    the caller hands over an array it owns (the periodic paths in its
-    transform).
-    Iterative solves leave inactive (Dirichlet end) nodes at ``x0``, and
-    so does the 1D elimination, for which ``x0`` sets only those ends; the
+    Each variable-coefficient path hands back L u, in the basis of u, as
+    the report's ``applied``, and every periodic solve the spectrum of u,
+    so ``Operator.quad`` applies and transforms nothing.  The Krylov paths
+    start from ``x0`` (0 without it) and iterate in it: the 2D edge path in
+    a float ``x0`` itself, so the caller hands over an array it owns (the
+    periodic paths in its transform); where ``rhs`` vanishes on the active
+    rows they judge the residual as absolute.  Iterative solves and the 1D
+    elimination leave inactive (Dirichlet end) nodes at ``x0``; the
     transform pass ignores ``x0`` and sets them to 0.
     """
     if sigma <= 0:

@@ -1,42 +1,14 @@
 """Predictor-corrector time stepping with pointwise multiplier corrections.
 
-Each step splits into:
-
-1. *prediction* -- an implicit/IMEX BDF-k solve of
-   ``(alpha_k/dt) u~ + L u~ = A_k(u)/dt + B_{k-1}(lam) [+ B_{k-1}(xi)] + source``,
-   a generic semi-implicit scheme;
-2. *correction* -- a pointwise update that enforces ``u >= eps_lb`` through a
-   nodal multiplier field ``lam`` (and, optionally, conservation of the
-   weighted mass through a spatially constant multiplier ``xi``), satisfying
-   the complementarity triple ``lam >= 0``, ``u >= eps_lb``,
-   ``lam * (u - eps_lb) = 0`` exactly: each branch pins one factor to zero.
-
-Four step variants are supported; the three corrected ones share the one
-kernel :func:`correct_positivity` and differ only in how far it shifts the
-prediction before it clamps:
-
-* ``multiplier`` -- nodal multiplier extrapolated into the prediction;
-* ``cutoff``     -- zero multiplier extrapolation; the correction degenerates
-  to clamping (for k = 1 this is bit-identical to ``multiplier``);
-* ``mass``       -- multiplier variant plus the scalar mass multiplier,
-  solved per step by a secant iteration on a piecewise-linear monotone
-  residual, with the exact breakpoint solve as its fallback;
-* ``none``       -- no correction (the uncorrected baseline scheme).
-
-A prediction that is not finite ends the step with :class:`BlowUpError`
-before any correction.  The energy term ``<L u~, u~>`` is computed only for
-an attached ledger, from the L u~ that every variable-coefficient prediction
-solve hands back (on periodic grids, with u~, as spectra), and the step then
-drops the solve's report but for its iterations and residual, so no L u~
-stays alive through the correction.
-
-The order k is 1 or 2, the orders whose stability the ledgers in
-:mod:`posikit.diagnostics` check.  At k = 2 the first step runs at order 1.
-The prediction solve starts from an extrapolation of the history: the
-quadratic one of three solution levels on the 2D edge-form CG at k = 2,
-the order-k one on every other path and order (:func:`_start_levels`
-decides, and the history keeps as many levels); only the Krylov solves
-read the start, and they still solve to the tolerance.
+A step is a BDF-k prediction (:func:`predict`), a generic semi-implicit
+scheme, and then, for every variant but ``none``, the one correction kernel
+:func:`correct_positivity`, which enforces ``u >= eps_lb`` with exact
+complementarity.  ``multiplier`` extrapolates the nodal multiplier into the
+prediction; ``cutoff`` does not and only clamps (at k = 1 the bits of
+``multiplier``); ``mass`` adds the scalar multiplier that keeps the weighted
+mass; ``none`` is the uncorrected baseline.  A prediction that is not
+finite ends the step with :class:`BlowUpError` before any correction.  The
+order k is 1 or 2, and at k = 2 the first step runs at order 1.
 
 :class:`StepOptions` is the scheme that the prediction, correction, ledgers
 and studies all read; it and :class:`BdfTableau` are frozen, so one options
@@ -193,13 +165,8 @@ def _start_levels(op: Operator, k: int) -> int:
     """Solution levels the order-k prediction's start reads, once the
     history holds them, and so the levels the history keeps: 3 at k = 2
     for an operator whose variable-coefficient solve is the 2D edge-form
-    CG (a coefficient field on a bounded 2D grid), k otherwise.
-
-    The quadratic start took about 40 % of the CG iterations off 2D
-    porous-medium runs; on the thin film's spectral BiCGStab it cost
-    iterations (6471 -> 7510 on its benchmark), and the exact paths read
-    no interior start, so they keep the order-k start and depth.
-    """
+    CG (a coefficient field on a bounded 2D grid), k otherwise, as only
+    there the quadratic start pays (README, numerical notes)."""
     g = op.grid
     bounded_2d = g.dim == 2 and not g.fully_periodic
     return 3 if k == 2 and op.coeff is not None and bounded_2d else k
@@ -211,11 +178,9 @@ def predict(hist: History, tab: BdfTableau, op: Operator, opts: StepOptions,
 
     The multiplier load of :meth:`History.multiplier_load` and the explicit
     model ``source`` (evaluated at the extrapolated state) enter the right
-    side.  The solve starts from u^n at k = 1 and 2u^n - u^(n-1) at k = 2,
-    or 3u^n - 3u^(n-1) + u^(n-2) where :func:`_start_levels` reads three
-    levels and the history holds them; only the Krylov paths read it, and
-    it is formed only for an operator with a coefficient field, since the
-    transform pass of one without ignores it.
+    side.  The solve starts from the extrapolation of the newest
+    :func:`_start_levels` levels the history holds, formed only for an
+    operator with a coefficient field: the transform pass ignores a start.
     """
     lam, xi = hist.multiplier_load(tab, opts.variant)
     if len(hist.us) < tab.k:
@@ -254,11 +219,9 @@ def correct_positivity(u_tilde: np.ndarray, hist: History, tab: BdfTableau,
     :func:`solve_xi_exact` where the secant fails.  With base = u~ + s, nodes
     where base >= eps_lb keep (base, 0); the others get
     (eps_lb, (alpha/dt)(eps_lb - base)).  Exact ties land on the unclamped
-    branch so active_count counts strict clamps only.  The kernel takes
-    u = max(eps_lb, base) and lam = (alpha/dt)(u - base), and counts the
-    nonzero u - base before it scales it; for finite u~ (on which
-    :func:`step` calls it) x - y is 0 only where x == y, so ties land bit
-    for bit as that select does, signed zeros included.
+    branch so active_count counts strict clamps only: for finite u~ the
+    kernel's u = max(eps_lb, base), lam = (alpha/dt)(u - base) gives the
+    bits of that select, signed zeros included (README, numerical notes).
     """
     g = hist.grid
     u_tilde = g.check_field(u_tilde)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from posikit.diagnostics import (EnergyLedger, convergence_study,
-                                 run_to_horizon)
+                                 horizon_steps)
 from posikit.grid import PERIODIC, build_grid
 from posikit.models import (AllenCahnModel, LubricationModel, PnpModel,
                             PorousMediumModel, run_pnp)
@@ -39,7 +39,9 @@ def allen_cahn_model():
 @pytest.fixture(scope="module")
 def allen_cahn_reference(allen_cahn_model):
     # second-order reference at dt = 1e-6 over [0, 0.01]
-    return run_to_horizon(allen_cahn_model, StepOptions(k=2, dt=1e-6), 0.01)
+    result = run_simulation(allen_cahn_model, StepOptions(k=2, dt=1e-6),
+                            horizon_steps(0.01, 1e-6))
+    return result.history.us[0]
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,8 @@ from posikit import cli, diagnostics, models
 from posikit.cli import main, parse_config, reference_options
 from posikit.diagnostics import DEFAULT_REFERENCE
 from posikit.stepper import StepOptions
-from posikit.grid import read_snapshot
+
+from test_grid import read_snapshot
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -275,6 +276,27 @@ variants = multiplier,cutoff,mass,none
     assert [r[0] for r in srows] == ["multiplier", "cutoff", "mass", "none"]
     for v in ("multiplier", "cutoff", "mass", "none"):
         assert (out / f"run_{v}.csv").exists()
+
+
+@pytest.mark.parametrize("text,expect", [
+    ("model = allen_cahn\nnx = 8\ndt = 1e-4\nT = 2e-4",
+     ["multiplier", "cutoff", "none"]),
+    ("model = pme\nm = 2\nnx = 16\ndt = 1e-3\nT = 2e-3",
+     ["multiplier", "cutoff", "mass", "none"]),
+    ("model = lubrication\nnx = 32\ndt = 1e-7\nT = 2e-7",
+     ["multiplier", "cutoff", "mass", "none"]),
+], ids=["allen_cahn", "pme", "lubrication"])
+def test_compare_without_variants_runs_every_variant_of_the_model(
+        tmp_path, text, expect):
+    # the default was one fixed list, whose 'mass' made an Allen-Cahn
+    # config exit 2 on a key it never set
+    cfg = write_config(tmp_path, text + "\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    _, srows = read_csv(out / "summary.csv")
+    assert [r[0] for r in srows] == expect
+    assert sorted(p.name for p in out.glob("run_*.csv")) == sorted(
+        f"run_{v}.csv" for v in expect)
 
 
 def test_convergence_emits_table(tmp_path):

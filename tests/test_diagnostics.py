@@ -8,8 +8,8 @@ import pytest
 from posikit.diagnostics import (DEFAULT_REFERENCE, RUN_COLUMNS,
                                  ConvergenceRow, EnergyLedger,
                                  convergence_study, fit_orders,
-                                 has_energy_statement, kkt_audit,
-                                 run_to_horizon, write_convergence_csv,
+                                 has_energy_statement, horizon_steps,
+                                 kkt_audit, write_convergence_csv,
                                  write_csv, write_run_csv)
 from posikit.grid import build_grid
 from posikit.operators import Operator
@@ -314,7 +314,8 @@ def order_matrix():
     orders = {}
     for variant in MATRIX_VARIANTS:
         ref = StepOptions(k=2, dt=horizon / 5120, variant=variant)
-        u_ref = run_to_horizon(model, ref, horizon)
+        u_ref = run_simulation(model, ref, horizon_steps(
+            horizon, ref.dt)).history.us[0]
         for k in (1, 2):
             rows = convergence_study(model, replace(ref, k=k), dts, u_ref,
                                      horizon)

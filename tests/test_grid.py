@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posikit.grid import build_grid, read_snapshot, write_snapshot
+from posikit.grid import build_grid, write_snapshot
 
 
 def test_periodic_uniform_partition():
@@ -126,6 +126,19 @@ def test_build_grid_rejects_non_integral_counts(counts):
         build_grid(extents, counts, "periodic")
     # an integral float is the count it names
     assert build_grid((0.0, 1.0), 8.0, "periodic").counts == (8,)
+
+
+def read_snapshot(path) -> tuple[np.ndarray, float]:
+    """Read a snapshot written by :func:`posikit.grid.write_snapshot`."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        shape = tuple(int(s) for s in header[:-1])
+        t = float(header[-1])
+        values = np.array([float(line) for line in fh])
+    if values.size != int(np.prod(shape)):
+        raise ValueError(f"snapshot {path}: expected {np.prod(shape)} values, "
+                         f"got {values.size}")
+    return values.reshape(shape, order="C"), t
 
 
 def test_snapshot_roundtrip(tmp_path):

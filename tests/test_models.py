@@ -8,7 +8,7 @@ import pytest
 from posikit import models
 from posikit.grid import build_grid
 from posikit.models import (AllenCahnModel, LubricationModel, PnpModel,
-                            PorousMediumModel, barenblatt, extrapolate_star,
+                            PorousMediumModel, _star, barenblatt,
                             lubrication_f_eta, pme_operator, pnp_step,
                             run_pnp)
 from posikit.operators import Operator
@@ -44,31 +44,26 @@ def test_allen_cahn_initial_state_in_unit_interval():
 # -- positive extrapolation --------------------------------------------------------
 
 
-def test_extrapolate_star_linear_branch():
-    out = extrapolate_star(np.array([0.5]), np.array([0.3]))
+def test_star_linear_branch():
+    out = _star(np.array([0.5]), np.array([0.3]))
     assert out[0] == pytest.approx(0.7, abs=0.0)
 
 
-def test_extrapolate_star_harmonic_branch():
-    out = extrapolate_star(np.array([0.2]), np.array([0.4]))
+def test_star_harmonic_branch():
+    out = _star(np.array([0.2]), np.array([0.4]))
     assert out[0] == pytest.approx(1.0 / (10.0 - 2.5), rel=1e-15)
 
 
-def test_extrapolate_star_zero_guard():
-    out = extrapolate_star(np.array([0.0]), np.array([0.4]))
+def test_star_zero_guard():
+    out = _star(np.array([0.0]), np.array([0.4]))
     assert out[0] == 0.0
 
 
-def test_extrapolate_star_rejects_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        extrapolate_star(np.array([-0.1]), np.array([0.4]))
-
-
-def test_extrapolate_star_stays_nonnegative():
+def test_star_stays_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = rng.random(32), rng.random(32)
-        assert extrapolate_star(a, b).min() >= 0.0
+        assert _star(a, b).min() >= 0.0
 
 
 # -- lagged diffusion handle --------------------------------------------------------
@@ -113,7 +108,7 @@ def test_pme_operator_m2_coefficient_formula():
     hist = History.start(g, unm1)
     hist.push(un, np.zeros(17), 0.0, 0.1)
     op = pme_operator(hist, 2.0, k=2)
-    star = extrapolate_star(un, unm1)
+    star = _star(un, unm1)
     assert np.allclose(op.coeff, 2.0 * star, atol=1e-15)
 
 
